@@ -32,6 +32,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -229,6 +230,13 @@ def _load_weight_model(spec: str, design: CrossoverDesign) -> str | WeightModel:
     if spec.startswith("file:"):
         payload = json.loads(Path(spec[5:]).read_text())
         matrices = {as_sequence(z): np.array(m, dtype=float) for z, m in payload.items()}
+        for z, m in matrices.items():
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.allclose(m, m.T):
+                raise ValueError(f"weight for {z} must be a symmetric square matrix")
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"weight for {z} is not positive definite") from None
         return WeightModel(matrices, "user")
     raise ValueError(f"--weights must be sample, pooled, or file:PATH, got {spec!r}")
 
@@ -270,8 +278,6 @@ def _cmd_identify(args) -> int:
 
 
 def _closed_form_report(dataset: ObservedDataset, scenario: str, level: float) -> list[dict]:
-    from scipy import stats as spstats
-
     summary = twoperiod.TwoPeriodSummary.from_dataset(dataset)
     groups = set(str(z) for z in dataset.design.observed)
     if groups == set(twoperiod.FOUR_SEQ):
@@ -291,7 +297,7 @@ def _closed_form_report(dataset: ObservedDataset, scenario: str, level: float) -
     else:
         raise ValueError("closed-form engine supports the AA/AB/BA/BB and AB/BA designs")
     variances = twoperiod.conservative_variances(summary, scenario)
-    z_crit = float(spstats.norm.ppf(0.5 + level / 2.0))
+    z_crit = NormalDist().inv_cdf(0.5 + level / 2.0)
     rows = []
     for label, point in points.items():
         var = variances.get(label)

@@ -17,6 +17,7 @@ subset spanning the same row space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,6 +183,14 @@ class RestrictionMatrix:
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """p x d orthonormal basis Z of the null space of C, so that every
+        restricted coefficient vector is gamma = Z beta."""
+        if self.n_rows == 0:
+            return np.eye(self.layout.size)
+        return scipy.linalg.null_space(self.matrix)
 
 
 def assemble(

@@ -2,10 +2,12 @@
 
 The regressor block of a sequence z is the T x (T|S|) matrix placing an
 identity in z's coefficient block.  All estimands are unbiasedly estimable
-when X'X + C'C is full rank.  When it is not, per-mean checkers report
-which group means are still reachable: by a shared prefix (no
-anticipation), by a shared trailing window (bounded carryover), or through
-a difference-in-differences closure (time-invariant effects).
+when X'X + C'C is full rank, that is, when the rows Z_obs of the null-space
+basis Z of C in the implemented sequences' blocks have full column rank;
+unit counts play no part.  When it fails, per-mean checkers report which
+group means are still reachable: by a shared prefix (no anticipation), by a
+shared trailing window (bounded carryover), or through a
+difference-in-differences closure (time-invariant effects).
 """
 
 from __future__ import annotations
@@ -62,11 +64,16 @@ def numerical_rank(matrix: np.ndarray) -> int:
 
 
 def is_identifiable(design: CrossoverDesign, restriction: RestrictionMatrix) -> IdentificationCheck:
-    """Full numerical rank of X'X + C'C means every linear estimand of the
-    scoped means admits an unbiased linear estimator."""
-    gram = gram_plus_restriction(design, restriction)
-    rank = numerical_rank(gram)
-    return IdentificationCheck(rank == gram.shape[0], rank, gram.shape[0])
+    """Full rank of X'X + C'C, computed as p - d + rank(Z_obs), means every
+    linear estimand of the scoped means admits an unbiased linear estimator."""
+    layout = restriction.layout
+    if layout.horizon != design.horizon or layout.scope != design.scope:
+        raise ValueError("restriction layout does not match the design")
+    basis = restriction.basis
+    observed = np.vstack([basis[layout.block(z)] for z in design.observed])
+    p, d = basis.shape
+    rank = p - d + numerical_rank(observed)
+    return IdentificationCheck(rank == p, rank, p)
 
 
 def _normalize_observed(observed) -> tuple[TreatmentSequence, ...]:

@@ -1,14 +1,16 @@
 """Restricted weighted least squares estimation and EHW inference.
 
 The engine consumes per-sequence outcome means, per-sequence weight
-matrices, and a restriction matrix, solves the stationarity system
+matrices, and a restriction matrix C, and solves the restricted problem
+in the null space of C (Bjorck, Numerical Methods for Least Squares
+Problems, 1996).  With Z an orthonormal null-space basis and Z_z its rows
+in z's coefficient block,
 
-    [ X' W^-1 X   C' ] [ gamma  ]   [ X' W^-1 Y ]
-    [ C           0  ] [ lambda ] = [ 0         ]
+    M = sum_z N_z Z_z' Omega_z^-1 Z_z,
+    gamma = Z M^-1 Z' X'W^-1 Y,    U11 = Z M^-1 Z',
 
-using the block identities X'W^-1X = diag(N_z Omega_z^-1) and
-X'W^-1Y = stack(N_z Omega_z^-1 Ybar_z), and keeps the top-left block U11
-of the inverse.  The sandwich covariance plugs per-unit residual outer
+with X'W^-1Y = stack(N_z Omega_z^-1 Ybar_z) and one Cholesky factor of
+the d x d matrix M.  The sandwich covariance plugs per-unit residual outer
 products into U11 X'W^-1 Sigma W^-1 X U11.  Estimand-level results are
 linear images of the solved coefficient vector.
 """
@@ -16,11 +18,12 @@ linear images of the solved coefficient vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Mapping
 
 import numpy as np
 import scipy.linalg
-from scipy import stats
+import scipy.special
 
 from .constraints import CoefficientLayout, RestrictionMatrix, assemble
 from .errors import (
@@ -219,9 +222,9 @@ class RwlsFit:
     """A solved restricted weighted least squares fit.
 
     ``gamma`` is the coefficient vector over the layout; ``u11`` maps the
-    weighted mean stack to coefficients; ``meat`` (set once residuals are
-    available) is X'W^-1 Sigma-hat W^-1 X, so the EHW covariance is
-    u11 @ meat @ u11.
+    weighted mean stack to coefficients; ``condition_number`` is that of
+    the d x d reduced matrix M; ``meat`` (set once residuals are available)
+    is X'W^-1 Sigma-hat W^-1 X, so the EHW covariance is u11 @ meat @ u11.
     """
 
     design: CrossoverDesign
@@ -230,7 +233,6 @@ class RwlsFit:
     means: dict[TreatmentSequence, np.ndarray]
     gamma: np.ndarray
     u11: np.ndarray
-    xty: np.ndarray
     condition_number: float
     warnings: tuple[str, ...] = ()
     meat: np.ndarray | None = None
@@ -285,67 +287,42 @@ def solve_restricted_wls(
     weights: WeightModel,
     restriction: RestrictionMatrix,
 ) -> RwlsFit:
-    """Solve the stationarity system for the coefficient vector and U11.
+    """Solve for the coefficient vector and U11 in the null space of C.
 
-    Raises NotIdentifiableError when X'X + C'C is rank deficient.  A
-    condition number above 1e12 attaches a warning to the fit; on
-    factorization failure the pseudo-normal form (K'K)^-1 K' is used.
+    Raises NotIdentifiableError when X'X + C'C is rank deficient and
+    ConditioningError when the reduced matrix M has no Cholesky factor.
+    A condition number of M above 1e12 attaches a warning to the fit.
     """
-    layout = restriction.layout
-    if layout.horizon != design.horizon or layout.scope != design.scope:
-        raise ValueError("restriction layout does not match the design")
     check = is_identifiable(design, restriction)
     if not check.identifiable:
         raise NotIdentifiableError(check.rank, check.dimension)
-    p = layout.size
-    n_rows = restriction.n_rows
+    layout = restriction.layout
+    basis = restriction.basis
     inverses = _weight_inverses(design, weights)
-    kkt = np.zeros((p + n_rows, p + n_rows))
-    xty = np.zeros(p)
+    reduced = np.zeros((basis.shape[1], basis.shape[1]))
+    xty = np.zeros(layout.size)
     for z, n in design.counts.items():
         sl = layout.block(z)
-        kkt[sl, sl] = n * inverses[z]
         mean = np.asarray(means[as_sequence(z)], dtype=float)
         if mean.shape != (design.horizon,):
             raise ValueError(f"mean for {z} must have shape ({design.horizon},)")
+        reduced += n * basis[sl].T @ inverses[z] @ basis[sl]
         xty[sl] = n * inverses[z] @ mean
-    if n_rows:
-        kkt[:p, p:] = restriction.matrix.T
-        kkt[p:, :p] = restriction.matrix
-    # symmetric equilibration keeps repaired near-singular weight blocks
-    # from poisoning the factorization
-    row_scale = np.abs(kkt).max(axis=1)
-    row_scale[row_scale == 0.0] = 1.0
-    d = 1.0 / np.sqrt(row_scale)
-    scaled = kkt * d[:, None] * d[None, :]
-    condition = float(np.linalg.cond(scaled))
+    try:
+        factor = np.linalg.cholesky(reduced)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError("reduced normal matrix is not positive definite") from exc
+    # half = L^-1 Z', so U11 = Z M^-1 Z' = half' half
+    half = scipy.linalg.solve_triangular(factor, basis.T, lower=True)
+    u11 = half.T @ half
+    gamma = half.T @ (half @ xty)
+    condition = float(np.linalg.cond(reduced))
     warnings: list[str] = []
     if condition > CONDITION_WARNING_THRESHOLD:
         warnings.append(
-            f"stationarity system condition number {condition:.3e} exceeds "
+            f"reduced system condition number {condition:.3e} exceeds "
             f"{CONDITION_WARNING_THRESHOLD:.0e}"
         )
-    try:
-        inverse = scipy.linalg.solve(scaled, np.eye(p + n_rows), assume_a="sym")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-        try:
-            inverse = np.linalg.solve(scaled.T @ scaled, scaled.T)
-            warnings.append("direct factorization failed; used pseudo-normal form")
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError("stationarity system is numerically singular") from exc
-    # one Newton-Schulz refinement step squares the inversion residual
-    inverse = inverse + inverse @ (np.eye(p + n_rows) - scaled @ inverse)
-    # solve for the coefficients through the scaled system with one round
-    # of residual correction; this stays accurate even when a repaired
-    # weight block makes the unscaled system badly conditioned
-    rhs = np.concatenate([xty, np.zeros(n_rows)])
-    rhs_scaled = d * rhs
-    solution = inverse @ rhs_scaled
-    solution += inverse @ (rhs_scaled - scaled @ solution)
-    gamma = (d * solution)[:p]
-    inverse = inverse * d[:, None] * d[None, :]
-    u11 = inverse[:p, :p]
-    u11 = (u11 + u11.T) / 2.0
     fit = RwlsFit(
         design=design,
         restriction=restriction,
@@ -353,7 +330,6 @@ def solve_restricted_wls(
         means={as_sequence(z): np.asarray(means[as_sequence(z)], dtype=float) for z in design.observed},
         gamma=gamma,
         u11=u11,
-        xty=xty,
         condition_number=condition,
         warnings=tuple(warnings),
     )
@@ -444,16 +420,12 @@ def _estimand_matrix(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
 
 
 def _restricted_rows(fit: RwlsFit, b: np.ndarray) -> np.ndarray:
-    """Rows of B lying in the restriction row space.
+    """Rows of B lying in the restriction row space, that is, with B Z = 0.
 
     Those functionals are exact zeroes of the restricted model, so their
     estimates and variances are snapped to exact zero.
     """
-    c = fit.restriction.matrix
-    if c.shape[0] == 0:
-        return np.zeros(b.shape[0], dtype=bool)
-    projected = c.T @ np.linalg.solve(c @ c.T, c @ b.T)
-    leftover = b - projected.T
+    leftover = b @ fit.restriction.basis
     scale = np.maximum(np.abs(b).max(axis=1), 1.0)
     return np.abs(leftover).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
 
@@ -507,11 +479,11 @@ def estimate(fit: RwlsFit, spec: EstimandSpec, level: float = 0.95) -> EstimandE
     covariance = (covariance + covariance.T) / 2.0
     variances = np.clip(np.diag(covariance), 0.0, None)
     std_errors = np.sqrt(variances)
-    z_crit = float(stats.norm.ppf(0.5 + level / 2.0))
+    z_crit = NormalDist().inv_cdf(0.5 + level / 2.0)
     ci_lower = point - z_crit * std_errors
     ci_upper = point + z_crit * std_errors
     wald = float(point @ np.linalg.pinv(covariance) @ point)
-    pvalue = float(stats.chi2.sf(wald, spec.dimension))
+    pvalue = float(scipy.special.chdtrc(spec.dimension, max(wald, 0.0)))
     return EstimandEstimate(
         labels=spec.labels,
         point=point,

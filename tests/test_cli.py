@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import crossover
 from crossover import (
     CrossoverDesign,
     design_to_text,
@@ -260,6 +265,30 @@ class TestFitCommand:
         data_file.write_text("unit,sequence,y1,y2\n1,AC,0,1\n")
         code = main(["fit", "--data", str(data_file), "--scenario", "b", "--k", "1"])
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize("matrix", [[[1, 2], [2, 1]], [[1, 0.5], [0, 1]]])
+    def test_weights_that_are_not_positive_definite_exit_two(self, tmp_path, capsys, matrix):
+        design = CrossoverDesign(2, {"AB": 5, "BA": 5})
+        table = random_consistent_table(2, "b", 1, 10, seed=5)
+        dataset = realize_dataset(table, sample_assignment(design, 1))
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(dataset))
+        weights_file = tmp_path / "weights.json"
+        weights_file.write_text(json.dumps({"AB": matrix, "BA": [[1, 0], [0, 1]]}))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1"]
+        code = main(argv + ["--weights", f"file:{weights_file}"])
+        assert code == EXIT_PARSE
+        assert "weight for AB" in capsys.readouterr().err
+
+
+def test_import_does_not_load_scipy_stats():
+    env = dict(os.environ)
+    src = str(Path(crossover.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, crossover; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestSimulateCommand:

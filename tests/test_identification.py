@@ -76,6 +76,13 @@ class TestGramPlusRestriction:
         assert np.array_equal(gram, expected)
 
 
+# twelve implemented sequences of a T=6 design, identifiable under scenario
+# b with k=2 whatever the unit counts
+TWELVE_T6 = tuple(
+    "AAAABA AAABAA AAABAB AABAAB AABABA AABBAB ABABAA ABBABB BAAABA BABABB BABBBA BBAABB".split()
+)
+
+
 class TestIsIdentifiable:
     def test_two_sequence_scenario_b_identifiable(self):
         design = CrossoverDesign(2, {"AB": 4, "BA": 6})
@@ -95,6 +102,21 @@ class TestIsIdentifiable:
         order = None if scenario == "a" else 1
         check = is_identifiable(design, assemble(scenario, 2, design.scope, order))
         assert check.identifiable
+
+    @pytest.mark.parametrize(
+        "sequences,order,per_sequence",
+        [
+            (TWELVE_T6, 2, 10**3),
+            (TWELVE_T6, 2, 10**4),
+            (TWELVE_T6, 2, 10**6),
+            (("AB", "BA"), 1, 10**8),
+        ],
+    )
+    def test_verdict_does_not_depend_on_counts(self, sequences, order, per_sequence):
+        design = CrossoverDesign(len(sequences[0]), {z: per_sequence for z in sequences})
+        check = is_identifiable(design, assemble("b", design.horizon, design.scope, order))
+        assert check.identifiable
+        assert check.rank == check.dimension == design.horizon * len(design.scope)
 
 
 class TestPrefixWitness:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crossover import (
+    ConditioningError,
     CrossoverDesign,
     DegenerateCovarianceError,
     NotIdentifiableError,
@@ -23,6 +24,7 @@ from crossover import (
     pooled_covariance_entries,
     random_consistent_table,
     realize_dataset,
+    sample_assignment,
     sample_covariances,
     sequence_means,
     solve_restricted_wls,
@@ -215,6 +217,37 @@ class TestSolveRestrictedWls:
         fit = feasible_rwls(dataset, "c", 1)
         assert fit.restriction_residual <= 1e-9 * (1 + np.abs(fit.gamma).max())
 
+    def test_indefinite_weights_raise_conditioning_error(self, rng):
+        design = CrossoverDesign(2, {"AB": 4, "BA": 5})
+        weights = WeightModel({z: np.array([[1.0, 2.0], [2.0, 1.0]]) for z in design.observed})
+        means = {z: rng.normal(size=2) for z in design.observed}
+        with pytest.raises(ConditioningError):
+            solve_restricted_wls(design, means, weights, assemble("b", 2, design.scope, 1))
+
+    @pytest.mark.parametrize(
+        "counts,scenario,order",
+        [
+            ({"AA": 3, "AB": 4, "BA": 5, "BB": 3}, "a", None),
+            ({"AB": 4, "BA": 5}, "b", 1),
+            ({"AB": 4, "BA": 5}, "c", 1),
+        ],
+    )
+    @pytest.mark.parametrize("power", [4, 8])
+    def test_scaling_counts_scales_only_u11(self, rng, counts, scenario, order, power):
+        design = CrossoverDesign(2, counts)
+        scaled = CrossoverDesign(2, {z: n * 10**power for z, n in design.counts.items()})
+        restriction = assemble(scenario, 2, design.scope, order)
+        means = {z: rng.normal(size=2) for z in design.observed}
+        mats = {}
+        for z in design.observed:
+            a = rng.normal(size=(2, 2))
+            mats[z] = a @ a.T + 0.5 * np.eye(2)
+        weights = WeightModel(mats, "user")
+        fit = solve_restricted_wls(design, means, weights, restriction)
+        big = solve_restricted_wls(scaled, means, weights, restriction)
+        assert np.allclose(big.gamma, fit.gamma, rtol=1e-9, atol=1e-12)
+        assert np.allclose(big.u11 * 10**power, fit.u11, rtol=1e-9, atol=1e-12)
+
 
 class TestFeasibleRwls:
     def test_constant_outcomes_give_zero_contrasts(self):
@@ -240,14 +273,31 @@ class TestFeasibleRwls:
         # the fitted coefficients approach the table means
         design = CrossoverDesign(2, {"AA": 2500, "AB": 2500, "BA": 2500, "BB": 2500})
         table = random_consistent_table(2, "b", 1, design.n_units, seed=31)
-        from crossover import sample_assignment
-
         dataset = realize_dataset(table, sample_assignment(design, 77))
         fit = feasible_rwls(dataset, "b", 1)
         layout = fit.layout
         for z in design.scope:
             gap = np.abs(fit.gamma[layout.block(z)] - table.mean_vector(z)).max()
             assert gap < 0.05
+
+
+    @pytest.mark.parametrize("scenario", ["a", "b", "c"])
+    def test_condition_number_is_that_of_the_reduced_matrix(self, scenario):
+        design = CrossoverDesign(5, {z: 12 for z in full_sequence_set(5)})
+        table = random_consistent_table(5, scenario, 1, design.n_units, seed=11)
+        dataset = realize_dataset(table, sample_assignment(design, 3))
+        order = None if scenario == "a" else 1
+        fit = feasible_rwls(dataset, scenario, order)
+        # A = X'W^-1 X is block diagonal with blocks N_z Omega_z^-1
+        gram = np.zeros((fit.layout.size, fit.layout.size))
+        for z, n in design.counts.items():
+            sl = fit.layout.block(z)
+            gram[sl, sl] = n * np.linalg.inv(fit.weight_model.matrix(z))
+        basis = fit.restriction.basis
+        expected = np.linalg.cond(basis.T @ gram @ basis)
+        assert fit.condition_number == pytest.approx(expected, rel=1e-6)
+        assert fit.condition_number < 1e4
+        assert fit.warnings == ()
 
 
 class TestEhwCovariance:
