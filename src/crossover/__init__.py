@@ -68,12 +68,15 @@ from .sequences import (
     CrossoverDesign,
     TreatmentSequence,
     as_sequence,
+    code_template,
     design_from_text,
     design_to_text,
     enumerate_assignments,
+    enumerate_codes,
     full_sequence_set,
     n_assignments,
     sample_assignment,
+    sample_codes,
     subsequence,
     trailing_window,
 )

@@ -17,7 +17,7 @@ linear images of the solved coefficient vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Mapping
 
@@ -45,41 +45,74 @@ ZERO_FUNCTIONAL_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class ObservedDataset:
-    """Observed outcomes with one assigned sequence per unit."""
+    """Observed outcomes with one assigned sequence per unit.
+
+    ``assignments`` is given either as one sequence (or word) per unit or
+    as an integer code vector, code ``i`` standing for
+    ``design.observed[i]``.  Validation runs once, at construction: the
+    outcome shape, finiteness, and per-sequence counts against the design.
+    Afterwards ``assignments`` holds the sequences, ``codes`` the integer
+    codes, and the per-sequence unit indices are computed once for every
+    later ``group_indices`` call.
+    """
 
     design: CrossoverDesign
     assignments: tuple[TreatmentSequence, ...]
     outcomes: np.ndarray
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _groups: dict[TreatmentSequence, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assignments = tuple(as_sequence(z) for z in self.assignments)
+        observed = self.design.observed
+        given = self.assignments
+        if isinstance(given, np.ndarray) and given.dtype.kind in "iu":
+            codes = given.astype(np.intp)
+            if codes.ndim != 1:
+                raise ValueError(f"assignment codes must be one-dimensional, got shape {codes.shape}")
+            if codes.size and not 0 <= codes.min() <= codes.max() < len(observed):
+                raise ValueError(
+                    f"assignment codes must lie in [0, {len(observed)}), got "
+                    f"[{codes.min()}, {codes.max()}]"
+                )
+            assignments = tuple(map(observed.__getitem__, codes.tolist()))
+        else:
+            assignments = tuple(as_sequence(z) for z in given)
+            index = {z: i for i, z in enumerate(observed)}
+            unknown = sorted({str(z) for z in assignments if z not in index})
+            if unknown:
+                raise ValueError(f"sequences {unknown} are not implemented by the design")
+            codes = np.array([index[z] for z in assignments], dtype=np.intp)
         outcomes = np.asarray(self.outcomes, dtype=float)
-        if outcomes.ndim != 2 or outcomes.shape != (len(assignments), self.design.horizon):
+        if outcomes.ndim != 2 or outcomes.shape != (codes.size, self.design.horizon):
             raise ValueError(
-                f"outcomes must be ({len(assignments)}, {self.design.horizon}), got {outcomes.shape}"
+                f"outcomes must be ({codes.size}, {self.design.horizon}), got {outcomes.shape}"
             )
         if not np.all(np.isfinite(outcomes)):
             raise ValueError("outcomes contain non-finite values")
-        tally: dict[TreatmentSequence, int] = {}
-        for z in assignments:
-            tally[z] = tally.get(z, 0) + 1
-        if tally != self.design.counts:
+        counts = list(self.design.counts.values())
+        tally = np.bincount(codes, minlength=len(observed))
+        if not np.array_equal(tally, counts):
+            found = {z: int(n) for z, n in zip(observed, tally) if n}
             raise ValueError(
-                f"per-sequence counts {tally} do not match design counts {self.design.counts}"
+                f"per-sequence counts {found} do not match design counts {self.design.counts}"
             )
+        codes.flags.writeable = False
+        # a stable sort lists each group's units in increasing order
+        order = np.argsort(codes, kind="stable")
+        order.flags.writeable = False
+        groups = dict(zip(observed, np.split(order, np.cumsum(counts)[:-1])))
         object.__setattr__(self, "assignments", assignments)
         object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "_groups", groups)
 
     @property
     def n_units(self) -> int:
         return self.outcomes.shape[0]
 
     def group_indices(self) -> dict[TreatmentSequence, np.ndarray]:
-        codes = {z: i for i, z in enumerate(self.design.observed)}
-        labels = np.array([codes[z] for z in self.assignments])
-        return {
-            z: np.flatnonzero(labels == i) for z, i in codes.items()
-        }
+        """Read-only unit indices of each implemented sequence, in unit order."""
+        return dict(self._groups)
 
 
 @dataclass(frozen=True)

@@ -173,11 +173,23 @@ class Assignment:
         return len(self.sequences)
 
 
-def _label_template(design: CrossoverDesign) -> list[TreatmentSequence]:
-    labels: list[TreatmentSequence] = []
-    for z, n in design.counts.items():
-        labels.extend([z] * n)
-    return labels
+def code_template(design: CrossoverDesign) -> np.ndarray:
+    """Sequence codes of the design's units, listed sequence by sequence.
+
+    Code ``i`` stands for ``design.observed[i]``; every assignment of the
+    design is a permutation of this vector.
+    """
+    return np.repeat(np.arange(len(design.counts)), list(design.counts.values()))
+
+
+def sample_codes(template: np.ndarray, seed) -> np.ndarray:
+    """One complete randomization as a code vector: a uniform permutation
+    of ``template`` drawn from ``np.random.default_rng(seed)``."""
+    return template[np.random.default_rng(seed).permutation(template.size)]
+
+
+def _sequences_of(design: CrossoverDesign, codes: np.ndarray) -> tuple[TreatmentSequence, ...]:
+    return tuple(map(design.observed.__getitem__, codes.tolist()))
 
 
 def sample_assignment(design: CrossoverDesign, seed) -> Assignment:
@@ -186,10 +198,8 @@ def sample_assignment(design: CrossoverDesign, seed) -> Assignment:
     ``seed`` may be an int, a sequence of ints, or a numpy Generator;
     the same seed always yields the same assignment.
     """
-    rng = np.random.default_rng(seed)
-    labels = _label_template(design)
-    order = rng.permutation(len(labels))
-    return Assignment(design, tuple(labels[i] for i in order))
+    codes = sample_codes(code_template(design), seed)
+    return Assignment(design, _sequences_of(design, codes))
 
 
 def n_assignments(design: CrossoverDesign) -> int:
@@ -200,35 +210,38 @@ def n_assignments(design: CrossoverDesign) -> int:
     return total
 
 
-def enumerate_assignments(design: CrossoverDesign) -> Iterator[Assignment]:
-    """Yield every distinct assignment exactly once, in lexicographic order.
+def enumerate_codes(design: CrossoverDesign) -> np.ndarray:
+    """Every distinct assignment as one row of sequence codes, in
+    lexicographic order: an (A, N) array with A = ``n_assignments``.
 
-    Refuses designs whose assignment count exceeds the enumeration cap.
+    Rows grow one unit at a time; each prefix is extended by every code
+    it still has units left for, in increasing code order, so row-major
+    order stays lexicographic.  Refuses designs whose assignment count
+    exceeds the enumeration cap.
     """
     total = n_assignments(design)
     if total > MAX_ENUMERATED_ASSIGNMENTS:
         raise EnumerationSizeError(
             f"{total} assignments exceed the enumeration cap of {MAX_ENUMERATED_ASSIGNMENTS}"
         )
-    observed = design.observed
-    remaining = [design.counts[z] for z in observed]
-    n = design.n_units
-    slots: list[TreatmentSequence] = []
+    dtype = np.min_scalar_type(len(design.counts))
+    rows = np.zeros((1, 0), dtype=dtype)
+    remaining = np.array([list(design.counts.values())])
+    for _ in range(design.n_units):
+        prefix, code = np.nonzero(remaining)
+        rows = np.hstack([rows[prefix], code.astype(dtype)[:, None]])
+        remaining = remaining[prefix]
+        remaining[np.arange(prefix.size), code] -= 1
+    return rows
 
-    def rec() -> Iterator[Assignment]:
-        if len(slots) == n:
-            yield Assignment(design, tuple(slots))
-            return
-        for idx, z in enumerate(observed):
-            if remaining[idx] == 0:
-                continue
-            remaining[idx] -= 1
-            slots.append(z)
-            yield from rec()
-            slots.pop()
-            remaining[idx] += 1
 
-    return rec()
+def enumerate_assignments(design: CrossoverDesign) -> Iterator[Assignment]:
+    """Yield every distinct assignment exactly once, in lexicographic order.
+
+    Refuses designs whose assignment count exceeds the enumeration cap.
+    """
+    codes = enumerate_codes(design)
+    return (Assignment(design, _sequences_of(design, row)) for row in codes)
 
 
 def design_from_text(text: str) -> CrossoverDesign:

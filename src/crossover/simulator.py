@@ -39,9 +39,10 @@ from .sequences import (
     CrossoverDesign,
     TreatmentSequence,
     as_sequence,
-    enumerate_assignments,
+    code_template,
+    enumerate_codes,
     full_sequence_set,
-    sample_assignment,
+    sample_codes,
     subsequence,
     trailing_window,
 )
@@ -185,15 +186,25 @@ def random_consistent_table(
     return PotentialOutcomeTable(horizon, outcomes)
 
 
+def _outcome_cube(table: PotentialOutcomeTable, design: CrossoverDesign) -> np.ndarray:
+    """(k, N, T) potential outcomes of the design's implemented sequences,
+    in code order."""
+    if table.n_units != design.n_units:
+        raise ValueError(f"table has {table.n_units} units, design has {design.n_units}")
+    return np.stack([table.outcomes[z] for z in design.observed])
+
+
+def _observe(design: CrossoverDesign, cube: np.ndarray, codes: np.ndarray, units: np.ndarray) -> ObservedDataset:
+    """Dataset of the outcomes each unit shows under the coded assignment."""
+    return ObservedDataset(design, codes, cube[codes, units])
+
+
 def realize_dataset(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedDataset:
     """Observed outcomes implied by a table and one assignment."""
-    n = len(assignment)
-    if table.n_units != n:
-        raise ValueError(f"table has {table.n_units} units, assignment has {n}")
-    outcomes = np.empty((n, table.horizon))
-    for i, z in enumerate(assignment.sequences):
-        outcomes[i] = table.outcomes[z][i]
-    return ObservedDataset(assignment.design, assignment.sequences, outcomes)
+    design = assignment.design
+    index = {z: i for i, z in enumerate(design.observed)}
+    codes = np.array([index[z] for z in assignment.sequences])
+    return _observe(design, _outcome_cube(table, design), codes, np.arange(len(codes)))
 
 
 def standard_two_period_specs(scope) -> list[EstimandSpec]:
@@ -294,12 +305,17 @@ def run_monte_carlo(
 ) -> McReport:
     """Fix one table, then redraw the assignment ``replications`` times.
 
-    Each replication samples a complete randomization from an independent
-    seed stream, runs the feasible restricted fit, and records the bias,
-    the estimated variances, and whether each confidence interval covers
-    the truth.  Refuses scenario/design pairs that fail the rank condition
-    and tables inconsistent with the scenario.
+    Each replication r draws a complete randomization as a code vector
+    from the seed stream ``[seed, r]`` (the stream ``sample_assignment``
+    uses), gathers the observed outcomes from the table, runs the
+    feasible restricted fit, and records the bias, the estimated
+    variances, and whether each confidence interval covers the truth.
+    Refuses fewer than 2 replications (the empirical variance needs two),
+    scenario/design pairs that fail the rank condition, and tables
+    inconsistent with the scenario.
     """
+    if replications < 2:
+        raise ValueError(f"need at least 2 replications, got {replications}")
     if isinstance(generator, PotentialOutcomeTable):
         table = generator
         generator_seed = None
@@ -326,9 +342,11 @@ def run_monte_carlo(
     bias = np.empty((replications, n_est))
     covered = np.empty((replications, n_est), dtype=bool)
     est_vars = np.empty((replications, n_est))
+    template = code_template(design)
+    cube = _outcome_cube(table, design)
+    units = np.arange(design.n_units)
     for r in range(replications):
-        assignment = sample_assignment(design, [seed, r])
-        dataset = realize_dataset(table, assignment)
+        dataset = _observe(design, cube, sample_codes(template, [seed, r]), units)
         fit = feasible_rwls(dataset, scenario, carryover_order, weight_choice, restriction)
         result = estimate(fit, stacked, level)
         bias[r] = result.point - truth
@@ -395,14 +413,16 @@ def exact_randomization_audit(
     zero_means = {z: np.zeros(design.horizon) for z in design.observed}
     base = solve_restricted_wls(design, zero_means, weights, restriction)
     implied = implied_estimator_weights(base, stacked)
-    points = []
-    for assignment in enumerate_assignments(design):
-        point = np.zeros(stacked.dimension)
-        for z in design.observed:
-            members = [i for i, zi in enumerate(assignment.sequences) if zi == z]
-            point += implied[z] @ table.outcomes[z][members].mean(axis=0)
-        points.append(point)
-    points = np.array(points)
+    # contrib[z, i] = implied[z] @ Y_i(z) / N_z: unit i's share of the
+    # estimate when it is assigned to z
+    cube = _outcome_cube(table, design)
+    contrib = np.stack(
+        [y @ implied[z].T / n for y, (z, n) in zip(cube, design.counts.items())]
+    )
+    codes = enumerate_codes(design)
+    points = np.zeros((codes.shape[0], stacked.dimension))
+    for i in range(design.n_units):
+        points += contrib[codes[:, i], i]
     exact_mean = points.mean(axis=0)
     centered = points - exact_mean
     exact_cov = centered.T @ centered / points.shape[0]

@@ -324,6 +324,18 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 12 * 5
 
 
+    @pytest.mark.parametrize("reps", ["1", "0", "-3"])
+    def test_fewer_than_two_replications_exit_two(self, tmp_path, capsys, reps):
+        config = {"design": {"T": 2, "counts": {"AB": 10, "BA": 10}}, "scenario": "b", "k": 1}
+        config_file = tmp_path / "study.json"
+        config_file.write_text(json.dumps(config))
+        out_file = tmp_path / "mc.json"
+        code = main(["simulate", "--config", str(config_file), "--reps", reps, "--out", str(out_file)])
+        assert code == EXIT_PARSE
+        assert "at least 2 replications" in capsys.readouterr().err
+        assert not out_file.exists()
+
+
 class TestAuditCommand:
     def test_audit_exact_unbiasedness(self, tmp_path):
         design = CrossoverDesign(2, {"AB": 2, "BA": 2})

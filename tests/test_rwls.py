@@ -42,6 +42,63 @@ def diagonal_weights(design, values=(1.0, 1.0)):
     return WeightModel({z: np.diag(values) for z in design.observed}, "user")
 
 
+class TestObservedDataset:
+    def test_codes_and_sequences_build_the_same_dataset(self, rng):
+        design = four_seq_design()
+        codes = rng.permutation(np.repeat(np.arange(4), (3, 4, 5, 3)))
+        sequences = tuple(design.observed[c] for c in codes)
+        outcomes = rng.normal(size=(design.n_units, 2))
+        from_codes = ObservedDataset(design, codes, outcomes)
+        from_words = ObservedDataset(design, tuple(str(z) for z in sequences), outcomes)
+        assert from_codes.assignments == sequences == from_words.assignments
+        assert np.array_equal(from_codes.codes, codes)
+        assert np.array_equal(from_words.codes, codes)
+
+    def test_group_indices_list_each_sequence_in_unit_order(self, rng):
+        design = four_seq_design()
+        codes = rng.permutation(np.repeat(np.arange(4), (3, 4, 5, 3)))
+        dataset = ObservedDataset(design, codes, rng.normal(size=(design.n_units, 2)))
+        groups = dataset.group_indices()
+        assert list(groups) == list(design.observed)
+        for i, z in enumerate(design.observed):
+            assert np.array_equal(groups[z], np.flatnonzero(codes == i))
+
+    @pytest.mark.parametrize("bad", [4, -1])
+    def test_out_of_range_code_rejected(self, rng, bad):
+        design = four_seq_design()
+        codes = np.repeat(np.arange(4), (3, 4, 5, 3))
+        codes[0] = bad
+        with pytest.raises(ValueError, match="codes"):
+            ObservedDataset(design, codes, rng.normal(size=(design.n_units, 2)))
+
+    def test_wrong_code_counts_rejected(self, rng):
+        design = four_seq_design()
+        codes = np.repeat(np.arange(4), (4, 3, 5, 3))
+        with pytest.raises(ValueError, match="counts"):
+            ObservedDataset(design, codes, rng.normal(size=(design.n_units, 2)))
+
+    def test_non_finite_outcomes_rejected(self, rng):
+        design = four_seq_design()
+        codes = np.repeat(np.arange(4), (3, 4, 5, 3))
+        outcomes = rng.normal(size=(design.n_units, 2))
+        outcomes[5, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            ObservedDataset(design, codes, outcomes)
+
+    def test_wrong_shapes_rejected(self, rng):
+        design = four_seq_design()
+        codes = np.repeat(np.arange(4), (3, 4, 5, 3))
+        with pytest.raises(ValueError):
+            ObservedDataset(design, codes[None, :], rng.normal(size=(design.n_units, 2)))
+        with pytest.raises(ValueError):
+            ObservedDataset(design, codes, rng.normal(size=(design.n_units, 3)))
+
+    def test_unimplemented_sequence_rejected(self, rng):
+        design = CrossoverDesign(2, {"AB": 2, "BA": 2})
+        with pytest.raises(ValueError, match="not implemented"):
+            ObservedDataset(design, ("AB", "AB", "BA", "AA"), rng.normal(size=(4, 2)))
+
+
 class TestSequenceMeans:
     def test_single_unit_groups_return_their_vectors(self, rng):
         design = CrossoverDesign(2, {"AB": 1, "BA": 1})

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,15 @@ from crossover import (
     HorizonError,
     TreatmentSequence,
     as_sequence,
+    code_template,
     design_from_text,
     design_to_text,
     enumerate_assignments,
+    enumerate_codes,
     full_sequence_set,
     n_assignments,
     sample_assignment,
+    sample_codes,
     subsequence,
 )
 
@@ -126,6 +131,19 @@ class TestSampleAssignment:
                 tally[z] = tally.get(z, 0) + 1
             assert tally == design.counts
 
+    def test_codes_follow_the_label_permutation_stream(self):
+        # the draw is the one numpy stream a label-list permutation uses,
+        # so every seeded study keeps its assignments
+        design = CrossoverDesign(2, {"AA": 2, "AB": 3, "BA": 1, "BB": 4})
+        labels = [z for z, n in design.counts.items() for _ in range(n)]
+        template = code_template(design)
+        for seed in (0, 7, [3, 11]):
+            order = np.random.default_rng(seed).permutation(len(labels))
+            expected = tuple(labels[i] for i in order)
+            codes = sample_codes(template, seed)
+            assert tuple(design.observed[c] for c in codes) == expected
+            assert sample_assignment(design, seed).sequences == expected
+
     def test_unit_marginal_frequency(self):
         design = CrossoverDesign(2, {"AB": 2, "BA": 2})
         ab = as_sequence("AB")
@@ -150,6 +168,20 @@ class TestEnumerateAssignments:
             (as_sequence("AB"), as_sequence("AB"))
         ]
 
+    @pytest.mark.parametrize(
+        "counts",
+        [{"AB": 2}, {"AB": 2, "BA": 2}, {"AA": 2, "AB": 1, "BB": 2}, {"AA": 1, "AB": 1, "BA": 1, "BB": 1}],
+    )
+    def test_code_rows_are_the_sorted_distinct_permutations(self, counts):
+        design = CrossoverDesign(2, counts)
+        codes = enumerate_codes(design)
+        expected = sorted(set(itertools.permutations(code_template(design).tolist())))
+        assert [tuple(row) for row in codes.tolist()] == expected
+        observed = design.observed
+        assert [a.sequences for a in enumerate_assignments(design)] == [
+            tuple(observed[c] for c in row) for row in expected
+        ]
+
     def test_four_distinct_sequences(self):
         design = CrossoverDesign(2, {"AA": 1, "AB": 1, "BA": 1, "BB": 1})
         assert len(list(enumerate_assignments(design))) == 24
@@ -158,6 +190,8 @@ class TestEnumerateAssignments:
         design = CrossoverDesign(1, {"A": 15, "B": 15})
         with pytest.raises(EnumerationSizeError):
             enumerate_assignments(design)
+        with pytest.raises(EnumerationSizeError):
+            enumerate_codes(design)
 
     def test_sampling_is_uniform_over_enumeration(self):
         # chi-squared goodness of fit over the 6 assignments, p > 0.001

@@ -3,20 +3,31 @@ import pytest
 
 from crossover import (
     CrossoverDesign,
+    EnumerationSizeError,
     NotIdentifiableError,
+    ObservedDataset,
     ScenarioGenerator,
+    WeightModel,
     as_sequence,
     assemble,
     check_table_consistency,
     emit_bias_distribution,
+    enumerate_assignments,
+    estimate,
     exact_randomization_audit,
+    feasible_rwls,
     full_sequence_set,
     generate_table,
+    implied_estimator_weights,
     individual_effects,
     instantaneous_effect,
     random_consistent_table,
     run_monte_carlo,
+    sample_assignment,
+    solve_restricted_wls,
+    stack,
     standard_two_period_specs,
+    true_value,
 )
 
 SCOPE2 = full_sequence_set(2)
@@ -118,7 +129,91 @@ class TestRunMonteCarlo:
         assert report.generator_seed is None
 
 
+    @pytest.mark.parametrize("replications", [1, 0, -3])
+    def test_fewer_than_two_replications_rejected(self, replications):
+        design = CrossoverDesign(2, {"AB": 6, "BA": 6})
+        generator = ScenarioGenerator(scenario="b", seed=2)
+        with pytest.raises(ValueError, match="at least 2 replications"):
+            run_monte_carlo(generator, design, standard_two_period_specs(SCOPE2), replications)
+
+
+def reference_monte_carlo(table, design, specs, replications, weights, seed, scenario):
+    """Per-replication Assignment path: sample, realize from the sequences,
+    fit, estimate."""
+    stacked = stack(specs)
+    restriction = assemble(scenario, 2, design.scope, 1)
+    truth = true_value(stacked, table)
+    bias, variances, covered = [], [], []
+    for r in range(replications):
+        assignment = sample_assignment(design, [seed, r])
+        outcomes = np.array([table.outcomes[z][i] for i, z in enumerate(assignment.sequences)])
+        dataset = ObservedDataset(design, assignment.sequences, outcomes)
+        fit = feasible_rwls(dataset, scenario, 1, weights, restriction)
+        result = estimate(fit, stacked)
+        bias.append(result.point - truth)
+        variances.append(np.diag(result.covariance))
+        covered.append((result.ci_lower <= truth) & (truth <= result.ci_upper))
+    return np.array(bias), np.array(variances), np.array(covered)
+
+
+class TestCodedEngineMatchesAssignmentPath:
+    @pytest.mark.parametrize("scenario", ["a", "b", "c"])
+    @pytest.mark.parametrize("weights", ["sample", "pooled", "user"])
+    def test_monte_carlo_is_bit_identical(self, scenario, weights):
+        design = CrossoverDesign(2, {z: 6 for z in ("AA", "AB", "BA", "BB")})
+        generator = ScenarioGenerator(scenario=scenario, seed=31)
+        table = generate_table(generator, design.n_units, design)
+        if weights == "user":
+            weights = WeightModel({z: [[2.0, 0.5], [0.5, 1.0]] for z in design.observed}, "user")
+        specs = standard_two_period_specs(SCOPE2)
+        report = run_monte_carlo(
+            generator, design, specs, replications=12, weight_choice=weights, seed=17
+        )
+        bias, variances, covered = reference_monte_carlo(
+            table, design, specs, 12, weights, 17, scenario
+        )
+        assert np.array_equal(report.bias, bias)
+        assert np.array_equal(report.estimated_variances, variances)
+        assert np.array_equal(report.covered, covered)
+
+    @pytest.mark.parametrize(
+        "horizon,scenario,counts",
+        [(2, "b", {"AA": 2, "AB": 2, "BA": 1, "BB": 2}), (3, "c", {"AAB": 2, "ABA": 2, "BAA": 3})],
+    )
+    def test_audit_moments_match_assignment_loop(self, horizon, scenario, counts):
+        design = CrossoverDesign(horizon, counts)
+        table = random_consistent_table(horizon, scenario, 1, design.n_units, seed=23)
+        specs = [instantaneous_effect(t, "A" * (t - 1), design.scope) for t in range(1, horizon + 1)]
+        result = exact_randomization_audit(table, design, specs, "oracle", scenario, 1)
+        weights = WeightModel({z: table.covariance(z) for z in design.observed}, "user")
+        zero_means = {z: np.zeros(horizon) for z in design.observed}
+        base = solve_restricted_wls(design, zero_means, weights, assemble(scenario, horizon, design.scope, 1))
+        implied = implied_estimator_weights(base, stack(specs))
+        points = []
+        for assignment in enumerate_assignments(design):
+            point = np.zeros(len(specs))
+            for z in design.observed:
+                members = [i for i, zi in enumerate(assignment.sequences) if zi == z]
+                point += implied[z] @ table.outcomes[z][members].mean(axis=0)
+            points.append(point)
+        points = np.array(points)
+        mean = points.mean(axis=0)
+        covariance = (points - mean).T @ (points - mean) / points.shape[0]
+        assert result.n_assignments == points.shape[0]
+        assert np.abs(result.exact_mean - mean).max() <= 1e-12
+        assert np.abs(result.exact_covariance - covariance).max() <= 1e-12
+
+
 class TestExactAudit:
+    def test_refuses_designs_above_the_enumeration_cap(self):
+        design = CrossoverDesign(1, {"A": 15, "B": 15})
+        table = random_consistent_table(1, "b", 1, design.n_units, seed=1)
+        with pytest.raises(EnumerationSizeError):
+            exact_randomization_audit(
+                table, design, [instantaneous_effect(1, "", design.scope)], "oracle", "b", 1
+            )
+
+
     def test_single_assignment_design_has_zero_variance(self):
         from crossover import EstimandSpec
 
