@@ -8,6 +8,7 @@ Monte Carlo harness.
 """
 
 from .constraints import (
+    ClassMap,
     CoefficientLayout,
     RestrictionMatrix,
     assemble,

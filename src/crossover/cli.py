@@ -37,7 +37,7 @@ from statistics import NormalDist
 import numpy as np
 
 from . import twoperiod
-from .constraints import assemble
+from .constraints import ClassMap, assemble
 from .errors import ConditioningError, NotIdentifiableError
 from .estimands import (
     EstimandSpec,
@@ -48,10 +48,11 @@ from .estimands import (
     stack,
 )
 from .identification import (
+    MeanTarget,
     is_identifiable,
-    mean_derivation_time_invariant,
     mean_witness_carryover,
     mean_witness_no_anticipation,
+    time_invariant_closure,
 )
 from .rwls import (
     ObservedDataset,
@@ -254,22 +255,19 @@ def _cmd_identify(args) -> int:
     check = is_identifiable(design, restriction)
     lines = [f"global rank condition: {check}"]
     lines.append("sequence period verdict how")
-    order = args.k if args.k is not None else 1
+    classes = ClassMap(design.horizon, args.scenario, args.k)
+    if args.scenario == "c":
+        closure = time_invariant_closure(design.horizon, args.k, design)
     for z in design.scope:
         for t in range(1, design.horizon + 1):
             if args.scenario == "a":
-                witness = mean_witness_no_anticipation(z, t, design)
-                how = f"group {witness}" if witness else "-"
-                verdict = "yes" if witness else "no"
+                found = mean_witness_no_anticipation(z, t, design)
             elif args.scenario == "b":
-                witness = mean_witness_carryover(z, t, order, design)
-                how = f"group {witness}" if witness else "-"
-                verdict = "yes" if witness else "no"
+                found = mean_witness_carryover(z, t, args.k, design)
             else:
-                derivation = mean_derivation_time_invariant(z, t, order, design)
-                how = derivation.describe() if derivation else "-"
-                verdict = "yes" if derivation else "no"
-            lines.append(f"{z} {t} {verdict} {how}")
+                found = closure.get(MeanTarget(t, classes.key(t, z)))
+            how = "-" if not found else found.describe() if args.scenario == "c" else f"group {found}"
+            lines.append(f"{z} {t} {'yes' if found else 'no'} {how}")
     report = "\n".join(lines)
     print(report)
     if args.out:

@@ -5,20 +5,22 @@ identity in z's coefficient block.  All estimands are unbiasedly estimable
 when X'X + C'C is full rank, that is, when the rows Z_obs of the null-space
 basis Z of C in the implemented sequences' blocks have full column rank;
 unit counts play no part.  When it fails, per-mean checkers report which
-group means are still reachable: by a shared prefix (no anticipation), by a
-shared trailing window (bounded carryover), or through a
-difference-in-differences closure (time-invariant effects).
+group means are still reachable: through an implemented sequence of the
+mean's class in ``constraints.ClassMap`` (shared prefix or trailing
+window), or through a difference-in-differences closure (time-invariant
+effects).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .constraints import CoefficientLayout, RestrictionMatrix
-from .sequences import CrossoverDesign, TreatmentSequence, as_sequence, subsequence, trailing_window
+from .constraints import ClassMap, CoefficientLayout, RestrictionMatrix
+from .sequences import CrossoverDesign, TreatmentSequence, as_sequence
 
 RANK_TOLERANCE = 1e-8
 
@@ -82,6 +84,21 @@ def _normalize_observed(observed) -> tuple[TreatmentSequence, ...]:
     return tuple(sorted(as_sequence(z) for z in set(observed)))
 
 
+def _witness(
+    classes: ClassMap, target: TreatmentSequence | str, period: int, observed
+) -> TreatmentSequence | None:
+    """The target itself if it is implemented, else the first implemented
+    sequence in the target's class at the period."""
+    target = as_sequence(target)
+    if not 1 <= period <= len(target):
+        raise IndexError(f"period {period} outside [1, {len(target)}]")
+    observed = _normalize_observed(observed)
+    if target in observed:
+        return target
+    want = classes.key(period, target)
+    return next((z for z in observed if classes.key(period, z) == want), None)
+
+
 def mean_witness_no_anticipation(
     target: TreatmentSequence | str, period: int, observed
 ) -> TreatmentSequence | None:
@@ -91,15 +108,7 @@ def mean_witness_no_anticipation(
     unbiased for the target's period-t mean.  Prefers the target itself
     when implemented, otherwise the lexicographically first match.
     """
-    target = as_sequence(target)
-    observed = _normalize_observed(observed)
-    want = subsequence(target, 1, period).letters
-    if target in observed:
-        return target
-    for z in observed:
-        if subsequence(z, 1, period).letters == want:
-            return z
-    return None
+    return _witness(ClassMap(len(target), "a"), target, period, observed)
 
 
 def mean_witness_carryover(
@@ -110,19 +119,7 @@ def mean_witness_carryover(
     For t <= k the prefix rule applies; for t > k any implemented sequence
     sharing the trailing length-k window works.
     """
-    if order < 1:
-        raise ValueError(f"carryover order must be >= 1, got {order}")
-    if period <= order:
-        return mean_witness_no_anticipation(target, period, observed)
-    target = as_sequence(target)
-    observed = _normalize_observed(observed)
-    want = trailing_window(target, period, order).letters
-    if target in observed:
-        return target
-    for z in observed:
-        if trailing_window(z, period, order).letters == want:
-            return z
-    return None
+    return _witness(ClassMap(len(target), "b", order), target, period, observed)
 
 
 @dataclass(frozen=True)
@@ -170,12 +167,21 @@ class DifferencedMean:
 Derivation = Union[WitnessedMean, DifferencedMean]
 
 
-def _window_values(period: int, order: int) -> list[str]:
-    length = min(period, order)
-    words = [""]
-    for _ in range(length):
-        words = [w + letter for w in words for letter in ("A", "B")]
-    return words
+def _difference_step(
+    identified: dict[MeanTarget, Derivation], target: MeanTarget, periods, windows
+) -> DifferencedMean | None:
+    """The first difference-in-differences derivation of the target from
+    identified means, Y_t(w) = Y_t(w_ref) + Y_t'(w) - Y_t'(w_ref), if any."""
+    t, w = target.period, target.window
+    for t_prime, w_ref in itertools.product(periods, windows):
+        parts = (
+            identified.get(MeanTarget(t_prime, w)),
+            identified.get(MeanTarget(t, w_ref)),
+            identified.get(MeanTarget(t_prime, w_ref)),
+        )
+        if t_prime != t and w_ref != w and all(part is not None for part in parts):
+            return DifferencedMean(target, w_ref, t_prime, parts)
+    return None
 
 
 def time_invariant_closure(
@@ -183,58 +189,25 @@ def time_invariant_closure(
 ) -> dict[MeanTarget, Derivation]:
     """Least fixed point of the identified (period, window) means.
 
-    Seeds every mean reachable by the carryover witness rule, then
+    Seeds every mean whose class holds an implemented sequence, then
     repeatedly applies the difference-in-differences step across period
     pairs t, t' >= k until nothing new is identified.
     """
-    if order < 1:
-        raise ValueError(f"carryover order must be >= 1, got {order}")
-    observed = _normalize_observed(observed)
+    seeds = ClassMap(horizon, "c", order).classes(_normalize_observed(observed))
     identified: dict[MeanTarget, Derivation] = {}
-    for t in range(1, horizon + 1):
-        for w in _window_values(t, order):
-            witness = None
-            if t <= order:
-                for z in observed:
-                    if subsequence(z, 1, t).letters == w:
-                        witness = z
-                        break
-            else:
-                for z in observed:
-                    if trailing_window(z, t, order).letters == w:
-                        witness = z
-                        break
-            if witness is not None:
-                target = MeanTarget(t, w)
-                identified[target] = WitnessedMean(target, witness)
-    periods = [t for t in range(order, horizon + 1)]
+    for (t, w), members in seeds.items():
+        target = MeanTarget(t, w)
+        identified[target] = WitnessedMean(target, members[0])
+    periods = range(order, horizon + 1)
+    # a window never seen from period k on can be neither derived nor a
+    # reference, so the windows seen there are the only candidates
+    windows = sorted({w for t, w in seeds if t >= order})
     changed = True
     while changed:
         changed = False
-        for t in periods:
-            for w in _window_values(t, order):
-                target = MeanTarget(t, w)
-                if target in identified:
-                    continue
-                found = None
-                for t_prime in periods:
-                    if t_prime == t:
-                        continue
-                    same_other = identified.get(MeanTarget(t_prime, w))
-                    if same_other is None:
-                        continue
-                    for w_ref in _window_values(t, order):
-                        if w_ref == w:
-                            continue
-                        ref_here = identified.get(MeanTarget(t, w_ref))
-                        ref_other = identified.get(MeanTarget(t_prime, w_ref))
-                        if ref_here is not None and ref_other is not None:
-                            found = DifferencedMean(
-                                target, w_ref, t_prime, (same_other, ref_here, ref_other)
-                            )
-                            break
-                    if found is not None:
-                        break
+        for target in (MeanTarget(t, w) for t in periods for w in windows):
+            if target not in identified:
+                found = _difference_step(identified, target, periods, windows)
                 if found is not None:
                     identified[target] = found
                     changed = True
@@ -248,5 +221,4 @@ def mean_derivation_time_invariant(
     or None when the closure does not reach it."""
     target = as_sequence(target)
     closure = time_invariant_closure(len(target), order, observed)
-    window = trailing_window(target, period, order).letters
-    return closure.get(MeanTarget(period, window))
+    return closure.get(MeanTarget(period, ClassMap(len(target), "c", order).key(period, target)))

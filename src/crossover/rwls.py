@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .constraints import CoefficientLayout, RestrictionMatrix, assemble
+from .constraints import ClassMap, CoefficientLayout, RestrictionMatrix, assemble
 from .errors import (
     ConditioningError,
     DegenerateCovarianceError,
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .estimands import EstimandSpec, PotentialOutcomeTable, individual_effect_covariance
 from .identification import is_identifiable
-from .sequences import CrossoverDesign, TreatmentSequence, as_sequence, subsequence, trailing_window
+from .sequences import CrossoverDesign, TreatmentSequence, as_sequence
 
 CONDITION_WARNING_THRESHOLD = 1e12
 RESTRICTION_TOLERANCE = 1e-9
@@ -117,11 +117,13 @@ class ObservedDataset:
 
 @dataclass(frozen=True)
 class WeightModel:
-    """Per-sequence T x T weight matrices, positive definite after repair."""
+    """Per-sequence T x T weight matrices, positive definite after repair,
+    and their ``inverses``, computed once at construction."""
 
     matrices: Mapping[TreatmentSequence, np.ndarray]
     provenance: str = "user"
     repaired: tuple[TreatmentSequence, ...] = ()
+    inverses: dict[TreatmentSequence, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrices = {}
@@ -132,6 +134,7 @@ class WeightModel:
                 raise ValueError(f"weight for {z} must be square, got {m.shape}")
             matrices[z] = m
         object.__setattr__(self, "matrices", dict(sorted(matrices.items())))
+        object.__setattr__(self, "inverses", {z: np.linalg.inv(m) for z, m in self.matrices.items()})
 
     def matrix(self, z: TreatmentSequence | str) -> np.ndarray:
         return self.matrices[as_sequence(z)]
@@ -187,31 +190,18 @@ def sample_covariances(dataset: ObservedDataset) -> WeightModel:
     return WeightModel(matrices, "sample", tuple(repaired))
 
 
-def _pooling_key(z: TreatmentSequence, t1: int, t2: int, scenario: str, order: int | None):
-    """Sequences with equal keys have theoretically equal (t1, t2) entries."""
-    if scenario == "a":
-        return subsequence(z, 1, max(t1, t2)).letters
-    return (
-        trailing_window(z, t1, order).letters,
-        trailing_window(z, t2, order).letters,
-    )
-
-
 def pooled_covariance_entries(
     dataset: ObservedDataset, scenario: str, carryover_order: int | None = None
 ) -> WeightModel:
     """Entry-wise pooled covariance estimates.
 
-    Each (t, t') entry is pooled across the class of sequences whose entry
-    is equal under the scenario's assumptions, using pooled degrees of
-    freedom sum(N_z) - #sequences in the class.  Scenario c pools with the
-    scenario-b classes, since time invariance adds no entry equalities.
+    Each (t, t') entry is pooled across the sequences sharing both their
+    period-t and period-t' classes, using pooled degrees of freedom
+    sum(N_z) - #sequences pooled.  Scenario c pools with the scenario-b
+    classes, since time invariance adds no entry equalities.
     """
-    if scenario not in ("a", "b", "c"):
-        raise ValueError(f"scenario must be a, b, or c, got {scenario!r}")
-    if scenario in ("b", "c") and carryover_order is None:
-        raise ValueError(f"scenario {scenario!r} requires a carryover order")
     horizon = dataset.design.horizon
+    class_map = ClassMap(horizon, scenario, carryover_order)
     groups = dataset.group_indices()
     observed = dataset.design.observed
     centered = {}
@@ -225,8 +215,7 @@ def pooled_covariance_entries(
         for t2 in range(t1, horizon + 1):
             classes: dict[object, list[TreatmentSequence]] = {}
             for z in observed:
-                key = _pooling_key(z, t1, t2, scenario, carryover_order)
-                classes.setdefault(key, []).append(z)
+                classes.setdefault((class_map.key(t1, z), class_map.key(t2, z)), []).append(z)
             for members in classes.values():
                 dof = sum(groups[z].size for z in members) - len(members)
                 if dof < 1:
@@ -310,7 +299,7 @@ def _weight_inverses(
             raise MissingSequenceError(f"weight model lacks a matrix for {z}") from exc
         if omega.shape != (design.horizon, design.horizon):
             raise ValueError(f"weight for {z} has shape {omega.shape}")
-        inverses[z] = np.linalg.inv(omega)
+        inverses[z] = weights.inverses[z]
     return inverses
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .constraints import RestrictionMatrix, assemble
+from .constraints import ClassMap, RestrictionMatrix, assemble
 from .errors import NotIdentifiableError
 from .estimands import (
     EstimandSpec,
@@ -43,8 +43,6 @@ from .sequences import (
     enumerate_codes,
     full_sequence_set,
     sample_codes,
-    subsequence,
-    trailing_window,
 )
 
 TWO_PERIOD_SEQUENCES = ("AA", "AB", "BA", "BB")
@@ -148,13 +146,12 @@ def random_consistent_table(
 ) -> PotentialOutcomeTable:
     """A heterogeneous table of any horizon satisfying a scenario exactly.
 
-    Outcomes are built from shared per-class draws, so the equalities the
-    scenario asserts hold bitwise: scenario a shares values within prefix
-    classes, scenario b within trailing-window classes, and scenario c uses
-    a per-period level plus a time-constant window effect.
+    Each outcome sums shared draws, one per class-level generator, so the
+    equalities the scenario asserts hold bitwise: scenario a shares values
+    within prefix classes, scenario b within trailing-window classes, and
+    scenario c uses a per-period level plus a time-constant window effect.
     """
-    if scenario not in ("a", "b", "c"):
-        raise ValueError(f"scenario must be a, b, or c, got {scenario!r}")
+    classes = ClassMap(horizon, scenario, carryover_order)
     rng = np.random.default_rng(seed)
     scope_t = tuple(sorted(as_sequence(z) for z in scope)) if scope else full_sequence_set(horizon)
     values: dict[tuple, np.ndarray] = {}
@@ -166,22 +163,10 @@ def random_consistent_table(
         return values[key]
 
     outcomes = {}
-    levels: dict[int, np.ndarray] = {}
-    effects: dict[str, np.ndarray] = {}
     for z in scope_t:
         table = np.empty((n_units, horizon))
         for t in range(1, horizon + 1):
-            if scenario == "a":
-                table[:, t - 1] = draw(("prefix", t, subsequence(z, 1, t).letters))
-            elif scenario == "b" or t < carryover_order:
-                table[:, t - 1] = draw(("window", t, trailing_window(z, t, carryover_order).letters))
-            else:
-                if t not in levels:
-                    levels[t] = rng.normal(0.0, 2.0) + spread * rng.standard_normal(n_units)
-                w = trailing_window(z, t, carryover_order).letters
-                if w not in effects:
-                    effects[w] = rng.normal(0.0, 2.0) + spread * rng.standard_normal(n_units)
-                table[:, t - 1] = levels[t] + effects[w]
+            table[:, t - 1] = sum(map(draw, classes.generators(t, classes.key(t, z))))
         outcomes[z] = table
     return PotentialOutcomeTable(horizon, outcomes)
 

@@ -125,6 +125,34 @@ class TestIdentifyCommand:
         assert "identifiable (rank 8 of 8)" in out
         assert "AA 2 yes" in out
 
+    @pytest.mark.parametrize("extra", [["b"], ["b", "--k", "0"], ["c", "--k", "3"]])
+    def test_missing_or_out_of_range_order_exits_two(self, tmp_path, capsys, extra):
+        design_file = tmp_path / "design.txt"
+        design_file.write_text("T 2\nAB 4\nBA 4\n")
+        code = main(["identify", "--design", str(design_file), "--scenario", *extra])
+        assert code == EXIT_PARSE
+        assert "carryover order" in capsys.readouterr().err
+
+    def test_scenario_c_builds_the_closure_once(self, tmp_path, capsys, monkeypatch):
+        from crossover import cli, identification
+
+        built = []
+        closure = identification.time_invariant_closure
+
+        def counting(*args):
+            built.append(args)
+            return closure(*args)
+
+        monkeypatch.setattr(identification, "time_invariant_closure", counting)
+        monkeypatch.setattr(cli, "time_invariant_closure", counting, raising=False)
+        design_file = tmp_path / "design.txt"
+        design_file.write_text("T 3\nAAB 2\nABA 2\nBAA 2\n")
+        code = main(["identify", "--design", str(design_file), "--scenario", "c", "--k", "1"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "BBB 3 yes" in out
+        assert len(built) == 1
+
     def test_restriction_dump_is_auditable_csv(self, tmp_path, capsys):
         design_file = tmp_path / "design.txt"
         design_file.write_text("T 2\nAB 4\nBA 4\n")

@@ -1,8 +1,12 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crossover
 from crossover import (
     CoefficientLayout,
     assemble,
@@ -172,3 +176,83 @@ class TestAssemble:
             stacked[layout.block(z)] = table.mean_vector(z)
         if restriction.n_rows:
             assert np.abs(restriction.matrix @ stacked).max() < 1e-12
+
+
+def closed_form_dimension(scenario, horizon, order):
+    """Free coefficients d on the full 2^T scope."""
+    if scenario == "a":
+        return 2 ** (horizon + 1) - 2
+    if scenario == "b":
+        return sum(2 ** min(t, order) for t in range(1, horizon + 1))
+    return sum(2**t for t in range(1, order)) + (horizon - order + 1) + 2**order - 1
+
+
+FULL_SCOPE_CASES = [
+    (scenario, horizon, order)
+    for horizon in range(1, 7)
+    for scenario in ("a", "b", "c")
+    for order in ([None] if scenario == "a" else range(1, horizon + 1))
+]
+
+
+class TestClassMap:
+    @pytest.mark.parametrize("scenario,horizon,order", FULL_SCOPE_CASES)
+    def test_full_scope_basis_and_rows(self, scenario, horizon, order):
+        restriction = assemble(scenario, horizon, full_sequence_set(horizon), order)
+        basis, rows = restriction.basis, restriction.matrix
+        p, d = basis.shape
+        assert d == closed_form_dimension(scenario, horizon, order)
+        assert np.abs(basis.T @ basis - np.eye(d)).max() < 1e-12
+        assert rows.shape[0] == rank(rows) == p - d
+        if rows.shape[0]:
+            assert np.abs(rows @ basis).max() < 1e-12
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_restricted_scope_spans_the_full_basis_on_its_blocks(self, data):
+        horizon = data.draw(st.integers(1, 5))
+        scenario = data.draw(st.sampled_from(("a", "b", "c")))
+        order = None if scenario == "a" else data.draw(st.integers(1, horizon))
+        full = full_sequence_set(horizon)
+        picked = sorted(data.draw(st.sets(st.integers(0, len(full) - 1), min_size=1)))
+        restricted = assemble(scenario, horizon, [full[i] for i in picked], order).basis
+        columns = np.concatenate([np.arange(i * horizon, (i + 1) * horizon) for i in picked])
+        projected = assemble(scenario, horizon, full, order).basis[columns]
+        assert rank(restricted) == restricted.shape[1] == rank(projected)
+        assert rank(np.hstack([restricted, projected])) == rank(projected)
+
+    def test_time_invariance_closes_long_cycles_on_a_restricted_scope(self):
+        # the periods and windows form the 6-cycle t2-AB-t4-AA-t3-BA-t2 and
+        # no two periods share two windows, yet the assumption still ties
+        # the six classes together
+        scope = ("ABAB", "BAAA")
+        restriction = assemble("c", 4, scope, 2)
+        assert restriction.basis.shape[1] == 7
+        assert restriction.n_rows == 1
+        assert rows_time_invariant(restriction.layout, 2).shape[0] == 1
+        table = random_consistent_table(4, "c", 2, 16, scope=scope, seed=5)
+        layout = restriction.layout
+        stacked = np.concatenate([table.mean_vector(z) for z in layout.scope])
+        assert np.abs(restriction.matrix @ stacked).max() < 1e-12
+
+    def test_unknown_scenario_and_bad_orders_rejected(self):
+        for args in (("d", 3, None), ("b", 3, None), ("c", 3, 0), ("b", 3, 4)):
+            with pytest.raises(ValueError):
+                assemble(args[0], args[1], full_sequence_set(args[1]), args[2])
+
+
+def test_window_helpers_are_called_only_where_classes_are_defined():
+    # a (period, sequence) pair is mapped to its assumption class in one
+    # place, the class map; other modules ask the map
+    allowed = {"sequences.py", "constraints.py"}
+    offenders = []
+    for path in sorted(Path(crossover.__file__).parent.glob("*.py")):
+        if path.name in allowed:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in ("subsequence", "trailing_window"):
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []

@@ -337,6 +337,25 @@ class TestFeasibleRwls:
             gap = np.abs(fit.gamma[layout.block(z)] - table.mean_vector(z)).max()
             assert gap < 0.05
 
+    @pytest.mark.parametrize("scenario,order", [("a", None), ("b", 1), ("c", 1), ("b", 2), ("c", 2)])
+    def test_full_scope_matches_dense_nullspace_solve(self, rng, scenario, order):
+        design = CrossoverDesign(4, {z: 8 for z in full_sequence_set(4)})
+        dataset = make_dataset(design, rng)
+        fit = feasible_rwls(dataset, scenario, order)
+        expected = nullspace_restricted_wls(dataset, fit.weight_model, fit.restriction)
+        assert np.abs(fit.gamma - expected).max() <= 1e-9 * np.abs(expected).max()
+
+    def test_each_weight_matrix_is_inverted_once(self, rng, monkeypatch):
+        design = four_seq_design()
+        dataset = make_dataset(design, rng)
+        inverted = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda m: inverted.append(m) or inv(m))
+        fit = feasible_rwls(dataset, "b", 1)
+        spec = instantaneous_effect(2, "A", design.scope)
+        estimate(fit, spec)
+        implied_estimator_weights(fit, spec)
+        assert len(inverted) == len(design.observed)
 
     @pytest.mark.parametrize("scenario", ["a", "b", "c"])
     def test_condition_number_is_that_of_the_reduced_matrix(self, scenario):

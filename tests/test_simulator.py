@@ -77,6 +77,40 @@ class TestRandomConsistentTable:
         restriction = assemble(scenario, horizon, full_sequence_set(horizon), order)
         assert check_table_consistency(table, restriction) < 1e-12
 
+    @pytest.mark.parametrize(
+        "horizon,scenario,order,scope",
+        [
+            (3, "a", 1, None),
+            (4, "b", 2, None),
+            (4, "c", 1, None),
+            (4, "c", 3, None),
+            (4, "c", 2, ("ABAB", "BAAA", "BBAB")),
+            (5, "b", 5, ("AABBA", "BABAB")),
+        ],
+    )
+    def test_draws_match_the_hand_written_generator(self, horizon, scenario, order, scope):
+        # the generator the class map replaced, kept as the reference
+        rng = np.random.default_rng(17)
+        values = {}
+
+        def draw(key):
+            if key not in values:
+                center = rng.normal(0.0, 2.0)
+                values[key] = center + 0.5 * rng.standard_normal(7)
+            return values[key]
+
+        words = sorted(scope) if scope else [str(z) for z in full_sequence_set(horizon)]
+        table = random_consistent_table(horizon, scenario, order, 7, scope=scope, seed=17, spread=0.5)
+        for word in words:
+            for t in range(1, horizon + 1):
+                if scenario == "a":
+                    expected = draw(("prefix", t, word[:t]))
+                elif scenario == "b" or t < order:
+                    expected = draw(("window", t, word[max(0, t - order) : t]))
+                else:
+                    expected = draw(("level", t)) + draw(("effect", word[t - order : t]))
+                assert table.outcomes[as_sequence(word)][:, t - 1].tobytes() == expected.tobytes()
+
     def test_inconsistent_table_detected(self, rng):
         from crossover import PotentialOutcomeTable
 
