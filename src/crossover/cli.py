@@ -102,42 +102,59 @@ def parse_dataset(text: str, design: CrossoverDesign | None = None):
         raise ValueError(
             f"row 1: data has {horizon} periods but the design has {design.horizon}"
         )
-    assignments = []
-    rows = []
-    for rownum, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ValueError(f"row {rownum}: expected {len(header)} fields, got {len(row)}")
-        try:
-            z = as_sequence(row[1].strip())
-        except ValueError as exc:
-            raise ValueError(f"row {rownum}: {exc}") from exc
-        if len(z) != horizon:
-            raise ValueError(f"row {rownum}: sequence {z} has length {len(z)}, expected {horizon}")
-        try:
-            y = [float(cell) for cell in row[2:]]
-        except ValueError:
-            raise ValueError(f"row {rownum}: non-numeric outcome in {row[2:]}") from None
-        assignments.append(z)
-        rows.append(y)
-    if not rows:
+    # the columns are checked as a whole, each distinct label once; every
+    # check records the first row it rejects, and the earliest is named, as
+    # a row-by-row reader would name it
+    records = [
+        (rownum, row) for rownum, row in enumerate(reader, start=2) if any(map(str.strip, row))
+    ]
+    if not records:
         raise ValueError("row 2: no data rows")
+    numbers = [rownum for rownum, _ in records]
+    rows = [row for _, row in records]
+    errors = []
+    ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
+    if ragged is not None:
+        errors.append((ragged, f"expected {len(header)} fields, got {len(rows[ragged])}"))
+        rows = rows[:ragged]
+    labels = [row[1].strip() for row in rows]
+    distinct = list(dict.fromkeys(labels))
+    sequences = []
+    for label in distinct:
+        try:
+            z = as_sequence(label)
+            if len(z) != horizon:
+                raise ValueError(f"sequence {z} has length {len(z)}, expected {horizon}")
+        except ValueError as exc:
+            errors.append((labels.index(label), str(exc)))
+            break
+        sequences.append(z)
+    try:
+        outcomes = np.array([row[2:] for row in rows], dtype=float)
+    except ValueError:
+        for i, row in enumerate(rows):
+            try:
+                np.array(row[2:], dtype=float)
+            except ValueError:
+                errors.append((i, f"non-numeric outcome in {row[2:]}"))
+                break
+    if errors:
+        # a tie goes to the check made first on a row, which was recorded first
+        i, message = min(errors, key=lambda error: error[0])
+        raise ValueError(f"row {numbers[i]}: {message}")
+    position = {label: i for i, label in enumerate(distinct)}
+    label_codes = np.array([position[label] for label in labels], dtype=np.intp)
+    tally = dict(zip(sequences, np.bincount(label_codes).tolist()))
     if design is None:
-        counts: dict = {}
-        for z in assignments:
-            counts[z] = counts.get(z, 0) + 1
-        design = CrossoverDesign(horizon, counts)
-    else:
-        tally: dict = {}
-        for z in assignments:
-            tally[z] = tally.get(z, 0) + 1
-        if tally != design.counts:
-            raise ValueError(
-                f"per-sequence counts in the data {tally} do not match the design "
-                f"{design.counts}"
-            )
-    dataset = ObservedDataset(design, tuple(assignments), np.array(rows))
+        design = CrossoverDesign(horizon, tally)
+    elif tally != design.counts:
+        raise ValueError(
+            f"per-sequence counts in the data {tally} do not match the design "
+            f"{design.counts}"
+        )
+    to_design = {z: i for i, z in enumerate(design.observed)}
+    codes = np.array([to_design[z] for z in sequences], dtype=np.intp)[label_codes]
+    dataset = ObservedDataset(design, codes, outcomes)
     return dataset, design
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 from .sequences import TreatmentSequence, as_sequence
 
@@ -126,8 +125,17 @@ class ClassMap:
         free = np.eye(len(classes))
         if len(cycles):
             first = [layout.column(t, members[0]) for (t, _), members in classes.items()]
-            free = scipy.linalg.null_space(cycles[:, first] / np.sqrt(sizes))
+            free = _null_space(cycles[:, first] / np.sqrt(sizes))
         return np.vstack([rows, cycles]), (free / np.sqrt(sizes)[:, None])[of_column]
+
+
+def _null_space(matrix: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of a nonempty matrix: the right
+    singular vectors past its numerical rank, singular values up to
+    s_max * max(shape) * eps counting as zero."""
+    _, singular, vh = np.linalg.svd(matrix)
+    rank = int(np.sum(singular > singular.max() * max(matrix.shape) * np.finfo(float).eps))
+    return vh[rank:].T
 
 
 def _chain_rows(layout: CoefficientLayout, classes: Classes) -> np.ndarray:
@@ -215,6 +223,9 @@ def row_reduce(rows: np.ndarray) -> np.ndarray:
     scale = np.abs(rows).max()
     if scale == 0.0:
         return rows[:0]
+    # numpy has no pivoted QR; importing scipy here keeps it out of `import crossover`
+    import scipy.linalg
+
     _, r, pivots = scipy.linalg.qr(rows.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > ROW_REDUCE_TOLERANCE * scale))
@@ -228,7 +239,9 @@ class RestrictionMatrix:
 
     ``basis`` is a p x d orthonormal basis Z of the null space of C, so
     every restricted coefficient vector is gamma = Z beta; by default it is
-    computed from C.
+    computed from C.  ``verdicts`` holds the identification verdict for
+    each implemented sequence set checked against it, which depends on Z
+    alone and is filled in by ``identification.is_identifiable``.
     """
 
     layout: CoefficientLayout
@@ -236,6 +249,7 @@ class RestrictionMatrix:
     scenario: str | None = None
     carryover_order: int | None = None
     basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=float)
@@ -244,7 +258,7 @@ class RestrictionMatrix:
             raise ValueError(f"restriction matrix must be (L, {p}), got {matrix.shape}")
         basis = self.basis
         if basis is None:
-            basis = scipy.linalg.null_space(matrix) if matrix.shape[0] else np.eye(p)
+            basis = _null_space(matrix) if matrix.shape[0] else np.eye(p)
         elif basis.shape != (p, p - matrix.shape[0]):
             raise ValueError(f"basis must be ({p}, {p - matrix.shape[0]}), got {basis.shape}")
         object.__setattr__(self, "matrix", matrix)

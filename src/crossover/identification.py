@@ -67,15 +67,21 @@ def numerical_rank(matrix: np.ndarray) -> int:
 
 def is_identifiable(design: CrossoverDesign, restriction: RestrictionMatrix) -> IdentificationCheck:
     """Full rank of X'X + C'C, computed as p - d + rank(Z_obs), means every
-    linear estimand of the scoped means admits an unbiased linear estimator."""
+    linear estimand of the scoped means admits an unbiased linear estimator.
+
+    The verdict depends on the implemented sequences, not their counts, so
+    it is computed once per sequence set and kept on the restriction."""
     layout = restriction.layout
     if layout.horizon != design.horizon or layout.scope != design.scope:
         raise ValueError("restriction layout does not match the design")
-    basis = restriction.basis
-    observed = np.vstack([basis[layout.block(z)] for z in design.observed])
-    p, d = basis.shape
-    rank = p - d + numerical_rank(observed)
-    return IdentificationCheck(rank == p, rank, p)
+    check = restriction.verdicts.get(design.observed)
+    if check is None:
+        basis = restriction.basis
+        observed = np.vstack([basis[layout.block(z)] for z in design.observed])
+        p, d = basis.shape
+        rank = p - d + numerical_rank(observed)
+        check = restriction.verdicts[design.observed] = IdentificationCheck(rank == p, rank, p)
+    return check
 
 
 def _normalize_observed(observed) -> tuple[TreatmentSequence, ...]:

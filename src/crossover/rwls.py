@@ -17,13 +17,12 @@ linear images of the solved coefficient vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
-import scipy.special
 
 from .constraints import ClassMap, CoefficientLayout, RestrictionMatrix, assemble
 from .errors import (
@@ -335,7 +334,7 @@ def solve_restricted_wls(
     except np.linalg.LinAlgError as exc:
         raise ConditioningError("reduced normal matrix is not positive definite") from exc
     # half = L^-1 Z', so U11 = Z M^-1 Z' = half' half
-    half = scipy.linalg.solve_triangular(factor, basis.T, lower=True)
+    half = np.linalg.solve(factor, basis.T)
     u11 = half.T @ half
     gamma = half.T @ (half @ xty)
     condition = float(np.linalg.cond(reduced))
@@ -469,6 +468,26 @@ def point_estimate(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
     return point
 
 
+def _chi2_sf(dof: int, x: float) -> float:
+    """Chi-square survival function for a positive integer dof at x >= 0.
+
+    With h = x/2, the even-dof tail is e^-h sum_{j<dof/2} h^j / j!, and
+    the odd-dof tail is erfc(sqrt(h)) + e^-h sum_{j<(dof-1)/2} h^(j+1/2)
+    / Gamma(j+3/2).  Each term is formed in log space, so e^-h may
+    underflow while the terms that matter do not.
+    """
+    if x <= 0.0:
+        return 1.0
+    half = x / 2.0
+    log_half = math.log(half)
+    offset = 0.5 * (dof % 2)
+    head = math.erfc(math.sqrt(half)) if offset else 0.0
+    return head + math.fsum(
+        math.exp((j + offset) * log_half - half - math.lgamma(j + offset + 1.0))
+        for j in range(dof // 2)
+    )
+
+
 @dataclass(frozen=True)
 class EstimandEstimate:
     labels: tuple[str, ...]
@@ -505,7 +524,7 @@ def estimate(fit: RwlsFit, spec: EstimandSpec, level: float = 0.95) -> EstimandE
     ci_lower = point - z_crit * std_errors
     ci_upper = point + z_crit * std_errors
     wald = float(point @ np.linalg.pinv(covariance) @ point)
-    pvalue = float(scipy.special.chdtrc(spec.dimension, max(wald, 0.0)))
+    pvalue = _chi2_sf(spec.dimension, max(wald, 0.0))
     return EstimandEstimate(
         labels=spec.labels,
         point=point,

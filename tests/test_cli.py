@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -207,6 +208,18 @@ class TestFitCommand:
         for row in report["estimands"]:
             assert row["ci_lower"] <= row["point"] <= row["ci_upper"]
 
+    def test_fit_checks_identification_once(self, tmp_path, monkeypatch):
+        from crossover import identification
+
+        ranks = []
+        rank = identification.numerical_rank
+        monkeypatch.setattr(identification, "numerical_rank", lambda m: ranks.append(m) or rank(m))
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(simulated_dataset(seed=5)))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1"]
+        assert main(argv + ["--out", str(tmp_path / "report.json")]) == EXIT_OK
+        assert len(ranks) == 1
+
     def test_fit_is_deterministic(self, tmp_path):
         dataset = simulated_dataset(seed=4)
         data_file = tmp_path / "data.csv"
@@ -317,6 +330,54 @@ def test_import_does_not_load_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_no_module_level_scipy_import():
+    # `import crossover` loads no scipy: code that needs scipy imports it
+    # inside the function that uses it
+    offenders = []
+    for path in sorted(Path(crossover.__file__).parent.glob("*.py")):
+        pending = list(ast.parse(path.read_text()).body)
+        while pending:
+            node = pending.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            offenders += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy"]
+            pending.extend(ast.iter_child_nodes(node))
+    assert offenders == []
+
+
+@pytest.mark.parametrize("command", ["import", "fit", "identify"])
+def test_cli_calls_load_no_scipy(tmp_path, command):
+    data_file = tmp_path / "data.csv"
+    data_file.write_text(dataset_csv(simulated_dataset(seed=6)))
+    design_file = tmp_path / "design.txt"
+    design_file.write_text("T 3\nAAB 2\nABA 2\nBAA 2\n")
+    argv = {
+        "import": None,
+        "fit": ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1",
+                "--out", str(tmp_path / "fit.json")],
+        "identify": ["identify", "--design", str(design_file), "--scenario", "c", "--k", "1",
+                     "--out", str(tmp_path / "identify.txt")],
+    }[command]
+    code = (
+        "import sys\n"
+        "from crossover.cli import main\n"
+        f"argv = {argv!r}\n"
+        "code = main(argv) if argv else 0\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(crossover.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 class TestSimulateCommand:

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crossover
+from crossover import constraints
 from crossover import (
     CoefficientLayout,
     assemble,
@@ -119,6 +121,36 @@ class TestRowReduce:
         reduced = row_reduce(rows)
         assert rank(reduced) == reduced.shape[0] == rank(rows)
         assert same_row_space(rows, reduced)
+
+
+class TestNullSpace:
+    @staticmethod
+    def assert_matches_scipy(matrix):
+        got = constraints._null_space(matrix)
+        want = scipy.linalg.null_space(matrix)
+        assert got.shape == want.shape
+        assert np.abs(got.T @ got - np.eye(got.shape[1])).max() <= 1e-12
+        assert np.abs(got @ got.T - want @ want.T).max() <= 1e-12
+
+    def test_scenario_c_class_level_cycle_matrices(self, monkeypatch):
+        seen = []
+        null_space = constraints._null_space
+        monkeypatch.setattr(constraints, "_null_space", lambda m: seen.append(m) or null_space(m))
+        for horizon in range(1, 7):
+            for order in range(1, horizon + 1):
+                assemble("c", horizon, full_sequence_set(horizon), order)
+        monkeypatch.undo()
+        assert len(seen) >= 10
+        for matrix in seen:
+            self.assert_matches_scipy(matrix)
+
+    @pytest.mark.parametrize(
+        "rows,cols,inner", [(3, 5, 2), (6, 6, 3), (8, 5, 2), (1, 4, 1), (12, 30, 7), (2, 3, 0)]
+    )
+    def test_random_rank_deficient_matrices(self, rng, rows, cols, inner):
+        matrix = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
+        self.assert_matches_scipy(matrix)
+        assert constraints._null_space(matrix).shape == (cols, cols - inner)
 
 
 class TestAssemble:

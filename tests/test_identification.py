@@ -103,6 +103,15 @@ class TestIsIdentifiable:
         check = is_identifiable(design, assemble(scenario, 2, design.scope, order))
         assert check.identifiable
 
+    def test_verdict_is_kept_per_implemented_set(self):
+        restriction = assemble("a", 2, full_sequence_set(2))
+        two = CrossoverDesign(2, {"AB": 4, "BA": 6})
+        four = CrossoverDesign(2, {"AA": 2, "AB": 2, "BA": 2, "BB": 2})
+        assert not is_identifiable(two, restriction).identifiable
+        assert is_identifiable(four, restriction).identifiable
+        assert is_identifiable(CrossoverDesign(2, {"AB": 40, "BA": 1}), restriction).rank == 6
+        assert len(restriction.verdicts) == 2
+
     @pytest.mark.parametrize(
         "sequences,order,per_sequence",
         [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 
 from crossover import (
     ConditioningError,
@@ -31,6 +33,7 @@ from crossover import (
     stack,
     true_value,
 )
+from crossover.rwls import _chi2_sf
 from conftest import dense_sandwich, make_dataset, nullspace_restricted_wls, template_labels
 
 
@@ -376,6 +379,24 @@ class TestFeasibleRwls:
         assert fit.warnings == ()
 
 
+    @pytest.mark.parametrize("scenario", ["a", "b", "c"])
+    def test_matches_a_triangular_solve_on_the_cholesky_factor(self, scenario):
+        design = CrossoverDesign(5, {z: 12 for z in full_sequence_set(5)})
+        table = random_consistent_table(5, scenario, 1, design.n_units, seed=11)
+        dataset = realize_dataset(table, sample_assignment(design, 3))
+        fit = feasible_rwls(dataset, scenario, None if scenario == "a" else 1)
+        layout, basis = fit.layout, fit.restriction.basis
+        reduced = np.zeros((basis.shape[1], basis.shape[1]))
+        xty = np.zeros(layout.size)
+        for z, n in design.counts.items():
+            sl, inverse = layout.block(z), fit.weight_model.inverses[z]
+            reduced += n * basis[sl].T @ inverse @ basis[sl]
+            xty[sl] = n * inverse @ fit.means[z]
+        half = scipy.linalg.solve_triangular(np.linalg.cholesky(reduced), basis.T, lower=True)
+        for got, want in ((fit.gamma, half.T @ (half @ xty)), (fit.u11, half.T @ half)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 class TestEhwCovariance:
     def test_zero_residuals_zero_matrix(self):
         design = CrossoverDesign(2, {"AB": 2, "BA": 2})
@@ -435,6 +456,15 @@ class TestEstimate:
         result = estimate(fit, spec, level=0.95)
         half = result.ci_upper[0] - result.point[0]
         assert half == pytest.approx(1.959963984540054 * result.std_errors[0], rel=1e-12)
+
+    def test_wald_tail_matches_scipy(self):
+        points = np.concatenate([[0.0], np.logspace(-6, 3, 181)])
+        for dof in range(1, 65):
+            assert _chi2_sf(dof, 0.0) == 1.0
+            got = np.array([_chi2_sf(dof, float(x)) for x in points])
+            want = scipy.special.chdtrc(dof, points)
+            kept = want > 1e-300
+            assert np.all(np.abs(got - want)[kept] <= 1e-12 * want[kept])
 
     def test_spec_outside_scope_rejected(self, rng):
         design = CrossoverDesign(2, {"AB": 3, "BA": 3}, scope=("AB", "BA"))

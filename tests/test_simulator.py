@@ -147,6 +147,17 @@ class TestRunMonteCarlo:
         assert np.array_equal(first.bias, second.bias)
         assert np.array_equal(first.estimated_variances, second.estimated_variances)
 
+    def test_identification_is_checked_once_per_study(self, monkeypatch):
+        from crossover import identification
+
+        ranks = []
+        rank = identification.numerical_rank
+        monkeypatch.setattr(identification, "numerical_rank", lambda m: ranks.append(m) or rank(m))
+        design = CrossoverDesign(2, {"AA": 5, "AB": 5, "BA": 5, "BB": 5})
+        generator = ScenarioGenerator(scenario="b", seed=4)
+        run_monte_carlo(generator, design, standard_two_period_specs(SCOPE2), replications=8, seed=9)
+        assert len(ranks) == 1
+
     def test_accepts_prebuilt_table(self):
         design = CrossoverDesign(2, {"AB": 6, "BA": 6})
         table = random_consistent_table(2, "b", 1, 12, seed=8)
