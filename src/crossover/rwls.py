@@ -3,16 +3,16 @@
 The engine consumes per-sequence outcome means, per-sequence weight
 matrices, and a restriction matrix C, and solves the restricted problem
 in the null space of C (Bjorck, Numerical Methods for Least Squares
-Problems, 1996).  With Z an orthonormal null-space basis and Z_z its rows
-in z's coefficient block,
+Problems, 1996).  With Z an orthonormal p x d null-space basis, Z_z its
+rows in z's coefficient block, G_z = N_z Omega_z^-1 Z_z and R_z the
+N_z x T unit residuals of z, summing over the implemented sequences,
 
-    M = sum_z N_z Z_z' Omega_z^-1 Z_z,
-    gamma = Z M^-1 Z' X'W^-1 Y,    U11 = Z M^-1 Z',
+    M = sum_z Z_z' G_z = L L',    gamma = Z M^-1 sum_z G_z' Ybar_z,
+    meat = sum_z G_z' R_z' R_z G_z / N_z^2,
+    Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'.
 
-with X'W^-1Y = stack(N_z Omega_z^-1 Ybar_z) and one Cholesky factor of
-the d x d matrix M.  The sandwich covariance plugs per-unit residual outer
-products into U11 X'W^-1 Sigma W^-1 X U11.  Estimand-level results are
-linear images of the solved coefficient vector.
+One Cholesky factor L of the d x d matrix M serves the solve, the
+sandwich and every estimand; no p x p matrix is formed on that path.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .sequences import CrossoverDesign, TreatmentSequence, as_sequence
 
 CONDITION_WARNING_THRESHOLD = 1e12
 RESTRICTION_TOLERANCE = 1e-9
-# rows of B @ U11 below this relative size are exact zeroes of the
+# rows of B @ Z below this relative size are exact zeroes of the
 # restricted model (the functional lies in the restriction span)
 ZERO_FUNCTIONAL_TOLERANCE = 1e-12
 
@@ -161,12 +161,7 @@ def repair_positive_definite(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def sequence_means(dataset: ObservedDataset) -> dict[TreatmentSequence, np.ndarray]:
     """Arithmetic mean outcome vector of each implemented sequence."""
-    means = {}
-    for z, idx in dataset.group_indices().items():
-        if idx.size == 0:
-            raise MissingSequenceError(f"no units assigned to {z}")
-        means[z] = dataset.outcomes[idx].mean(axis=0)
-    return means
+    return {z: dataset.outcomes[idx].mean(axis=0) for z, idx in dataset.group_indices().items()}
 
 
 def sample_covariances(dataset: ObservedDataset) -> WeightModel:
@@ -205,8 +200,6 @@ def pooled_covariance_entries(
     observed = dataset.design.observed
     centered = {}
     for z, idx in groups.items():
-        if idx.size < 1:
-            raise MissingSequenceError(f"no units assigned to {z}")
         y = dataset.outcomes[idx]
         centered[z] = y - y.mean(axis=0)
     pooled = {z: np.zeros((horizon, horizon)) for z in observed}
@@ -240,12 +233,15 @@ def pooled_covariance_entries(
 
 @dataclass
 class RwlsFit:
-    """A solved restricted weighted least squares fit.
+    """A solved restricted weighted least squares fit in the d reduced
+    coordinates of the null-space basis Z (see the module docstring).
 
-    ``gamma`` is the coefficient vector over the layout; ``u11`` maps the
-    weighted mean stack to coefficients; ``condition_number`` is that of
-    the d x d reduced matrix M; ``meat`` (set once residuals are available)
-    is X'W^-1 Sigma-hat W^-1 X, so the EHW covariance is u11 @ meat @ u11.
+    ``gamma`` is the coefficient vector over the layout; ``factor`` is the
+    Cholesky factor L of M = sum_z Z_z' G_z, and ``condition_number`` is
+    cond(M); ``weighted_basis`` maps each implemented sequence to G_z.
+    ``reduced_meat`` (set once residuals are available) is the d x d meat,
+    so Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'.  The p x p ``u11`` =
+    Z M^-1 Z' and ``ehw`` = Z M^-1 meat M^-1 Z' are formed only when read.
     """
 
     design: CrossoverDesign
@@ -253,11 +249,11 @@ class RwlsFit:
     weight_model: WeightModel
     means: dict[TreatmentSequence, np.ndarray]
     gamma: np.ndarray
-    u11: np.ndarray
+    factor: np.ndarray
+    weighted_basis: dict[TreatmentSequence, np.ndarray]
     condition_number: float
     warnings: tuple[str, ...] = ()
-    meat: np.ndarray | None = None
-    residuals: np.ndarray | None = None
+    reduced_meat: np.ndarray | None = None
 
     @property
     def layout(self) -> CoefficientLayout:
@@ -278,28 +274,28 @@ class RwlsFit:
         return float(np.abs(self.restriction.matrix @ self.gamma).max())
 
     @property
+    def u11(self) -> np.ndarray:
+        """Z M^-1 Z', the p x p map from the weighted mean stack to gamma."""
+        half = np.linalg.solve(self.factor, self.restriction.basis.T)
+        return half.T @ half
+
+    @property
     def ehw(self) -> np.ndarray | None:
-        if self.meat is None:
+        """The p x p sandwich covariance of gamma, None before the meat is set."""
+        if self.reduced_meat is None:
             return None
-        return self.u11 @ self.meat @ self.u11
+        # with half = L^-1 Z', the sandwich is half' (L^-1 meat L^-T) half
+        half = np.linalg.solve(self.factor, self.restriction.basis.T)
+        inner = np.linalg.solve(self.factor, np.linalg.solve(self.factor, self.reduced_meat).T)
+        return half.T @ inner @ half
 
     def coefficient(self, period: int, z: TreatmentSequence | str) -> float:
         return float(self.gamma[self.layout.column(period, z)])
 
 
-def _weight_inverses(
-    design: CrossoverDesign, weights: WeightModel
-) -> dict[TreatmentSequence, np.ndarray]:
-    inverses = {}
-    for z in design.observed:
-        try:
-            omega = weights.matrix(z)
-        except KeyError as exc:
-            raise MissingSequenceError(f"weight model lacks a matrix for {z}") from exc
-        if omega.shape != (design.horizon, design.horizon):
-            raise ValueError(f"weight for {z} has shape {omega.shape}")
-        inverses[z] = weights.inverses[z]
-    return inverses
+def _solve_reduced(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """M^-1 rhs from the Cholesky factor L of M."""
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
 
 
 def solve_restricted_wls(
@@ -308,9 +304,11 @@ def solve_restricted_wls(
     weights: WeightModel,
     restriction: RestrictionMatrix,
 ) -> RwlsFit:
-    """Solve for the coefficient vector and U11 in the null space of C.
+    """Solve for the coefficient vector in the null space of C.
 
-    Raises NotIdentifiableError when X'X + C'C is rank deficient and
+    Raises NotIdentifiableError when X'X + C'C is rank deficient,
+    MissingSequenceError when the weight model lacks an implemented
+    sequence, ValueError for a weight or mean of the wrong shape, and
     ConditioningError when the reduced matrix M has no Cholesky factor.
     A condition number of M above 1e12 attaches a warning to the fit.
     """
@@ -319,24 +317,31 @@ def solve_restricted_wls(
         raise NotIdentifiableError(check.rank, check.dimension)
     layout = restriction.layout
     basis = restriction.basis
-    inverses = _weight_inverses(design, weights)
+    horizon = design.horizon
     reduced = np.zeros((basis.shape[1], basis.shape[1]))
-    xty = np.zeros(layout.size)
+    rhs = np.zeros(basis.shape[1])
+    weighted = {}
+    fitted_means = {}
     for z, n in design.counts.items():
-        sl = layout.block(z)
-        mean = np.asarray(means[as_sequence(z)], dtype=float)
-        if mean.shape != (design.horizon,):
-            raise ValueError(f"mean for {z} must have shape ({design.horizon},)")
-        reduced += n * basis[sl].T @ inverses[z] @ basis[sl]
-        xty[sl] = n * inverses[z] @ mean
+        omega = weights.matrices.get(z)
+        if omega is None:
+            raise MissingSequenceError(f"weight model lacks a matrix for {z}")
+        if omega.shape != (horizon, horizon):
+            raise ValueError(f"weight for {z} has shape {omega.shape}")
+        mean = np.asarray(means[z], dtype=float)
+        if mean.shape != (horizon,):
+            raise ValueError(f"mean for {z} must have shape ({horizon},)")
+        block = basis[layout.block(z)]
+        g = n * weights.inverses[z] @ block
+        reduced += block.T @ g
+        rhs += g.T @ mean
+        weighted[z] = g
+        fitted_means[z] = mean
     try:
         factor = np.linalg.cholesky(reduced)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError("reduced normal matrix is not positive definite") from exc
-    # half = L^-1 Z', so U11 = Z M^-1 Z' = half' half
-    half = np.linalg.solve(factor, basis.T)
-    u11 = half.T @ half
-    gamma = half.T @ (half @ xty)
+    gamma = basis @ _solve_reduced(factor, rhs)
     condition = float(np.linalg.cond(reduced))
     warnings: list[str] = []
     if condition > CONDITION_WARNING_THRESHOLD:
@@ -348,9 +353,10 @@ def solve_restricted_wls(
         design=design,
         restriction=restriction,
         weight_model=weights,
-        means={as_sequence(z): np.asarray(means[as_sequence(z)], dtype=float) for z in design.observed},
+        means=fitted_means,
         gamma=gamma,
-        u11=u11,
+        factor=factor,
+        weighted_basis=weighted,
         condition_number=condition,
         warnings=tuple(warnings),
     )
@@ -362,38 +368,40 @@ def solve_restricted_wls(
     return fit
 
 
-def ehw_covariance(
-    fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool = False
+def _reduced_meat(
+    fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool
 ) -> np.ndarray:
-    """Sandwich covariance of the coefficient vector from unit residuals.
-
-    Assembles the block-diagonal meat Omega_z^-1 (sum_i r_i r_i')
-    Omega_z^-1 over observed sequences and wraps it with U11.  The meat
-    and residuals are stored on the fit for estimand-level reuse.
-
-    ``small_sample_scale`` multiplies the meat by N / (N - d), d being the
-    number of free coefficients; the default (off) uses the plain per-unit
-    residual outer products.
-    """
+    """S'S for the N x d score matrix S stacking R_z G_z / N_z over the
+    implemented sequences, optionally scaled by N / (N - d)."""
     layout = fit.layout
-    inverses = _weight_inverses(dataset.design, fit.weight_model)
-    residuals = np.empty_like(dataset.outcomes)
-    meat = np.zeros((layout.size, layout.size))
-    for z, idx in dataset.group_indices().items():
-        sl = layout.block(z)
-        fitted = fit.gamma[sl]
-        r = dataset.outcomes[idx] - fitted
-        residuals[idx] = r
-        meat[sl, sl] = inverses[z] @ (r.T @ r) @ inverses[z]
+    scores = np.concatenate([
+        (dataset.outcomes[idx] - fit.gamma[layout.block(z)]) @ fit.weighted_basis[z] / idx.size
+        for z, idx in dataset.group_indices().items()
+    ])
+    meat = scores.T @ scores
     if small_sample_scale:
         n = dataset.n_units
         free = layout.size - fit.restriction.n_rows
         if n <= free:
             raise ValueError(f"small-sample scale needs N > {free}, got N = {n}")
         meat = meat * (n / (n - free))
-    fit.meat = meat
-    fit.residuals = residuals
-    return fit.u11 @ meat @ fit.u11
+    return meat
+
+
+def ehw_covariance(
+    fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool = False
+) -> np.ndarray:
+    """Sandwich covariance of the coefficient vector from unit residuals.
+
+    Stores the d x d reduced meat on the fit for estimand-level reuse and
+    returns the p x p matrix Z M^-1 meat M^-1 Z' (``fit.ehw``).
+
+    ``small_sample_scale`` multiplies the meat by N / (N - d), d being the
+    number of free coefficients; the default (off) uses the plain per-unit
+    residual outer products.
+    """
+    fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
+    return fit.ehw
 
 
 def feasible_rwls(
@@ -405,7 +413,7 @@ def feasible_rwls(
     small_sample_scale: bool = False,
 ) -> RwlsFit:
     """Two-step pipeline: estimate the weights, then solve the restricted
-    weighted least squares and attach the sandwich pieces.
+    weighted least squares and attach the reduced sandwich meat.
 
     ``weights`` is "sample" for per-sequence sample covariances, "pooled"
     for scenario-pooled entries, or an explicit WeightModel.
@@ -422,7 +430,7 @@ def feasible_rwls(
     else:
         raise ValueError(f"weights must be 'sample', 'pooled', or a WeightModel, got {weights!r}")
     fit = solve_restricted_wls(design, sequence_means(dataset), model, restriction)
-    ehw_covariance(fit, dataset, small_sample_scale)
+    fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
     return fit
 
 
@@ -440,32 +448,27 @@ def _estimand_matrix(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
     return b
 
 
-def _restricted_rows(fit: RwlsFit, b: np.ndarray) -> np.ndarray:
-    """Rows of B lying in the restriction row space, that is, with B Z = 0.
+def _reduced_functional(fit: RwlsFit, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The point estimate B gamma-hat and (BZ) M^-1, with snapped rows zeroed.
 
-    Those functionals are exact zeroes of the restricted model, so their
-    estimates and variances are snapped to exact zero.
+    Rows of B lying in the restriction row space, that is, with BZ = 0,
+    are exact zeroes of the restricted model, so their estimates and
+    variances are snapped to exact zero.
     """
-    leftover = b @ fit.restriction.basis
-    scale = np.maximum(np.abs(b).max(axis=1), 1.0)
-    return np.abs(leftover).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
-
-
-def _snapped_bu(fit: RwlsFit, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B, B @ U11, and the restricted-row mask, with snapped rows zeroed."""
     b = _estimand_matrix(fit, spec)
-    bu = b @ fit.u11
-    restricted = _restricted_rows(fit, b)
-    bu[restricted] = 0.0
-    return b, bu, restricted
+    bz = b @ fit.restriction.basis
+    scale = np.maximum(np.abs(b).max(axis=1), 1.0)
+    restricted = np.abs(bz).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
+    point = b @ fit.gamma
+    point[restricted] = 0.0
+    bm = _solve_reduced(fit.factor, bz.T).T
+    bm[restricted] = 0.0
+    return point, bm
 
 
 def point_estimate(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
     """theta-hat = B gamma-hat, with restricted-to-zero rows exactly zero."""
-    b, _, restricted = _snapped_bu(fit, spec)
-    point = b @ fit.gamma
-    point[restricted] = 0.0
-    return point
+    return _reduced_functional(fit, spec)[0]
 
 
 def _chi2_sf(dof: int, x: float) -> float:
@@ -511,12 +514,10 @@ def estimate(fit: RwlsFit, spec: EstimandSpec, level: float = 0.95) -> EstimandE
     intervals, and the Wald statistic against zero for one estimand."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
-    if fit.meat is None:
+    if fit.reduced_meat is None:
         raise ValueError("fit has no sandwich pieces; run feasible_rwls or ehw_covariance first")
-    b, bu, restricted = _snapped_bu(fit, spec)
-    point = b @ fit.gamma
-    point[restricted] = 0.0
-    covariance = bu @ fit.meat @ bu.T
+    point, bm = _reduced_functional(fit, spec)
+    covariance = bm @ fit.reduced_meat @ bm.T
     covariance = (covariance + covariance.T) / 2.0
     variances = np.clip(np.diag(covariance), 0.0, None)
     std_errors = np.sqrt(variances)
@@ -544,16 +545,10 @@ def implied_estimator_weights(
 ) -> dict[TreatmentSequence, np.ndarray]:
     """K x T weights on each observed group mean implied by the fit.
 
-    The estimator equals sum_z M(z) Ybar_z with
-    M(z) = B U11 N_z X_z' Omega_z^-1.
+    The estimator equals sum_z M(z) Ybar_z with M(z) = (BZ) M^-1 G_z'.
     """
-    _, bu, _ = _snapped_bu(fit, spec)
-    inverses = _weight_inverses(fit.design, fit.weight_model)
-    layout = fit.layout
-    return {
-        z: n * bu[:, layout.block(z)] @ inverses[z]
-        for z, n in fit.design.counts.items()
-    }
+    bm = _reduced_functional(fit, spec)[1]
+    return {z: bm @ g.T for z, g in fit.weighted_basis.items()}
 
 
 def oracle_variance(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,9 +9,11 @@ from crossover import (
     ConditioningError,
     CrossoverDesign,
     DegenerateCovarianceError,
+    MissingSequenceError,
     NotIdentifiableError,
     ObservedDataset,
     WeightModel,
+    all_instantaneous_effects,
     as_sequence,
     assemble,
     carryover_effect,
@@ -277,6 +281,20 @@ class TestSolveRestrictedWls:
         fit = feasible_rwls(dataset, "c", 1)
         assert fit.restriction_residual <= 1e-9 * (1 + np.abs(fit.gamma).max())
 
+    def test_weight_model_without_an_implemented_sequence_rejected(self, rng):
+        design = four_seq_design()
+        weights = WeightModel({z: np.eye(2) for z in design.observed[:-1]}, "user")
+        means = {z: rng.normal(size=2) for z in design.observed}
+        with pytest.raises(MissingSequenceError, match=str(design.observed[-1])):
+            solve_restricted_wls(design, means, weights, assemble("b", 2, design.scope, 1))
+
+    def test_wrongly_shaped_weight_rejected(self, rng):
+        design = four_seq_design()
+        weights = WeightModel({z: np.eye(3) for z in design.observed}, "user")
+        means = {z: rng.normal(size=2) for z in design.observed}
+        with pytest.raises(ValueError, match="shape"):
+            solve_restricted_wls(design, means, weights, assemble("b", 2, design.scope, 1))
+
     def test_indefinite_weights_raise_conditioning_error(self, rng):
         design = CrossoverDesign(2, {"AB": 4, "BA": 5})
         weights = WeightModel({z: np.array([[1.0, 2.0], [2.0, 1.0]]) for z in design.observed})
@@ -360,6 +378,21 @@ class TestFeasibleRwls:
         implied_estimator_weights(fit, spec)
         assert len(inverted) == len(design.observed)
 
+    def test_fit_and_estimate_allocate_less_than_one_p_by_p_array(self, rng):
+        scope = full_sequence_set(7)
+        design = CrossoverDesign(7, {z: 3 for z in scope})
+        dataset = make_dataset(design, rng)
+        restriction = assemble("b", 7, scope, 1)
+        spec = stack(all_instantaneous_effects(7, scope))
+        tracemalloc.start()
+        try:
+            fit = feasible_rwls(dataset, "b", 1, restriction=restriction)
+            estimate(fit, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < restriction.layout.size**2 * 8
+
     @pytest.mark.parametrize("scenario", ["a", "b", "c"])
     def test_condition_number_is_that_of_the_reduced_matrix(self, scenario):
         design = CrossoverDesign(5, {z: 12 for z in full_sequence_set(5)})
@@ -411,6 +444,26 @@ class TestEhwCovariance:
         fit = feasible_rwls(dataset, "b", 1)
         dense = dense_sandwich(dataset, fit)
         assert np.allclose(fit.ehw, dense, atol=1e-10)
+
+    @pytest.mark.parametrize("scenario,order", [("a", None), ("b", 1), ("b", 2), ("c", 1), ("c", 2)])
+    def test_matches_dense_assembly_on_the_full_scope(self, rng, scenario, order):
+        scope = full_sequence_set(4)
+        design = CrossoverDesign(4, {z: 6 for z in scope})
+        dataset = make_dataset(design, rng)
+        fit = feasible_rwls(dataset, scenario, order)
+        assert fit.weight_model.repaired == ()
+        dense = dense_sandwich(dataset, fit)
+        assert np.abs(fit.ehw - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+        spec = stack(
+            [s for t in range(1, 5) for s in all_instantaneous_effects(t, scope)]
+            + [carryover_effect(2, 1, "", "A", scope)]
+        )
+        b = np.zeros((spec.dimension, fit.layout.size))
+        for z, w in spec.weights.items():
+            b[:, fit.layout.block(z)] = w
+        expected = b @ dense @ b.T
+        covariance = estimate(fit, spec).covariance
+        assert np.abs(covariance - expected).max() <= 1e-10 * max(1.0, np.abs(expected).max())
 
     def test_symmetric_psd(self, rng):
         design = four_seq_design()
