@@ -79,6 +79,22 @@ EXIT_NOT_IDENTIFIABLE = 3
 EXIT_CONDITIONING = 4
 
 
+def _read_header(reader, design: CrossoverDesign | None) -> list[str]:
+    """The checked header row unit,sequence,y1,...,yT of a dataset or table CSV."""
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("row 1: empty file")
+    header = [h.strip() for h in header]
+    if len(header) < 3 or header[0] != "unit" or header[1] != "sequence":
+        raise ValueError(f"row 1: header must be unit,sequence,y1,...,yT, got {header}")
+    expected = [f"y{t}" for t in range(1, len(header) - 1)]
+    if header[2:] != expected:
+        raise ValueError(f"row 1: outcome columns must be {expected}, got {header[2:]}")
+    if design is not None and design.horizon != len(expected):
+        raise ValueError(f"row 1: data has {len(expected)} periods but the design has {design.horizon}")
+    return header
+
+
 def parse_dataset(text: str, design: CrossoverDesign | None = None):
     """Parse a dataset CSV; returns (dataset, design).
 
@@ -87,21 +103,8 @@ def parse_dataset(text: str, design: CrossoverDesign | None = None):
     1-based row number (header is row 1).
     """
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("row 1: empty file") from None
-    header = [h.strip() for h in header]
-    if len(header) < 3 or header[0] != "unit" or header[1] != "sequence":
-        raise ValueError(f"row 1: header must be unit,sequence,y1,...,yT, got {header}")
+    header = _read_header(reader, design)
     horizon = len(header) - 2
-    expected = [f"y{t}" for t in range(1, horizon + 1)]
-    if header[2:] != expected:
-        raise ValueError(f"row 1: outcome columns must be {expected}, got {header[2:]}")
-    if design is not None and design.horizon != horizon:
-        raise ValueError(
-            f"row 1: data has {horizon} periods but the design has {design.horizon}"
-        )
     # the columns are checked as a whole, each distinct label once; every
     # check records the first row it rejects, and the earliest is named, as
     # a row-by-row reader would name it
@@ -161,10 +164,7 @@ def parse_dataset(text: str, design: CrossoverDesign | None = None):
 def parse_table(text: str, design: CrossoverDesign) -> PotentialOutcomeTable:
     """Parse a potential-outcome table CSV covering the design scope."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    horizon = len(header) - 2
-    if horizon != design.horizon:
-        raise ValueError(f"table has {horizon} periods, design has {design.horizon}")
+    _read_header(reader, design)
     per_seq: dict = {z: {} for z in design.scope}
     for rownum, row in enumerate(reader, start=2):
         if not row or all(not cell.strip() for cell in row):
@@ -340,8 +340,8 @@ def _cmd_fit(args) -> int:
         print(f"not identifiable: {check}", file=sys.stderr)
         return EXIT_NOT_IDENTIFIABLE
     if args.engine == "closed-form":
-        if design.horizon != 2:
-            print("closed-form engine requires a two-period design", file=sys.stderr)
+        if design.horizon != 2 or (args.scenario != "a" and args.k != 1):
+            print("closed-form engine needs a two-period design and, under b and c, --k 1", file=sys.stderr)
             return EXIT_PARSE
         rows = _closed_form_report(dataset, args.scenario, args.level)
         payload = {

@@ -9,12 +9,13 @@ anticipation), or the trailing length-k window under scenarios b and c
 on is a period level plus a time-constant window effect.  The map builds
 the restriction C and the orthonormal basis Z of its null space from the
 classes; only rows supplied from outside the package are row-reduced and
-their null space computed numerically.
+their null space computed numerically.  C is kept compact: the dense
+(m, p) array is built only when ``RestrictionMatrix.matrix`` is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -34,7 +35,7 @@ class CoefficientLayout:
     scope: tuple[TreatmentSequence, ...]
 
     def __post_init__(self):
-        scope = tuple(sorted(as_sequence(z) for z in set(self.scope)))
+        scope = tuple(sorted({as_sequence(z) for z in self.scope}))
         if not scope:
             raise ValueError("scope must be nonempty")
         for z in scope:
@@ -106,27 +107,27 @@ class ClassMap:
             return (("level", period), ("effect", key))
         return (("class", period, key),)
 
-    def restriction(self, layout: CoefficientLayout) -> tuple[np.ndarray, np.ndarray]:
-        """Full-row-rank restriction C over a layout and orthonormal basis Z
-        of its null space.  C chains the members of each class, plus the
-        cycle rows under scenario c, whose class-level form is K.  With E
-        the class indicators and D the class sizes,
-        Z = E D^-1/2 null(K D^-1/2), null(.) being the identity under a, b.
-        """
+    def restriction(self, layout: CoefficientLayout) -> RestrictionMatrix:
+        """Full-row-rank restriction C over a layout, with the orthonormal
+        basis Z of its null space.  C chains the members of each class, plus
+        under scenario c the class-level cycle rows K on each class's first
+        column.  With E the class indicators and D the class sizes,
+        Z = E D^-1/2 null(K D^-1/2), null(.) being the identity under a, b."""
         classes = self.classes(layout.scope)
         sizes = np.array([len(members) for members in classes.values()], dtype=float)
         of_column = np.empty(layout.size, dtype=np.intp)
         for j, ((t, _), members) in enumerate(classes.items()):
             of_column[[layout.column(t, z) for z in members]] = j
-        rows = _chain_rows(layout, classes)
+        first = [layout.column(t, members[0]) for (t, _), members in classes.items()]
         if self.scenario != "c":
-            return rows, np.diag(sizes**-0.5)[of_column]
-        cycles = _cycle_rows(layout, classes, self.order)
-        free = np.eye(len(classes))
-        if len(cycles):
-            first = [layout.column(t, members[0]) for (t, _), members in classes.items()]
-            free = _null_space(cycles[:, first] / np.sqrt(sizes))
-        return np.vstack([rows, cycles]), (free / np.sqrt(sizes)[:, None])[of_column]
+            cycles, basis = np.zeros((0, len(classes))), np.diag(sizes**-0.5)
+        else:
+            cycles = _cycle_rows(classes, self.order)
+            free = _null_space(cycles / np.sqrt(sizes)) if len(cycles) else np.eye(len(classes))
+            basis = free / np.sqrt(sizes)[:, None]
+        restriction = RestrictionMatrix.__new__(RestrictionMatrix)
+        pairs = _chain_pairs(layout, classes)
+        return restriction._hold(layout, pairs, cycles, first, self.scenario, self.order, basis[of_column])
 
 
 def _null_space(matrix: np.ndarray) -> np.ndarray:
@@ -138,32 +139,26 @@ def _null_space(matrix: np.ndarray) -> np.ndarray:
     return vh[rank:].T
 
 
-def _chain_rows(layout: CoefficientLayout, classes: Classes) -> np.ndarray:
-    """m - 1 rows per class of m members, equating consecutive members."""
-    rows = []
-    for (t, _), members in classes.items():
-        for left, right in zip(members, members[1:]):
-            row = np.zeros(layout.size)
-            row[layout.column(t, left)], row[layout.column(t, right)] = 1.0, -1.0
-            rows.append(row)
-    return np.array(rows).reshape(len(rows), layout.size)
+def _chain_pairs(layout: CoefficientLayout, classes: Classes) -> np.ndarray:
+    """(left, right) columns of the m - 1 rows per class of m members that
+    equate consecutive members."""
+    pairs = [
+        (layout.column(t, left), layout.column(t, right))
+        for (t, _), members in classes.items()
+        for left, right in zip(members, members[1:])
+    ]
+    return np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
 
 
-def _cycle_rows(layout: CoefficientLayout, classes: Classes, order: int) -> np.ndarray:
-    """One row per independent cycle of the graph joining each period t >= k
-    to every window w seen at it, by one edge per class placed on the
-    class's first member.  path[n] sums a breadth-first forest's edges from
-    the root to n with alternating signs, so on values level_t + effect_w
-    it telescopes to the value of n plus or minus the root's; an edge off
-    the forest minus path[t] and path[w] is the cycle it closes.
+def _cycle_rows(classes: Classes, order: int) -> np.ndarray:
+    """K: one row over the classes per independent cycle of the graph
+    joining each period t >= k to every window w seen at it, by one edge
+    per class.  path[n] sums a breadth-first forest's edges from the root
+    to n with alternating signs, so on values level_t + effect_w it
+    telescopes to the value of n plus or minus the root's; an edge off the
+    forest minus path[t] and path[w] is the cycle it closes.
     """
-    column = {frozenset(c): layout.column(c[0], members[0]) for c, members in classes.items()}
-
-    def edge(a, b) -> np.ndarray:
-        row = np.zeros(layout.size)
-        row[column[frozenset((a, b))]] = 1.0
-        return row
-
+    edges = dict(zip(map(frozenset, classes), np.eye(len(classes))))
     neighbours: dict[int | str, list[int | str]] = {}
     for t, w in classes:
         if t >= order:
@@ -172,32 +167,32 @@ def _cycle_rows(layout: CoefficientLayout, classes: Classes, order: int) -> np.n
     path: dict[int | str, np.ndarray] = {}
     for root in neighbours:
         if root not in path:
-            path[root] = np.zeros(layout.size)
+            path[root] = np.zeros(len(classes))
             queue = [root]
             for node in queue:
                 for other in neighbours[node]:
                     if other not in path:
-                        path[other] = edge(node, other) - path[node]
+                        path[other] = edges[frozenset((node, other))] - path[node]
                         queue.append(other)
     rows = []
     for t, w in classes:
         if t >= order:
-            row = edge(t, w) - path[t] - path[w]
+            row = edges[frozenset((t, w))] - path[t] - path[w]
             if row.any():  # the row of a forest edge is zero
                 rows.append(row)
-    return np.array(rows).reshape(len(rows), layout.size)
+    return np.array(rows).reshape(len(rows), len(classes))
 
 
 def rows_no_anticipation(layout: CoefficientLayout) -> np.ndarray:
     """Rows equating period-t coefficients of sequences sharing a length-t prefix."""
-    return _chain_rows(layout, ClassMap(layout.horizon, "a").classes(layout.scope))
+    return ClassMap(layout.horizon, "a").restriction(layout).matrix
 
 
 def rows_no_carryover(layout: CoefficientLayout, order: int) -> np.ndarray:
     """Rows equating period-t coefficients (t >= k) of sequences sharing the
     trailing length-k window."""
-    classes = ClassMap(layout.horizon, "b", order).classes(layout.scope)
-    return _chain_rows(layout, {c: members for c, members in classes.items() if c[0] >= order})
+    restriction = ClassMap(layout.horizon, "b", order).restriction(layout)
+    return restriction.matrix[restriction._pairs[:, 0] % layout.horizon + 1 >= order]
 
 
 def rows_time_invariant(layout: CoefficientLayout, order: int) -> np.ndarray:
@@ -205,8 +200,8 @@ def rows_time_invariant(layout: CoefficientLayout, order: int) -> np.ndarray:
     independent cycle of the graph joining each period to the windows seen
     at it.  With the carryover rows they span the time-invariance
     restriction on any scope."""
-    classes = ClassMap(layout.horizon, "c", order).classes(layout.scope)
-    return _cycle_rows(layout, classes, order)
+    restriction = ClassMap(layout.horizon, "c", order).restriction(layout)
+    return restriction.matrix[len(restriction._pairs) :]
 
 
 def row_reduce(rows: np.ndarray) -> np.ndarray:
@@ -233,40 +228,51 @@ def row_reduce(rows: np.ndarray) -> np.ndarray:
     return rows[keep]
 
 
-@dataclass(frozen=True)
 class RestrictionMatrix:
     """A full-row-rank restriction C with C gamma = 0, plus its provenance.
 
-    ``basis`` is a p x d orthonormal basis Z of the null space of C, so
-    every restricted coefficient vector is gamma = Z beta; by default it is
-    computed from C.  ``verdicts`` holds the identification verdict for
-    each implemented sequence set checked against it, which depends on Z
-    alone and is filled in by ``identification.is_identifiable``.
+    C is stored compactly: chain rows as (left, right) column pairs of +1
+    and -1, then one row block on given columns (K under scenario c, or
+    given rows over all columns).  ``matrix`` builds the dense (m, p) array
+    on each read and ``residual`` evaluates max|C v|.  ``basis`` is a p x d
+    orthonormal basis Z of the null space of C (gamma = Z beta), computed
+    from given rows by default.  ``verdicts`` holds the identification
+    verdict for each implemented sequence set checked against Z, filled in
+    by ``identification.is_identifiable``.
     """
 
-    layout: CoefficientLayout
-    matrix: np.ndarray
-    scenario: str | None = None
-    carryover_order: int | None = None
-    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
-    verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        p = self.layout.size
+    def __init__(self, layout, matrix, scenario=None, carryover_order=None, basis=None):
+        matrix = np.asarray(matrix, dtype=float)
+        p = layout.size
         if matrix.ndim != 2 or matrix.shape[1] != p:
             raise ValueError(f"restriction matrix must be (L, {p}), got {matrix.shape}")
-        basis = self.basis
         if basis is None:
             basis = _null_space(matrix) if matrix.shape[0] else np.eye(p)
         elif basis.shape != (p, p - matrix.shape[0]):
             raise ValueError(f"basis must be ({p}, {p - matrix.shape[0]}), got {basis.shape}")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "basis", basis)
+        no_pairs = np.zeros((0, 2), dtype=np.intp)
+        self._hold(layout, no_pairs, matrix, np.arange(p), scenario, carryover_order, basis)
+
+    def _hold(self, layout, pairs, rows, columns, scenario, carryover_order, basis) -> RestrictionMatrix:
+        self.layout, self._pairs, self._rows, self._columns = layout, pairs, rows, columns
+        self.scenario, self.carryover_order, self.basis, self.verdicts = scenario, carryover_order, basis, {}
+        return self
 
     @property
     def n_rows(self) -> int:
-        return self.matrix.shape[0]
+        return len(self._pairs) + len(self._rows)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        dense = np.zeros((self.n_rows, self.layout.size))
+        dense[np.arange(len(self._pairs))[:, None], self._pairs] = (1.0, -1.0)
+        dense[len(self._pairs) :, self._columns] = self._rows
+        return dense
+
+    def residual(self, v: np.ndarray) -> float:
+        """max |C v|, 0 for a zero-row restriction."""
+        chain = v[self._pairs[:, 0]] - v[self._pairs[:, 1]]
+        return float(np.abs(np.concatenate([chain, self._rows @ v[self._columns]])).max(initial=0.0))
 
 
 def assemble(
@@ -282,10 +288,7 @@ def assemble(
     and c require the carryover order.  An empty row set is legal and
     yields a zero-row restriction (unrestricted regression).
     """
-    classes = ClassMap(horizon, scenario, carryover_order)
-    layout = CoefficientLayout(horizon, tuple(as_sequence(z) for z in scope))
-    rows, basis = classes.restriction(layout)
-    return RestrictionMatrix(layout, rows, scenario, carryover_order, basis)
+    return ClassMap(horizon, scenario, carryover_order).restriction(CoefficientLayout(horizon, tuple(scope)))
 
 
 def restriction_from_rows(

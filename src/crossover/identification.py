@@ -37,7 +37,8 @@ def gram_plus_restriction(design: CrossoverDesign, restriction: RestrictionMatri
     layout = restriction.layout
     if layout.horizon != design.horizon or layout.scope != design.scope:
         raise ValueError("restriction layout does not match the design")
-    gram = restriction.matrix.T @ restriction.matrix
+    c = restriction.matrix
+    gram = c.T @ c
     for z, n in design.counts.items():
         sl = layout.block(z)
         gram[sl, sl] += n * np.eye(layout.horizon)

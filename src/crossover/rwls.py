@@ -269,9 +269,7 @@ class RwlsFit:
 
     @property
     def restriction_residual(self) -> float:
-        if self.restriction.n_rows == 0:
-            return 0.0
-        return float(np.abs(self.restriction.matrix @ self.gamma).max())
+        return self.restriction.residual(self.gamma)
 
     @property
     def u11(self) -> np.ndarray:

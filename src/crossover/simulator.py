@@ -212,9 +212,7 @@ def check_table_consistency(
     stacked = np.zeros(layout.size)
     for z in layout.scope:
         stacked[layout.block(z)] = table.mean_vector(z)
-    if restriction.n_rows == 0:
-        return 0.0
-    residual = float(np.abs(restriction.matrix @ stacked).max())
+    residual = restriction.residual(stacked)
     if residual > tolerance * (1.0 + float(np.abs(stacked).max())):
         raise ValueError(
             f"table violates the scenario restrictions (residual {residual:.3e})"

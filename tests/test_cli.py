@@ -11,12 +11,14 @@ import pytest
 import crossover
 from crossover import (
     CrossoverDesign,
+    assemble,
     design_to_text,
     full_sequence_set,
     random_consistent_table,
     realize_dataset,
     sample_assignment,
 )
+from crossover import twoperiod
 from crossover.cli import (
     EXIT_NOT_IDENTIFIABLE,
     EXIT_OK,
@@ -178,6 +180,22 @@ class TestIdentifyCommand:
         matrix = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         assert matrix.shape == (4, 8)
         assert np.linalg.matrix_rank(matrix) == 4
+        assert np.array_equal(matrix, assemble("b", 2, SCOPE2, 1).matrix)
+
+    def test_restriction_dump_holds_chain_and_cycle_rows_exactly(self, tmp_path, capsys):
+        design_file = tmp_path / "design.txt"
+        design_file.write_text("T 3\nAAB 2\nABA 2\nBAA 2\n")
+        dump = tmp_path / "restriction.csv"
+        argv = ["identify", "--design", str(design_file), "--scenario", "c", "--k", "1"]
+        assert main(argv + ["--dump-restriction", str(dump)]) == EXIT_OK
+        capsys.readouterr()
+        lines = dump.read_text().strip().splitlines()
+        dumped = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        expected = assemble("c", 3, full_sequence_set(3), 1).matrix
+        assert np.array_equal(dumped, expected)
+        nonzeros = np.count_nonzero(dumped, axis=1)
+        # 18 chain rows with one +1 and one -1, then 2 cycle rows over four classes
+        assert list(nonzeros) == [2] * 18 + [4, 4]
 
 
 class TestFitCommand:
@@ -291,6 +309,24 @@ class TestFitCommand:
         report = json.loads(out_file.read_text())
         assert report["engine"] == "closed-form"
         assert {row["label"] for row in report["estimands"]} == {"tau_1", "tau_2"}
+
+    @pytest.mark.parametrize("scenario", ["b", "c"])
+    def test_closed_form_engine_takes_carryover_order_one_only(self, tmp_path, capsys, scenario):
+        dataset = simulated_dataset(seed=6)
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(dataset))
+        argv = ["fit", "--data", str(data_file), "--scenario", scenario, "--engine", "closed-form"]
+        assert main(argv + ["--k", "2"]) == EXIT_PARSE
+        assert "--k 1" in capsys.readouterr().err
+        out_file = tmp_path / "closed.json"
+        assert main(argv + ["--k", "1", "--out", str(out_file)]) == EXIT_OK
+        points = {row["label"]: row["point"] for row in json.loads(out_file.read_text())["estimands"]}
+        summary = twoperiod.TwoPeriodSummary.from_dataset(dataset)
+        if scenario == "b":
+            expected = twoperiod.blue_4seq_scenario_b(summary)
+        else:
+            expected = {"tau": twoperiod.blue_4seq_scenario_c(summary).value}
+        assert points == {label: float(point) for label, point in expected.items()}
 
     def test_unidentifiable_fit_exits_three(self, tmp_path):
         design = CrossoverDesign(2, {"AB": 5, "BA": 5})
@@ -455,6 +491,19 @@ class TestAuditCommand:
         for row in report["estimands"]:
             assert row["exact_mean"] == pytest.approx(row["formula_mean"], abs=1e-9)
             assert row["exact_variance"] == pytest.approx(row["formula_variance"], abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("", "row 1: empty file"), ("foo,bar,y1,y2\nu1,AB,0,1\nu1,BA,0,1\n", "row 1: header must be")],
+    )
+    def test_malformed_table_header_exits_two_naming_row_one(self, tmp_path, capsys, text, message):
+        design_file = tmp_path / "design.txt"
+        design_file.write_text("T 2\nAB 1\nBA 1\n")
+        table_file = tmp_path / "table.csv"
+        table_file.write_text(text)
+        argv = ["audit", "--table", str(table_file), "--design", str(design_file), "--scenario", "b", "--k", "1"]
+        assert main(argv) == EXIT_PARSE
+        assert message in capsys.readouterr().err
 
 
 class TestRoundTrip:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import crossover
 from crossover import constraints
+from crossover.constraints import SCENARIOS, restriction_from_rows
 from crossover import (
     CoefficientLayout,
     assemble,
@@ -225,6 +226,31 @@ FULL_SCOPE_CASES = [
     for scenario in ("a", "b", "c")
     for order in ([None] if scenario == "a" else range(1, horizon + 1))
 ]
+
+
+class TestResidual:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_largest_entry_of_the_dense_product(self, data):
+        horizon = data.draw(st.integers(1, 5))
+        full = full_sequence_set(horizon)
+        scope = [full[i] for i in sorted(data.draw(st.sets(st.integers(0, len(full) - 1), min_size=1)))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+        kind = data.draw(st.sampled_from(("a", "b", "c", "rows", "none")))
+        if kind in SCENARIOS:
+            order = None if kind == "a" else data.draw(st.integers(1, horizon))
+            restriction = assemble(kind, horizon, scope, order)
+        else:
+            layout = CoefficientLayout(horizon, scope)
+            n_rows = data.draw(st.integers(1, 6)) if kind == "rows" else 0
+            rows = row_reduce(rng.normal(size=(n_rows, layout.size)))
+            restriction = restriction_from_rows(layout, rows)
+            assert np.array_equal(restriction.matrix, rows)
+        v = rng.normal(scale=10.0 ** data.draw(st.integers(-3, 6)), size=restriction.layout.size)
+        dense = restriction.matrix
+        assert dense.shape == (restriction.n_rows, restriction.layout.size)
+        expected = np.abs(dense @ v).max(initial=0)
+        assert abs(restriction.residual(v) - expected) <= 1e-14 * (1 + np.abs(v).max())
 
 
 class TestClassMap:

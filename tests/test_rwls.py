@@ -393,6 +393,23 @@ class TestFeasibleRwls:
             tracemalloc.stop()
         assert peak < restriction.layout.size**2 * 8
 
+    def test_full_scope_fit_at_nine_periods_peaks_below_one_dense_restriction(self, rng):
+        # C is 4590 x 4608 here (169 MB dense); the fit assembles it inside
+        # the measured region and must never form it densely
+        scope = full_sequence_set(9)
+        design = CrossoverDesign(9, {z: 3 for z in scope})
+        dataset = make_dataset(design, rng)
+        spec = stack([instantaneous_effect(1, "", scope), instantaneous_effect(9, "A" * 8, scope)])
+        tracemalloc.start()
+        try:
+            fit = feasible_rwls(dataset, "b", 1)
+            estimate(fit, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (fit.restriction.n_rows, fit.layout.size) == (4590, 4608)
+        assert peak < fit.restriction.n_rows * fit.layout.size * 8
+
     @pytest.mark.parametrize("scenario", ["a", "b", "c"])
     def test_condition_number_is_that_of_the_reduced_matrix(self, scenario):
         design = CrossoverDesign(5, {z: 12 for z in full_sequence_set(5)})
