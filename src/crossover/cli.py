@@ -95,19 +95,18 @@ def _read_header(reader, design: CrossoverDesign | None) -> list[str]:
     return header
 
 
-def parse_dataset(text: str, design: CrossoverDesign | None = None):
-    """Parse a dataset CSV; returns (dataset, design).
+def _read_columns(text: str, design: CrossoverDesign | None, table: bool = False):
+    """Checked columns of a dataset or table CSV: the unit labels, the
+    distinct sequences, each row's index into them, and the outcomes.
 
-    When no design is given, the counts are tallied from the data and the
-    horizon from the header.  Malformed rows raise ValueError naming the
-    1-based row number (header is row 1).
+    The columns are checked as a whole, each distinct label once; every
+    check records the first row it rejects, and the earliest is named, as a
+    row-by-row reader would name it (header is row 1).  A table's rows must
+    name sequences of the design scope, each (unit, sequence) pair once.
     """
     reader = csv.reader(io.StringIO(text))
     header = _read_header(reader, design)
     horizon = len(header) - 2
-    # the columns are checked as a whole, each distinct label once; every
-    # check records the first row it rejects, and the earliest is named, as
-    # a row-by-row reader would name it
     records = [
         (rownum, row) for rownum, row in enumerate(reader, start=2) if any(map(str.strip, row))
     ]
@@ -120,6 +119,7 @@ def parse_dataset(text: str, design: CrossoverDesign | None = None):
     if ragged is not None:
         errors.append((ragged, f"expected {len(header)} fields, got {len(rows[ragged])}"))
         rows = rows[:ragged]
+    units = [row[0].strip() for row in rows]
     labels = [row[1].strip() for row in rows]
     distinct = list(dict.fromkeys(labels))
     sequences = []
@@ -128,10 +128,20 @@ def parse_dataset(text: str, design: CrossoverDesign | None = None):
             z = as_sequence(label)
             if len(z) != horizon:
                 raise ValueError(f"sequence {z} has length {len(z)}, expected {horizon}")
+            if table and z not in design.scope:
+                raise ValueError(f"sequence {z} outside the design scope")
         except ValueError as exc:
             errors.append((labels.index(label), str(exc)))
             break
         sequences.append(z)
+    position = {label: i for i, label in enumerate(distinct)}
+    label_codes = np.array([position[label] for label in labels], dtype=np.intp)
+    if table:
+        first: dict[tuple[str, str], int] = {}
+        repeated = next((i for i, pair in enumerate(zip(units, labels)) if first.setdefault(pair, i) != i), None)
+        if repeated is not None:
+            unit, label = units[repeated], labels[repeated]
+            errors.append((repeated, f"unit {unit} and sequence {label} repeat row {numbers[first[unit, label]]}"))
     try:
         outcomes = np.array([row[2:] for row in rows], dtype=float)
     except ValueError:
@@ -145,11 +155,20 @@ def parse_dataset(text: str, design: CrossoverDesign | None = None):
         # a tie goes to the check made first on a row, which was recorded first
         i, message = min(errors, key=lambda error: error[0])
         raise ValueError(f"row {numbers[i]}: {message}")
-    position = {label: i for i, label in enumerate(distinct)}
-    label_codes = np.array([position[label] for label in labels], dtype=np.intp)
+    return units, sequences, label_codes, outcomes
+
+
+def parse_dataset(text: str, design: CrossoverDesign | None = None):
+    """Parse a dataset CSV; returns (dataset, design).
+
+    When no design is given, the counts are tallied from the data and the
+    horizon from the header.  Malformed rows raise ValueError naming the
+    1-based row number (header is row 1).
+    """
+    _, sequences, label_codes, outcomes = _read_columns(text, design)
     tally = dict(zip(sequences, np.bincount(label_codes).tolist()))
     if design is None:
-        design = CrossoverDesign(horizon, tally)
+        design = CrossoverDesign(outcomes.shape[1], tally)
     elif tally != design.counts:
         raise ValueError(
             f"per-sequence counts in the data {tally} do not match the design "
@@ -157,36 +176,25 @@ def parse_dataset(text: str, design: CrossoverDesign | None = None):
         )
     to_design = {z: i for i, z in enumerate(design.observed)}
     codes = np.array([to_design[z] for z in sequences], dtype=np.intp)[label_codes]
-    dataset = ObservedDataset(design, codes, outcomes)
-    return dataset, design
+    return ObservedDataset(design, codes, outcomes), design
 
 
 def parse_table(text: str, design: CrossoverDesign) -> PotentialOutcomeTable:
-    """Parse a potential-outcome table CSV covering the design scope."""
-    reader = csv.reader(io.StringIO(text))
-    _read_header(reader, design)
-    per_seq: dict = {z: {} for z in design.scope}
-    for rownum, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        unit = row[0].strip()
-        try:
-            z = as_sequence(row[1].strip())
-            values = [float(cell) for cell in row[2:]]
-        except ValueError as exc:
-            raise ValueError(f"row {rownum}: {exc}") from exc
-        if z not in per_seq:
-            raise ValueError(f"row {rownum}: sequence {z} outside the design scope")
-        per_seq[z][unit] = values
-    units = None
-    for z, mapping in per_seq.items():
-        keys = sorted(mapping, key=lambda u: (len(u), u))
-        if units is None:
-            units = keys
-        elif keys != units:
-            raise ValueError(f"sequence {z} does not cover the same units as the others")
-    outcomes = {z: np.array([per_seq[z][u] for u in units]) for z in per_seq}
-    return PotentialOutcomeTable(design.horizon, outcomes)
+    """Parse a potential-outcome table CSV covering the design scope: one
+    row per (unit, sequence) pair, units ordered by (length, label)."""
+    units, sequences, label_codes, outcomes = _read_columns(text, design, table=True)
+    index = {u: i for i, u in enumerate(sorted(set(units), key=lambda u: (len(u), u)))}
+    unit_codes = np.array([index[u] for u in units], dtype=np.intp)
+    scope_codes = np.array([design.scope.index(z) for z in sequences], dtype=np.intp)[label_codes]
+    present = np.zeros((len(design.scope), len(index)), dtype=bool)
+    present[scope_codes, unit_codes] = True
+    # every sequence must cover the units of the first
+    uneven = np.flatnonzero((present != present[0]).any(axis=1))
+    if uneven.size:
+        raise ValueError(f"sequence {design.scope[uneven[0]]} does not cover the same units as the others")
+    cube = np.empty((len(design.scope), len(index), design.horizon))
+    cube[scope_codes, unit_codes] = outcomes
+    return PotentialOutcomeTable(design.horizon, dict(zip(design.scope, cube)))
 
 
 _MARGINAL = re.compile(r"^marginal\s+of\s*\[(?P<body>.+)\]\s*(?:weights=(?P<weights>[\d.,eE+\-]+))?$")

@@ -64,9 +64,6 @@ class CoefficientLayout:
         return [(t, z) for z in self.scope for t in range(1, self.horizon + 1)]
 
 
-Classes = dict[tuple[int, str], list[TreatmentSequence]]
-
-
 @dataclass(frozen=True)
 class ClassMap:
     """Assumption classes of a scenario; b and c need a carryover order in [1, T]."""
@@ -90,14 +87,15 @@ class ClassMap:
         start = 0 if self.scenario == "a" else max(0, period - self.order)
         return z.letters[start:period]
 
-    def classes(self, sequences: Iterable[TreatmentSequence]) -> Classes:
-        """Members of every class the sequences meet, keyed (period, key)
-        in sorted order; members keep the order they are given in."""
-        found: Classes = {}
-        for z in sequences:
-            for t in range(1, self.horizon + 1):
-                found.setdefault((t, self.key(t, z)), []).append(z)
-        return dict(sorted(found.items()))
+    def ids(self, sequences: Iterable[TreatmentSequence]) -> tuple[list[tuple[int, str]], np.ndarray]:
+        """The (period, key) of every class the sequences meet, in sorted
+        order, and the (len(sequences), T) class id of each (sequence,
+        period) entry, an index into that list."""
+        keys = [[(t, self.key(t, z)) for t in range(1, self.horizon + 1)] for z in sequences]
+        classes = sorted({key for row in keys for key in row})
+        index = {key: j for j, key in enumerate(classes)}
+        ids = np.array([[index[key] for key in row] for row in keys], dtype=np.intp)
+        return classes, ids.reshape(-1, self.horizon)
 
     def generators(self, period: int, key: str) -> tuple[tuple, ...]:
         """Class-level generators whose sum is the value of one class: the
@@ -113,12 +111,15 @@ class ClassMap:
         under scenario c the class-level cycle rows K on each class's first
         column.  With E the class indicators and D the class sizes,
         Z = E D^-1/2 null(K D^-1/2), null(.) being the identity under a, b."""
-        classes = self.classes(layout.scope)
-        sizes = np.array([len(members) for members in classes.values()], dtype=float)
-        of_column = np.empty(layout.size, dtype=np.intp)
-        for j, ((t, _), members) in enumerate(classes.items()):
-            of_column[[layout.column(t, z) for z in members]] = j
-        first = [layout.column(t, members[0]) for (t, _), members in classes.items()]
+        classes, ids = self.ids(layout.scope)
+        of_column = ids.ravel()
+        sizes = np.bincount(of_column).astype(float)
+        # columns class by class, each class's members in scope order; a
+        # chain row joins each member to the next, K sits on the first
+        by_class = np.argsort(of_column, kind="stable")
+        same = of_column[by_class[1:]] == of_column[by_class[:-1]]
+        pairs = np.column_stack([by_class[:-1][same], by_class[1:][same]])
+        first = by_class[np.concatenate([[True], ~same])]
         if self.scenario != "c":
             cycles, basis = np.zeros((0, len(classes))), np.diag(sizes**-0.5)
         else:
@@ -126,7 +127,6 @@ class ClassMap:
             free = _null_space(cycles / np.sqrt(sizes)) if len(cycles) else np.eye(len(classes))
             basis = free / np.sqrt(sizes)[:, None]
         restriction = RestrictionMatrix.__new__(RestrictionMatrix)
-        pairs = _chain_pairs(layout, classes)
         return restriction._hold(layout, pairs, cycles, first, self.scenario, self.order, basis[of_column])
 
 
@@ -139,18 +139,7 @@ def _null_space(matrix: np.ndarray) -> np.ndarray:
     return vh[rank:].T
 
 
-def _chain_pairs(layout: CoefficientLayout, classes: Classes) -> np.ndarray:
-    """(left, right) columns of the m - 1 rows per class of m members that
-    equate consecutive members."""
-    pairs = [
-        (layout.column(t, left), layout.column(t, right))
-        for (t, _), members in classes.items()
-        for left, right in zip(members, members[1:])
-    ]
-    return np.array(pairs, dtype=np.intp).reshape(len(pairs), 2)
-
-
-def _cycle_rows(classes: Classes, order: int) -> np.ndarray:
+def _cycle_rows(classes: list[tuple[int, str]], order: int) -> np.ndarray:
     """K: one row over the classes per independent cycle of the graph
     joining each period t >= k to every window w seen at it, by one edge
     per class.  path[n] sums a breadth-first forest's edges from the root
@@ -207,25 +196,23 @@ def rows_time_invariant(layout: CoefficientLayout, order: int) -> np.ndarray:
 def row_reduce(rows: np.ndarray) -> np.ndarray:
     """Select a full-row-rank subset of rows spanning the same row space.
 
-    Uses rank-revealing QR with column pivoting on the transpose; kept rows
-    are original rows, in their original order.
+    Keeps each row whose distance from the span of the rows kept before it
+    exceeds ROW_REDUCE_TOLERANCE * max|rows| (Gram-Schmidt, orthogonalized
+    twice); kept rows are original rows, in their original order.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 1:
         rows = rows.reshape(1, -1) if rows.size else rows.reshape(0, 0)
-    if rows.shape[0] == 0:
-        return rows
-    scale = np.abs(rows).max()
-    if scale == 0.0:
-        return rows[:0]
-    # numpy has no pivoted QR; importing scipy here keeps it out of `import crossover`
-    import scipy.linalg
-
-    _, r, pivots = scipy.linalg.qr(rows.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > ROW_REDUCE_TOLERANCE * scale))
-    keep = sorted(pivots[:rank])
-    return rows[keep]
+    floor = ROW_REDUCE_TOLERANCE * np.abs(rows).max(initial=0.0)
+    kept, span = [], np.zeros((0, rows.shape[1]))
+    for i, row in enumerate(rows):
+        for _ in range(2):
+            row = row - span.T @ (span @ row)
+        norm = np.linalg.norm(row)
+        if norm > floor:
+            kept.append(i)
+            span = np.vstack([span, row / norm])
+    return rows[kept]
 
 
 class RestrictionMatrix:
@@ -236,20 +223,17 @@ class RestrictionMatrix:
     given rows over all columns).  ``matrix`` builds the dense (m, p) array
     on each read and ``residual`` evaluates max|C v|.  ``basis`` is a p x d
     orthonormal basis Z of the null space of C (gamma = Z beta), computed
-    from given rows by default.  ``verdicts`` holds the identification
+    from given rows.  ``verdicts`` holds the identification
     verdict for each implemented sequence set checked against Z, filled in
     by ``identification.is_identifiable``.
     """
 
-    def __init__(self, layout, matrix, scenario=None, carryover_order=None, basis=None):
+    def __init__(self, layout, matrix, scenario=None, carryover_order=None):
         matrix = np.asarray(matrix, dtype=float)
         p = layout.size
         if matrix.ndim != 2 or matrix.shape[1] != p:
             raise ValueError(f"restriction matrix must be (L, {p}), got {matrix.shape}")
-        if basis is None:
-            basis = _null_space(matrix) if matrix.shape[0] else np.eye(p)
-        elif basis.shape != (p, p - matrix.shape[0]):
-            raise ValueError(f"basis must be ({p}, {p - matrix.shape[0]}), got {basis.shape}")
+        basis = _null_space(matrix) if matrix.shape[0] else np.eye(p)
         no_pairs = np.zeros((0, 2), dtype=np.intp)
         self._hold(layout, no_pairs, matrix, np.arange(p), scenario, carryover_order, basis)
 

@@ -200,11 +200,14 @@ def time_invariant_closure(
     repeatedly applies the difference-in-differences step across period
     pairs t, t' >= k until nothing new is identified.
     """
-    seeds = ClassMap(horizon, "c", order).classes(_normalize_observed(observed))
+    sequences = _normalize_observed(observed)
+    seeds, ids = ClassMap(horizon, "c", order).ids(sequences)
+    # a class's first entry in row-major order lies in its first member's row
+    first = np.unique(ids, return_index=True)[1] // horizon
     identified: dict[MeanTarget, Derivation] = {}
-    for (t, w), members in seeds.items():
+    for (t, w), i in zip(seeds, first):
         target = MeanTarget(t, w)
-        identified[target] = WitnessedMean(target, members[0])
+        identified[target] = WitnessedMean(target, sequences[i])
     periods = range(order, horizon + 1)
     # a window never seen from period k on can be neither derived nor a
     # reference, so the windows seen there are the only candidates

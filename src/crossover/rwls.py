@@ -13,14 +13,20 @@ N_z x T unit residuals of z, summing over the implemented sequences,
 
 One Cholesky factor L of the d x d matrix M serves the solve, the
 sandwich and every estimand; no p x p matrix is formed on that path.
+
+Omega_z is built from the dataset's moments, computed once (per-sequence
+counts, means and R_z'R_z about the mean): sample covariances or entries
+pooled by ClassMap class ids, each (k, T, T) stack repaired and inverted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from statistics import NormalDist
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -42,6 +48,15 @@ RESTRICTION_TOLERANCE = 1e-9
 ZERO_FUNCTIONAL_TOLERANCE = 1e-12
 
 
+class Moments(NamedTuple):
+    """Per-sequence count, mean and centered cross-product R_z'R_z of a
+    dataset, stacked in code order: (k,), (k, T) and (k, T, T) arrays."""
+
+    counts: np.ndarray
+    means: np.ndarray
+    cross: np.ndarray
+
+
 @dataclass(frozen=True)
 class ObservedDataset:
     """Observed outcomes with one assigned sequence per unit.
@@ -52,7 +67,7 @@ class ObservedDataset:
     outcome shape, finiteness, and per-sequence counts against the design.
     Afterwards ``assignments`` holds the sequences, ``codes`` the integer
     codes, and the per-sequence unit indices are computed once for every
-    later ``group_indices`` call.
+    later ``group_indices`` call.  ``moments`` is computed on first use.
     """
 
     design: CrossoverDesign
@@ -113,6 +128,22 @@ class ObservedDataset:
         """Read-only unit indices of each implemented sequence, in unit order."""
         return dict(self._groups)
 
+    @cached_property
+    def moments(self) -> Moments:
+        """The read-only per-sequence moments, computed once per dataset."""
+        return _sequence_moments(self)
+
+
+def _sequence_moments(dataset: ObservedDataset) -> Moments:
+    """One pass over the sequences: count, mean and centered R_z'R_z."""
+    ys = [dataset.outcomes[idx] for idx in dataset._groups.values()]
+    means = [y.mean(axis=0) for y in ys]
+    centered = [y - mean for y, mean in zip(ys, means)]
+    moments = Moments(np.array([len(y) for y in ys]), np.array(means), np.array([r.T @ r for r in centered]))
+    for array in moments:
+        array.flags.writeable = False
+    return moments
+
 
 @dataclass(frozen=True)
 class WeightModel:
@@ -132,103 +163,82 @@ class WeightModel:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"weight for {z} must be square, got {m.shape}")
             matrices[z] = m
-        object.__setattr__(self, "matrices", dict(sorted(matrices.items())))
-        object.__setattr__(self, "inverses", {z: np.linalg.inv(m) for z, m in self.matrices.items()})
+        matrices = dict(sorted(matrices.items()))
+        if len({m.shape for m in matrices.values()}) > 1:
+            raise ValueError(f"weight matrices must share one shape, got {[m.shape for m in matrices.values()]}")
+        inverses = np.linalg.inv(np.stack(list(matrices.values()))) if matrices else ()
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "inverses", dict(zip(matrices, inverses)))
 
     def matrix(self, z: TreatmentSequence | str) -> np.ndarray:
         return self.matrices[as_sequence(z)]
 
 
 def repair_positive_definite(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Symmetrize and lift the spectrum so the matrix is safely invertible.
-
-    The floor is 1e-8 times the mean diagonal (or an absolute 1e-8 for a
-    zero matrix); eigenvalues below it are raised by adding a multiple of
-    the identity.
+    """Symmetrize and lift the spectrum so the matrix is safely invertible:
+    eigenvalues below 1e-8 times the mean diagonal (an absolute 1e-8 for a
+    zero matrix) are raised by adding a multiple of the identity.  A
+    (k, T, T) stack is repaired matrix by matrix, with a (k,) repaired mask.
     """
     m = np.asarray(matrix, dtype=float)
-    m = (m + m.T) / 2.0
-    t = m.shape[0]
-    base = np.trace(m) / t
-    if base <= 0.0:
-        base = 1.0
-    floor = 1e-8 * base
-    smallest = np.linalg.eigvalsh(m).min()
-    if smallest < floor:
-        return m + (floor - smallest) * np.eye(t), True
-    return m, False
+    m = (m + np.swapaxes(m, -1, -2)) / 2.0
+    base = np.trace(m, axis1=-2, axis2=-1) / m.shape[-1]
+    lift = 1e-8 * np.where(base <= 0.0, 1.0, base) - np.linalg.eigvalsh(m)[..., 0]
+    fixed = lift > 0.0
+    m[fixed] = m[fixed] + lift[fixed][:, None, None] * np.eye(m.shape[-1])
+    return m, fixed if m.ndim > 2 else bool(fixed)
 
 
 def sequence_means(dataset: ObservedDataset) -> dict[TreatmentSequence, np.ndarray]:
     """Arithmetic mean outcome vector of each implemented sequence."""
-    return {z: dataset.outcomes[idx].mean(axis=0) for z, idx in dataset.group_indices().items()}
+    return dict(zip(dataset.design.observed, dataset.moments.means))
+
+
+def _weight_model(matrices: np.ndarray, observed, provenance: str) -> WeightModel:
+    """The repaired (k, T, T) stack as a weight model over the sequences."""
+    repaired, fixed = repair_positive_definite(matrices)
+    return WeightModel(dict(zip(observed, repaired)), provenance, tuple(compress(observed, fixed)))
 
 
 def sample_covariances(dataset: ObservedDataset) -> WeightModel:
     """Per-sequence sample covariance (divisor N_z - 1), repaired to PD."""
-    matrices = {}
-    repaired = []
-    for z, idx in dataset.group_indices().items():
-        if idx.size < 2:
-            raise DegenerateCovarianceError(
-                f"sequence {z} has {idx.size} unit(s); need at least 2 for a sample "
-                "covariance (use pooled or user weights)"
-            )
-        y = dataset.outcomes[idx]
-        centered = y - y.mean(axis=0)
-        cov = centered.T @ centered / (idx.size - 1)
-        cov, fixed = repair_positive_definite(cov)
-        if fixed:
-            repaired.append(z)
-        matrices[z] = cov
-    return WeightModel(matrices, "sample", tuple(repaired))
+    counts, _, cross = dataset.moments
+    if counts.min() < 2:
+        raise DegenerateCovarianceError(
+            f"sequence {dataset.design.observed[np.argmin(counts)]} has {counts.min()} unit(s); need "
+            "at least 2 for a sample covariance (use pooled or user weights)"
+        )
+    return _weight_model(cross / (counts - 1)[:, None, None], dataset.design.observed, "sample")
 
 
 def pooled_covariance_entries(
     dataset: ObservedDataset, scenario: str, carryover_order: int | None = None
 ) -> WeightModel:
-    """Entry-wise pooled covariance estimates.
-
-    Each (t, t') entry is pooled across the sequences sharing both their
-    period-t and period-t' classes, using pooled degrees of freedom
-    sum(N_z) - #sequences pooled.  Scenario c pools with the scenario-b
-    classes, since time invariance adds no entry equalities.
+    """Entry-wise pooled covariance estimates: each (t, t') entry is pooled
+    across the sequences sharing both their period-t and period-t' classes,
+    with degrees of freedom sum(N_z) - #sequences pooled.  Scenario c pools
+    with the scenario-b classes, since time invariance adds no equalities.
     """
-    horizon = dataset.design.horizon
-    class_map = ClassMap(horizon, scenario, carryover_order)
-    groups = dataset.group_indices()
+    counts, _, cross = dataset.moments
     observed = dataset.design.observed
-    centered = {}
-    for z, idx in groups.items():
-        y = dataset.outcomes[idx]
-        centered[z] = y - y.mean(axis=0)
-    pooled = {z: np.zeros((horizon, horizon)) for z in observed}
-    for t1 in range(1, horizon + 1):
-        for t2 in range(t1, horizon + 1):
-            classes: dict[object, list[TreatmentSequence]] = {}
-            for z in observed:
-                classes.setdefault((class_map.key(t1, z), class_map.key(t2, z)), []).append(z)
-            for members in classes.values():
-                dof = sum(groups[z].size for z in members) - len(members)
-                if dof < 1:
-                    raise DegenerateCovarianceError(
-                        f"entry ({t1},{t2}) pooled over {members} has no degrees of freedom"
-                    )
-                total = sum(
-                    float(centered[z][:, t1 - 1] @ centered[z][:, t2 - 1]) for z in members
-                )
-                value = total / dof
-                for z in members:
-                    pooled[z][t1 - 1, t2 - 1] = value
-                    pooled[z][t2 - 1, t1 - 1] = value
-    matrices = {}
-    repaired = []
-    for z, m in pooled.items():
-        m, fixed = repair_positive_definite(m)
-        if fixed:
-            repaired.append(z)
-        matrices[z] = m
-    return WeightModel(matrices, "pooled", tuple(repaired))
+    classes, ids = ClassMap(dataset.design.horizon, scenario, carryover_order).ids(observed)
+    rows, cols = np.triu_indices(dataset.design.horizon)
+    # one group per (entry, class pair), a class id fixing its period; keys
+    # run entry by entry (t <= t'), then in sequence order, as sums and checks do
+    key = ids[:, rows].T * len(classes) + ids[:, cols].T
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    group = group.reshape(key.shape)
+    dof = np.bincount(group.ravel(), np.tile(counts - 1, rows.size))
+    if dof.min() < 1:
+        entry, z = np.unravel_index(first[dof < 1].min(), key.shape)
+        members = list(compress(observed, group[entry] == group[entry, z]))
+        raise DegenerateCovarianceError(
+            f"entry ({rows[entry] + 1},{cols[entry] + 1}) pooled over {members} has no degrees of freedom"
+        )
+    pooled = np.zeros_like(cross)
+    pooled[:, rows, cols] = (np.bincount(group.ravel(), cross[:, rows, cols].T.ravel()) / dof)[group].T
+    pooled[:, cols, rows] = pooled[:, rows, cols]
+    return _weight_model(pooled, observed, "pooled")
 
 
 @dataclass

@@ -10,12 +10,13 @@ every assignment of a small design instead of sampling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .constraints import ClassMap, RestrictionMatrix, assemble
-from .errors import NotIdentifiableError
+from .errors import ConditioningError, NotIdentifiableError
 from .estimands import (
     EstimandSpec,
     PotentialOutcomeTable,
@@ -32,6 +33,7 @@ from .rwls import (
     feasible_rwls,
     implied_estimator_weights,
     oracle_variance,
+    repair_positive_definite,
     solve_restricted_wls,
 )
 from .sequences import (
@@ -383,15 +385,18 @@ def exact_randomization_audit(
 
     ``weights`` defaults to the table's true per-sequence covariances
     ("oracle"); exact unbiasedness and the closed-form variance identity
-    hold only for fixed weights.
+    hold only for fixed weights.  Oracle covariances that the weight repair
+    would lift raise ConditioningError naming their sequences.
     """
     restriction = assemble(scenario, design.horizon, design.scope, carryover_order)
     if isinstance(weights, str):
         if weights != "oracle":
             raise ValueError(f"weights must be a WeightModel or 'oracle', got {weights!r}")
-        weights = WeightModel(
-            {z: table.covariance(z) for z in design.observed}, "user"
-        )
+        covariances = np.stack([table.covariance(z) for z in design.observed])
+        singular = [str(z) for z in compress(design.observed, repair_positive_definite(covariances)[1])]
+        if singular:
+            raise ConditioningError(f"oracle covariance of {singular} falls below the repair floor")
+        weights = WeightModel(dict(zip(design.observed, covariances)), "user")
     stacked = stack(list(specs))
     zero_means = {z: np.zeros(design.horizon) for z in design.observed}
     base = solve_restricted_wls(design, zero_means, weights, restriction)

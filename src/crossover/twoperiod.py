@@ -113,18 +113,6 @@ class TwoPeriodEntries:
             s12[z] = float(summary.covariances[as_sequence(z)][0, 1])
         return cls(s1, s2, s12)
 
-    @classmethod
-    def from_weight_model(cls, model: WeightModel) -> "TwoPeriodEntries":
-        s1 = {}
-        s2 = {}
-        s12 = {}
-        for z, m in model.matrices.items():
-            word = str(z)
-            s1.setdefault(word[0], float(m[0, 0]))
-            s2.setdefault(word[1], float(m[1, 1]))
-            s12[word] = float(m[0, 1])
-        return cls(s1, s2, s12)
-
     def block(self, z: str) -> np.ndarray:
         """Repaired 2 x 2 covariance block for one sequence."""
         m = np.array(

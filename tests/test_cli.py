@@ -20,6 +20,7 @@ from crossover import (
 )
 from crossover import twoperiod
 from crossover.cli import (
+    EXIT_CONDITIONING,
     EXIT_NOT_IDENTIFIABLE,
     EXIT_OK,
     EXIT_PARSE,
@@ -504,6 +505,35 @@ class TestAuditCommand:
         argv = ["audit", "--table", str(table_file), "--design", str(design_file), "--scenario", "b", "--k", "1"]
         assert main(argv) == EXIT_PARSE
         assert message in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            ("u000,AB,5.0,9.0\n", "row 10: unit u000 and sequence AB repeat row 4"),
+            (None, "row 2: no data rows"),
+        ],
+    )
+    def test_repeated_row_or_no_rows_exits_two_naming_the_row(self, tmp_path, capsys, extra, message):
+        design_file = tmp_path / "design.txt"
+        design_file.write_text("T 2\nAB 1\nBA 1\n")
+        text = table_csv(random_consistent_table(2, "b", 1, 2, seed=3))
+        table_file = tmp_path / "table.csv"
+        table_file.write_text(text + extra if extra else text.splitlines()[0] + "\n")
+        argv = ["audit", "--table", str(table_file), "--design", str(design_file), "--scenario", "b", "--k", "1"]
+        assert main(argv) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+
+    def test_singular_oracle_covariance_exits_four_naming_the_sequence(self, tmp_path, capsys):
+        # two units give each sequence a rank-one covariance
+        design_file = tmp_path / "design.txt"
+        design_file.write_text("T 2\nAB 1\nBA 1\n")
+        table_file = tmp_path / "table.csv"
+        table_file.write_text(table_csv(random_consistent_table(2, "b", 1, 2, seed=3)))
+        argv = ["audit", "--table", str(table_file), "--design", str(design_file), "--scenario", "b", "--k", "1"]
+        assert main(argv) == EXIT_CONDITIONING
+        err = capsys.readouterr().err
+        assert "conditioning failure" in err and "'AB', 'BA'" in err
 
 
 class TestRoundTrip:

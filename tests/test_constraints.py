@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 import crossover
 from crossover import constraints
-from crossover.constraints import SCENARIOS, restriction_from_rows
+from crossover.constraints import SCENARIOS, ClassMap, restriction_from_rows
 from crossover import (
     CoefficientLayout,
     assemble,
@@ -122,6 +125,27 @@ class TestRowReduce:
         reduced = row_reduce(rows)
         assert rank(reduced) == reduced.shape[0] == rank(rows)
         assert same_row_space(rows, reduced)
+
+
+    def test_keeps_each_row_outside_the_span_of_those_kept_before(self):
+        rows = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        assert np.array_equal(row_reduce(rows), rows[[1, 3]])
+
+    def test_runs_without_scipy(self):
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from crossover.constraints import CoefficientLayout, restriction_from_rows\n"
+            "layout = CoefficientLayout(2, ('AB', 'BA'))\n"
+            "print(restriction_from_rows(layout, np.eye(4)[[0, 0, 1]]).n_rows)\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(crossover.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "2"
 
 
 class TestNullSpace:
@@ -292,6 +316,16 @@ class TestClassMap:
         layout = restriction.layout
         stacked = np.concatenate([table.mean_vector(z) for z in layout.scope])
         assert np.abs(restriction.matrix @ stacked).max() < 1e-12
+
+    @pytest.mark.parametrize("scenario,order", [("a", None), ("b", 1), ("b", 2), ("c", 2)])
+    def test_ids_index_the_sorted_class_keys(self, scenario, order):
+        classes = ClassMap(3, scenario, order)
+        scope = full_sequence_set(3)[::-1]
+        keys, ids = classes.ids(scope)
+        assert keys == sorted({(t, classes.key(t, z)) for z in scope for t in (1, 2, 3)})
+        assert ids.shape == (len(scope), 3)
+        for z, row in zip(scope, ids):
+            assert [keys[j] for j in row] == [(t, classes.key(t, z)) for t in (1, 2, 3)]
 
     def test_unknown_scenario_and_bad_orders_rejected(self):
         for args in (("d", 3, None), ("b", 3, None), ("c", 3, 0), ("b", 3, 4)):

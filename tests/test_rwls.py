@@ -1,9 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossover import (
     ConditioningError,
@@ -37,7 +40,9 @@ from crossover import (
     stack,
     true_value,
 )
-from crossover.rwls import _chi2_sf
+from crossover import rwls, twoperiod
+from crossover.constraints import ClassMap
+from crossover.rwls import _chi2_sf, repair_positive_definite
 from conftest import dense_sandwich, make_dataset, nullspace_restricted_wls, template_labels
 
 
@@ -128,6 +133,105 @@ class TestSequenceMeans:
             for count, i in enumerate(idx, start=1):
                 streamed += (dataset.outcomes[i] - streamed) / count
             assert np.allclose(means[z], streamed, atol=1e-12)
+
+
+class TestMoments:
+    def test_match_each_sequence_group_and_are_read_only(self, rng):
+        design = four_seq_design()
+        dataset = make_dataset(design, rng)
+        moments = dataset.moments
+        assert dataset.moments is moments
+        for i, (z, idx) in enumerate(dataset.group_indices().items()):
+            centered = dataset.outcomes[idx] - dataset.outcomes[idx].mean(axis=0)
+            assert moments.counts[i] == idx.size
+            assert np.allclose(moments.means[i], dataset.outcomes[idx].mean(axis=0), atol=1e-14)
+            assert np.allclose(moments.cross[i], centered.T @ centered, atol=1e-12)
+        for array in moments:
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("weights", ["sample", "pooled"])
+    def test_one_moments_pass_per_dataset_in_a_fit(self, rng, monkeypatch, weights):
+        design = four_seq_design()
+        dataset = make_dataset(design, rng)
+        passes = []
+        compute = rwls._sequence_moments
+        monkeypatch.setattr(rwls, "_sequence_moments", lambda d: passes.append(d) or compute(d))
+        feasible_rwls(dataset, "b", 1, weights)
+        twoperiod.TwoPeriodSummary.from_dataset(dataset)
+        assert len(passes) == 1 and passes[0] is dataset
+
+
+class TestRepairPositiveDefinite:
+    @pytest.mark.parametrize("horizon", [2, 3, 6, 7])
+    def test_stack_repair_and_inverse_match_matrix_by_matrix(self, rng, horizon):
+        half = rng.normal(size=(8, horizon, horizon - 1))
+        stack = np.concatenate([
+            half @ np.swapaxes(half, 1, 2),  # rank deficient: repaired
+            rng.normal(size=(4, horizon, horizon)),  # indefinite, not symmetric
+            np.eye(horizon)[None] * [[[2.0]], [[0.0]], [[-1.0]]],
+        ])
+        repaired, mask = repair_positive_definite(stack)
+        assert mask.shape == (len(stack),) and mask[:8].all()
+        model = WeightModel(dict(zip(full_sequence_set(4), repaired)))
+        for matrix, want, fixed, inverse in zip(stack, repaired, mask, model.inverses.values()):
+            one, one_fixed = repair_positive_definite(matrix)
+            assert isinstance(one_fixed, bool) and one_fixed == fixed
+            assert np.array_equal(one, want)
+            assert np.linalg.eigvalsh(want).min() > 0.0
+            assert np.array_equal(inverse, np.linalg.inv(want))
+
+    def test_weight_matrices_must_share_one_shape(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            WeightModel({"AB": np.eye(2), "BA": np.eye(3)})
+
+
+def _pooled_by_definition(dataset, scenario, order):
+    """Pooled entries straight from the definition, one entry at a time:
+    the centered cross-products summed over the sequences sharing both
+    class keys, divided by sum(N) - members; or the message naming the
+    first entry (t <= t', sequences in order) without degrees of freedom."""
+    horizon = dataset.design.horizon
+    classes = ClassMap(horizon, scenario, order)
+    observed = dataset.design.observed
+    groups = dataset.group_indices()
+    centered = {z: dataset.outcomes[idx] - dataset.outcomes[idx].mean(axis=0) for z, idx in groups.items()}
+    pooled = {z: np.zeros((horizon, horizon)) for z in observed}
+    for t1 in range(horizon):
+        for t2 in range(t1, horizon):
+            for z in observed:
+                members = [
+                    w for w in observed
+                    if classes.key(t1 + 1, w) == classes.key(t1 + 1, z)
+                    and classes.key(t2 + 1, w) == classes.key(t2 + 1, z)
+                ]
+                dof = sum(groups[w].size for w in members) - len(members)
+                if dof < 1:
+                    return f"entry ({t1 + 1},{t2 + 1}) pooled over {members} has no degrees of freedom"
+                total = sum(float(centered[w][:, t1] @ centered[w][:, t2]) for w in members)
+                pooled[z][t1, t2] = pooled[z][t2, t1] = total / dof
+    return pooled
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_pooled_entries_match_the_definition(data):
+    horizon = data.draw(st.integers(1, 5))
+    full = full_sequence_set(horizon)
+    observed = [full[i] for i in sorted(data.draw(st.sets(st.integers(0, len(full) - 1), min_size=1)))]
+    scenario = data.draw(st.sampled_from(("a", "b", "c")))
+    order = None if scenario == "a" else data.draw(st.integers(1, horizon))
+    design = CrossoverDesign(horizon, {z: data.draw(st.integers(1, 4)) for z in observed})
+    dataset = make_dataset(design, np.random.default_rng(data.draw(st.integers(0, 2**31 - 1))))
+    want = _pooled_by_definition(dataset, scenario, order)
+    if isinstance(want, str):
+        with pytest.raises(DegenerateCovarianceError, match=re.escape(want)):
+            pooled_covariance_entries(dataset, scenario, order)
+        return
+    model = pooled_covariance_entries(dataset, scenario, order)
+    repaired = {z: repair_positive_definite(m) for z, m in want.items()}
+    assert model.repaired == tuple(z for z in design.observed if repaired[z][1])
+    for z, (matrix, _) in repaired.items():
+        assert np.abs(model.matrix(z) - matrix).max() <= 1e-13 * np.abs(matrix).max()
 
 
 class TestSampleCovariances:
@@ -376,7 +480,8 @@ class TestFeasibleRwls:
         spec = instantaneous_effect(2, "A", design.scope)
         estimate(fit, spec)
         implied_estimator_weights(fit, spec)
-        assert len(inverted) == len(design.observed)
+        # one call inverts the (k, T, T) stack of all k weight matrices
+        assert [m.shape for m in inverted] == [(len(design.observed), 2, 2)]
 
     def test_fit_and_estimate_allocate_less_than_one_p_by_p_array(self, rng):
         scope = full_sequence_set(7)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crossover import (
+    ConditioningError,
     CrossoverDesign,
     EnumerationSizeError,
     NotIdentifiableError,
@@ -258,6 +259,13 @@ class TestExactAudit:
                 table, design, [instantaneous_effect(1, "", design.scope)], "oracle", "b", 1
             )
 
+
+    def test_oracle_covariance_below_the_repair_floor_is_refused(self):
+        design = CrossoverDesign(2, {"AB": 1, "BA": 1})
+        table = random_consistent_table(2, "b", 1, 2, seed=3)
+        specs = [instantaneous_effect(1, "", design.scope)]
+        with pytest.raises(ConditioningError, match=r"\['AB', 'BA'\]"):
+            exact_randomization_audit(table, design, specs, "oracle", "b", 1)
 
     def test_single_assignment_design_has_zero_variance(self):
         from crossover import EstimandSpec
