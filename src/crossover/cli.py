@@ -211,6 +211,9 @@ def _parse_simple_request(text: str, scope) -> EstimandSpec:
             raise ValueError(f"malformed option {option!r} in {text!r}")
         key, value = option.split("=", 1)
         parsed[key] = value
+    for key in {"tau": ("t",), "carry": ("t", "k")}.get(kind, ()):
+        if key not in parsed:
+            raise ValueError(f"missing option {key}= in {text!r}")
     if kind == "tau":
         period = int(parsed.pop("t"))
         history = parsed.pop("history", "")
@@ -242,6 +245,16 @@ def parse_estimand_request(text: str, scope) -> EstimandSpec:
     return _parse_simple_request(text, scope)
 
 
+def _requested_specs(requests: list[str], design: CrossoverDesign) -> list[EstimandSpec]:
+    """The specs of the estimand requests, by default the standard
+    two-period contrasts, which need a two-period design."""
+    if requests:
+        return [parse_estimand_request(req, design.scope) for req in requests]
+    if design.horizon != 2:
+        raise ValueError("specify at least one estimand request for designs with more than two periods")
+    return standard_two_period_specs(design.scope)
+
+
 def _json_out(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
@@ -250,11 +263,18 @@ def _json_out(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _json_object(payload, source: str) -> dict:
+    """The payload, checked to be a JSON object; ``source`` names it in the error."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{source} must be a JSON object, got {json.dumps(payload)[:40]}")
+    return payload
+
+
 def _load_weight_model(spec: str, design: CrossoverDesign) -> str | WeightModel:
     if spec in ("sample", "pooled"):
         return spec
     if spec.startswith("file:"):
-        payload = json.loads(Path(spec[5:]).read_text())
+        payload = _json_object(json.loads(Path(spec[5:]).read_text()), spec[5:])
         matrices = {as_sequence(z): np.array(m, dtype=float) for z, m in payload.items()}
         for z, m in matrices.items():
             if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.allclose(m, m.T):
@@ -300,44 +320,25 @@ def _cmd_identify(args) -> int:
     return EXIT_OK if check.identifiable else EXIT_NOT_IDENTIFIABLE
 
 
+def _estimand_rows(labels, point, se, lower, upper) -> list[dict]:
+    """The report rows of the estimands: label, point, se and interval."""
+    return [
+        {"label": label, "point": float(p), "se": float(s), "ci_lower": float(lo), "ci_upper": float(hi)}
+        for label, p, s, lo, hi in zip(labels, point, se, lower, upper)
+    ]
+
+
 def _closed_form_report(dataset: ObservedDataset, scenario: str, level: float) -> list[dict]:
-    summary = twoperiod.TwoPeriodSummary.from_dataset(dataset)
-    groups = set(str(z) for z in dataset.design.observed)
-    if groups == set(twoperiod.FOUR_SEQ):
-        if scenario == "a":
-            points = twoperiod.blue_4seq_scenario_a(summary)
-        elif scenario == "b":
-            points = twoperiod.blue_4seq_scenario_b(summary)
-        else:
-            points = {"tau": twoperiod.blue_4seq_scenario_c(summary).value}
-    elif groups == set(twoperiod.TWO_SEQ):
-        if scenario == "a":
-            points = {"tau_1": twoperiod.blue_2seq_scenario_a(summary).tau_1}
-        elif scenario == "b":
-            points = twoperiod.blue_2seq_scenario_b(summary)
-        else:
-            points = {"tau": twoperiod.blue_2seq_scenario_c(summary).value}
-    else:
-        raise ValueError("closed-form engine supports the AA/AB/BA/BB and AB/BA designs")
-    variances = twoperiod.conservative_variances(summary, scenario)
+    forms = twoperiod.closed_form(twoperiod.TwoPeriodSummary.from_dataset(dataset), scenario)
+    point = np.array([p for p, _ in forms.values()])
+    se = np.sqrt([v for _, v in forms.values()])
     z_crit = NormalDist().inv_cdf(0.5 + level / 2.0)
-    rows = []
-    for label, point in points.items():
-        var = variances.get(label)
-        se = float(np.sqrt(var)) if var is not None else None
-        rows.append(
-            {
-                "label": label,
-                "point": float(point),
-                "se": se,
-                "ci_lower": float(point - z_crit * se) if se is not None else None,
-                "ci_upper": float(point + z_crit * se) if se is not None else None,
-            }
-        )
-    return rows
+    return _estimand_rows(forms, point, se, point - z_crit * se, point + z_crit * se)
 
 
 def _cmd_fit(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        raise ValueError(f"confidence level must be in (0, 1), got {args.level}")
     design = None
     if args.design:
         design = design_from_text(Path(args.design).read_text())
@@ -347,55 +348,37 @@ def _cmd_fit(args) -> int:
     if not check.identifiable:
         print(f"not identifiable: {check}", file=sys.stderr)
         return EXIT_NOT_IDENTIFIABLE
+    payload = {
+        "scenario": args.scenario,
+        "carryover_order": args.k,
+        "level": args.level,
+        "design": {"horizon": design.horizon, "counts": {str(z): n for z, n in design.counts.items()}},
+    }
     if args.engine == "closed-form":
         if design.horizon != 2 or (args.scenario != "a" and args.k != 1):
             print("closed-form engine needs a two-period design and, under b and c, --k 1", file=sys.stderr)
             return EXIT_PARSE
-        rows = _closed_form_report(dataset, args.scenario, args.level)
-        payload = {
-            "engine": "closed-form",
-            "scenario": args.scenario,
-            "carryover_order": args.k,
-            "level": args.level,
-            "design": {"horizon": design.horizon, "counts": {str(z): n for z, n in design.counts.items()}},
-            "estimands": rows,
-            "note": "conservative variances; --estimand requests are ignored by this engine",
-        }
+        payload["engine"] = "closed-form"
+        payload["estimands"] = _closed_form_report(dataset, args.scenario, args.level)
+        payload["note"] = "conservative variances; --estimand requests are ignored by this engine"
         _json_out(payload, args.out)
         return EXIT_OK
-    if args.estimand:
-        specs = [parse_estimand_request(req, design.scope) for req in args.estimand]
-    elif design.horizon == 2:
-        specs = standard_two_period_specs(design.scope)
-    else:
-        print("specify at least one --estimand for designs with more than two periods", file=sys.stderr)
-        return EXIT_PARSE
+    specs = _requested_specs(args.estimand, design)
     weights = _load_weight_model(args.weights, design)
     fit = feasible_rwls(dataset, args.scenario, args.k, weights, restriction)
     stacked = stack(specs)
     result = estimate(fit, stacked, args.level)
     layout = fit.layout
-    payload = {
+    payload.update({
         "engine": "rwls",
-        "scenario": args.scenario,
-        "carryover_order": args.k,
-        "level": args.level,
-        "design": {"horizon": design.horizon, "counts": {str(z): n for z, n in design.counts.items()}},
         "rank": {"identifiable": check.identifiable, "rank": check.rank, "dimension": check.dimension},
         "coefficients": [
             {"period": t, "sequence": str(z), "estimate": float(fit.gamma[layout.column(t, z)])}
             for t, z in layout.labels()
         ],
-        "estimands": [
-            {
-                "label": label,
-                "point": float(result.point[i]),
-                "se": float(result.std_errors[i]),
-                "ci_lower": float(result.ci_lower[i]),
-                "ci_upper": float(result.ci_upper[i]),
-            }
-            for i, label in enumerate(result.labels)
-        ],
+        "estimands": _estimand_rows(
+            result.labels, result.point, result.std_errors, result.ci_lower, result.ci_upper
+        ),
         "wald": {
             "statistic": result.wald_statistic,
             "df": result.wald_df,
@@ -408,22 +391,23 @@ def _cmd_fit(args) -> int:
         "condition_number": fit.condition_number,
         "restriction_residual": fit.restriction_residual,
         "warnings": list(fit.warnings),
-    }
+    })
     _json_out(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_simulate(args) -> int:
-    config = json.loads(Path(args.config).read_text())
-    design = CrossoverDesign(
-        int(config["design"]["T"]),
-        {as_sequence(z): int(n) for z, n in config["design"]["counts"].items()},
-    )
-    gen_cfg = dict(config.get("generator", {}))
+    config = _json_object(json.loads(Path(args.config).read_text()), args.config)
+    design_cfg = _json_object(config.get("design"), f"{args.config}: design")
+    counts = _json_object(design_cfg.get("counts"), f"{args.config}: design counts")
+    design = CrossoverDesign(int(design_cfg["T"]), {as_sequence(z): int(n) for z, n in counts.items()})
+    gen_cfg = _json_object(config.get("generator", {}), f"{args.config}: generator")
+    # a null k (natural under scenario a, which has no carryover order) counts as absent
+    order = next((k for k in (config.get("k"), gen_cfg.get("carryover_order")) if k is not None), 1)
     generator = ScenarioGenerator(
         kind=gen_cfg.get("kind", "gaussian_model"),
         scenario=config.get("scenario", gen_cfg.get("scenario", "b")),
-        carryover_order=int(config.get("k", gen_cfg.get("carryover_order", 1))),
+        carryover_order=int(order),
         seed=int(gen_cfg.get("seed", config.get("seed", 0))),
         beta1=tuple(gen_cfg.get("beta1", (0.0, 0.0, 1.0, 1.0))),
         beta2=tuple(gen_cfg.get("beta2", (0.0, 1.0, 0.0, 1.0))),
@@ -433,11 +417,10 @@ def _cmd_simulate(args) -> int:
         carry_a=float(gen_cfg.get("carry_a", 0.0)),
         carry_b=float(gen_cfg.get("carry_b", 0.0)),
     )
-    requests = config.get("estimands")
-    if requests:
-        specs = [parse_estimand_request(req, design.scope) for req in requests]
-    else:
-        specs = standard_two_period_specs(design.scope)
+    requests = config.get("estimands") or []
+    if not isinstance(requests, list) or not all(isinstance(req, str) for req in requests):
+        raise ValueError(f"{args.config}: estimands must be a list of request strings, got {requests!r}")
+    specs = _requested_specs(requests, design)
     replications = args.reps if args.reps is not None else int(config.get("replications", 10_000))
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
     report = run_monte_carlo(
@@ -458,13 +441,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_audit(args) -> int:
     design = design_from_text(Path(args.design).read_text())
     table = parse_table(Path(args.table).read_text(), design)
-    if args.estimand:
-        specs = [parse_estimand_request(req, design.scope) for req in args.estimand]
-    elif design.horizon == 2:
-        specs = standard_two_period_specs(design.scope)
-    else:
-        print("specify at least one --estimand", file=sys.stderr)
-        return EXIT_PARSE
+    specs = _requested_specs(args.estimand, design)
     weights: str | WeightModel = "oracle"
     if args.weights and args.weights != "oracle":
         weights = _load_weight_model(args.weights, design)

@@ -98,6 +98,26 @@ def _linear_combination(
     return EstimandSpec(first.horizon, first.scope, combined, tuple(labels))
 
 
+def _arm_contrast(
+    scope: tuple[TreatmentSequence, ...], period: int, before: str, after: str, label: str
+) -> EstimandSpec:
+    """Contrast of period-t means between the scope sequences starting with
+    before + A + after and those starting with before + B + after, each arm
+    averaged uniformly."""
+    horizon = len(scope[0])
+    weights: dict[TreatmentSequence, np.ndarray] = {}
+    for letter, sign in (("A", 1.0), ("B", -1.0)):
+        word = before + letter + after
+        matches = [z for z in scope if z.letters.startswith(word)]
+        if not matches:
+            raise ValueError(f"scope has no completion of {word}")
+        for z in matches:
+            w = np.zeros((1, horizon))
+            w[0, period - 1] = sign / len(matches)
+            weights[z] = w
+    return EstimandSpec(horizon, scope, weights, (label,))
+
+
 def instantaneous_effect(
     period: int,
     history: TreatmentSequence | str = "",
@@ -118,18 +138,8 @@ def instantaneous_effect(
         raise ValueError(f"period {period} outside [1, {horizon}]")
     if len(history) != period - 1:
         raise ValueError(f"history must have length {period - 1}, got {len(history)}")
-    weights: dict[TreatmentSequence, np.ndarray] = {}
-    for letter, sign in (("A", 1.0), ("B", -1.0)):
-        word = history + letter
-        matches = [z for z in scope_t if z.letters.startswith(word.letters)]
-        if not matches:
-            raise ValueError(f"scope has no completion of {word}")
-        for z in matches:
-            w = np.zeros((1, horizon))
-            w[0, period - 1] = sign / len(matches)
-            weights[z] = weights.get(z, 0.0) + w
     label = f"tau_{period}" if period == 1 else f"tau_{period}({history})"
-    return EstimandSpec(horizon, scope_t, weights, (label,))
+    return _arm_contrast(scope_t, period, history.letters, "", label)
 
 
 def carryover_effect(
@@ -156,19 +166,8 @@ def carryover_effect(
         raise ValueError(f"prefix must have length {period - order - 1}, got {len(prefix)}")
     if len(suffix) != order:
         raise ValueError(f"suffix must have length {order}, got {len(suffix)}")
-    weights: dict[TreatmentSequence, np.ndarray] = {}
-    for letter, sign in (("A", 1.0), ("B", -1.0)):
-        word = prefix + letter + suffix.letters
-        matches = [z for z in scope_t if z.letters.startswith(word.letters)]
-        if not matches:
-            raise ValueError(f"scope has no completion of {word}")
-        for z in matches:
-            w = np.zeros((1, horizon))
-            w[0, period - 1] = sign / len(matches)
-            weights[z] = weights.get(z, 0.0) + w
     args = ",".join(s for s in (prefix.letters, suffix.letters) if s)
-    label = f"tau_{period}^{order}({args})"
-    return EstimandSpec(horizon, scope_t, weights, (label,))
+    return _arm_contrast(scope_t, period, prefix.letters, suffix.letters, f"tau_{period}^{order}({args})")
 
 
 def marginal_effect(

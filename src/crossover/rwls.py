@@ -211,34 +211,41 @@ def sample_covariances(dataset: ObservedDataset) -> WeightModel:
     return _weight_model(cross / (counts - 1)[:, None, None], dataset.design.observed, "sample")
 
 
-def pooled_covariance_entries(
-    dataset: ObservedDataset, scenario: str, carryover_order: int | None = None
-) -> WeightModel:
-    """Entry-wise pooled covariance estimates: each (t, t') entry is pooled
-    across the sequences sharing both their period-t and period-t' classes,
-    with degrees of freedom sum(N_z) - #sequences pooled.  Scenario c pools
-    with the scenario-b classes, since time invariance adds no equalities.
-    """
-    counts, _, cross = dataset.moments
-    observed = dataset.design.observed
-    classes, ids = ClassMap(dataset.design.horizon, scenario, carryover_order).ids(observed)
-    rows, cols = np.triu_indices(dataset.design.horizon)
+def pool_by_class(counts: np.ndarray, cross: np.ndarray, ids: np.ndarray, sequences) -> np.ndarray:
+    """The unrepaired (k, T, T) stack of pooled entries: each (t, t') entry
+    of cross, summed over the sequences sharing both their period-t and
+    period-t' class ids, over degrees of freedom sum(N_z) - #sequences
+    pooled.  ``sequences`` name the rows in a degenerate-entry error."""
+    rows, cols = np.triu_indices(cross.shape[-1])
     # one group per (entry, class pair), a class id fixing its period; keys
     # run entry by entry (t <= t'), then in sequence order, as sums and checks do
-    key = ids[:, rows].T * len(classes) + ids[:, cols].T
+    key = ids[:, rows].T * (ids.max() + 1) + ids[:, cols].T
     _, first, group = np.unique(key, return_index=True, return_inverse=True)
     group = group.reshape(key.shape)
     dof = np.bincount(group.ravel(), np.tile(counts - 1, rows.size))
     if dof.min() < 1:
         entry, z = np.unravel_index(first[dof < 1].min(), key.shape)
-        members = list(compress(observed, group[entry] == group[entry, z]))
+        members = list(compress(sequences, group[entry] == group[entry, z]))
         raise DegenerateCovarianceError(
             f"entry ({rows[entry] + 1},{cols[entry] + 1}) pooled over {members} has no degrees of freedom"
         )
     pooled = np.zeros_like(cross)
     pooled[:, rows, cols] = (np.bincount(group.ravel(), cross[:, rows, cols].T.ravel()) / dof)[group].T
     pooled[:, cols, rows] = pooled[:, rows, cols]
-    return _weight_model(pooled, observed, "pooled")
+    return pooled
+
+
+def pooled_covariance_entries(
+    dataset: ObservedDataset, scenario: str, carryover_order: int | None = None
+) -> WeightModel:
+    """Entry-wise pooled covariance estimates, pooled by the scenario's
+    ClassMap class ids (see ``pool_by_class``).  Scenario c pools with the
+    scenario-b classes, since time invariance adds no equalities.
+    """
+    counts, _, cross = dataset.moments
+    observed = dataset.design.observed
+    ids = ClassMap(dataset.design.horizon, scenario, carryover_order).ids(observed)[1]
+    return _weight_model(pool_by_class(counts, cross, ids, observed), observed, "pooled")
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 These are the textbook estimators for the four-sequence (AA/AB/BA/BB) and
 two-sequence (AB/BA) designs under the three assumption scenarios.  They
-serve as independent oracles for the general engine and as fast paths:
+serve as independent oracles for the general engine and as fast paths;
+``closed_form`` picks the estimators and their conservative variances for
+one of these two designs and a scenario:
 
 * scenario a and b estimators are group-mean contrasts with count-
   proportional pooling; they coincide with the engine run under
@@ -10,6 +12,11 @@ serve as independent oracles for the general engine and as fast paths:
 * scenario c estimators solve a small variance-minimization program over
   unbiased weightings and coincide with the engine run under the full
   pooled weight entries.
+
+Entries are pooled by the class ids of ``ClassMap(2, "b", 1)`` through
+``rwls.pool_by_class``, as the engine's pooled weights are: period-1
+variances by first treatment, period-2 variances by second treatment, and
+the within-unit covariance by sequence.
 """
 
 from __future__ import annotations
@@ -19,10 +26,13 @@ from typing import Mapping
 
 import numpy as np
 
+from .constraints import ClassMap
 from .errors import ConditioningError, MissingSequenceError
 from .rwls import (
     ObservedDataset,
     WeightModel,
+    _weight_model,
+    pool_by_class,
     repair_positive_definite,
     sample_covariances,
     sequence_means,
@@ -86,32 +96,19 @@ class TwoPeriodEntries:
 
     @classmethod
     def from_summary(cls, summary: TwoPeriodSummary) -> "TwoPeriodEntries":
-        """Pool entries across the groups equated by the assumptions,
-        weighting by group degrees of freedom."""
-        s1: dict[str, float] = {}
-        s2: dict[str, float] = {}
-        s12: dict[str, float] = {}
-        groups = [str(z) for z in summary.counts]
-        for letter in "AB":
-            first = [z for z in groups if z[0] == letter]
-            if first:
-                dof = sum(summary.count(z) - 1 for z in first)
-                total = sum(
-                    (summary.count(z) - 1) * summary.covariances[as_sequence(z)][0, 0]
-                    for z in first
-                )
-                s1[letter] = total / dof
-            second = [z for z in groups if z[1] == letter]
-            if second:
-                dof = sum(summary.count(z) - 1 for z in second)
-                total = sum(
-                    (summary.count(z) - 1) * summary.covariances[as_sequence(z)][1, 1]
-                    for z in second
-                )
-                s2[letter] = total / dof
-        for z in groups:
-            s12[z] = float(summary.covariances[as_sequence(z)][0, 1])
-        return cls(s1, s2, s12)
+        """Pool the summary's (N_z - 1) covariances by the scenario-b class
+        ids, weighting by group degrees of freedom."""
+        sequences = list(summary.counts)
+        counts = np.array(list(summary.counts.values()))
+        cross = (counts - 1)[:, None, None] * np.array([summary.covariances[z] for z in sequences])
+        pooled = pool_by_class(counts, cross, ClassMap(2, "b", 1).ids(sequences)[1], sequences)
+        words = [str(z) for z in sequences]
+        # each sequence is its own (1, 2) class pair: s12 is its covariance
+        return cls(
+            {z[0]: m[0, 0] for z, m in zip(words, pooled)},
+            {z[1]: m[1, 1] for z, m in zip(words, pooled)},
+            {z: float(summary.covariances[as_sequence(z)][0, 1]) for z in words},
+        )
 
     def block(self, z: str) -> np.ndarray:
         """Repaired 2 x 2 covariance block for one sequence."""
@@ -128,31 +125,25 @@ class TwoPeriodEntries:
 def working_weight_model(dataset: ObservedDataset, scenario: str) -> WeightModel:
     """Weight model under which the engine reproduces the closed forms.
 
-    Scenarios a and b use diagonal blocks of the pooled period variances
-    (independence working weights), so the engine's group pooling is
-    count-proportional as in the closed forms.  Scenario c uses the full
-    per-sequence blocks built from the pooled entries, matching the inputs
-    of the variance-minimization programs.
+    Scenario c uses the entries pooled by the scenario-b class ids, the
+    inputs of the variance-minimization programs.  Scenarios a and b use
+    their diagonal (independence working weights), so the engine's group
+    pooling is count-proportional as in the closed forms.
     """
-    summary = TwoPeriodSummary.from_dataset(dataset)
-    entries = TwoPeriodEntries.from_summary(summary)
-    matrices = {}
-    repaired = []
-    for z in dataset.design.observed:
-        word = str(z)
-        if scenario == "c":
-            block = entries.block(word)
-        else:
-            block, _ = repair_positive_definite(
-                np.diag([entries.s1[word[0]], entries.s2[word[1]]])
-            )
-        raw = np.array(
-            [[entries.s1[word[0]], entries.s12[word]], [entries.s12[word], entries.s2[word[1]]]]
-        )
-        if not np.array_equal(block, np.diag(np.diag(raw)) if scenario != "c" else raw):
-            repaired.append(z)
-        matrices[z] = block
-    return WeightModel(matrices, "pooled", tuple(repaired))
+    if dataset.design.horizon != 2:
+        raise ValueError("working weights require a two-period design")
+    counts, _, cross = dataset.moments
+    observed = dataset.design.observed
+    pooled = pool_by_class(counts, cross, ClassMap(2, "b", 1).ids(observed)[1], observed)
+    if scenario != "c":
+        pooled[:, 0, 1] = pooled[:, 1, 0] = 0.0
+    return _weight_model(pooled, observed, "pooled")
+
+
+def _arm_mean(summary: TwoPeriodSummary, g: str, h: str, period: int) -> float:
+    """Count-weighted mean of two groups' period means."""
+    n_g, n_h = summary.count(g), summary.count(h)
+    return (n_g * summary.mean(g, period) + n_h * summary.mean(h, period)) / (n_g + n_h)
 
 
 def blue_4seq_scenario_a(summary: TwoPeriodSummary) -> dict[str, float]:
@@ -162,15 +153,7 @@ def blue_4seq_scenario_a(summary: TwoPeriodSummary) -> dict[str, float]:
     the period-2 contrasts are plain group-mean differences.
     """
     summary.require(FOUR_SEQ)
-    out: dict[str, float] = {}
-
-    def pooled_first(arm: str) -> float:
-        n_a, n_b = summary.count(arm + "A"), summary.count(arm + "B")
-        return (
-            n_a * summary.mean(arm + "A", 1) + n_b * summary.mean(arm + "B", 1)
-        ) / (n_a + n_b)
-
-    out["tau_1"] = pooled_first("A") - pooled_first("B")
+    out = {"tau_1": _arm_mean(summary, "AA", "AB", 1) - _arm_mean(summary, "BA", "BB", 1)}
     for z1 in "AB":
         out[f"tau_2({z1})"] = summary.mean(z1 + "A", 2) - summary.mean(z1 + "B", 2)
     for z2 in "AB":
@@ -181,16 +164,10 @@ def blue_4seq_scenario_a(summary: TwoPeriodSummary) -> dict[str, float]:
 def blue_4seq_scenario_b(summary: TwoPeriodSummary) -> dict[str, float]:
     """Four-sequence design, no anticipation plus no carryover (order 1)."""
     summary.require(FOUR_SEQ)
-    out = {"tau_1": blue_4seq_scenario_a(summary)["tau_1"]}
-
-    def pooled_second(arm: str) -> float:
-        n_a, n_b = summary.count("A" + arm), summary.count("B" + arm)
-        return (
-            n_a * summary.mean("A" + arm, 2) + n_b * summary.mean("B" + arm, 2)
-        ) / (n_a + n_b)
-
-    out["tau_2"] = pooled_second("A") - pooled_second("B")
-    return out
+    return {
+        "tau_1": _arm_mean(summary, "AA", "AB", 1) - _arm_mean(summary, "BA", "BB", 1),
+        "tau_2": _arm_mean(summary, "AA", "BA", 2) - _arm_mean(summary, "AB", "BB", 2),
+    }
 
 
 @dataclass(frozen=True)
@@ -200,6 +177,14 @@ class CombinedEstimate:
     value: float
     weights: dict[str, float]
     objective: float
+
+
+def _blocks(summary: TwoPeriodSummary, blocks: Mapping | None, groups) -> dict[str, np.ndarray]:
+    """The given 2 x 2 blocks by word, by default the pooled-entry blocks."""
+    if blocks is None:
+        entries = TwoPeriodEntries.from_summary(summary)
+        return {z: entries.block(z) for z in groups}
+    return {str(z): np.asarray(m, dtype=float) for z, m in blocks.items()}
 
 
 def blue_4seq_scenario_c(
@@ -214,11 +199,7 @@ def blue_4seq_scenario_c(
     pin down unbiasedness for the common effect.
     """
     summary.require(FOUR_SEQ)
-    if blocks is None:
-        entries = TwoPeriodEntries.from_summary(summary)
-        blocks = {z: entries.block(z) for z in FOUR_SEQ}
-    else:
-        blocks = {str(z): np.asarray(m, dtype=float) for z, m in blocks.items()}
+    blocks = _blocks(summary, blocks, FOUR_SEQ)
     q = np.zeros((8, 8))
     for i, z in enumerate(FOUR_SEQ):
         n = summary.count(z)
@@ -228,15 +209,10 @@ def blue_4seq_scenario_c(
     a = np.zeros((3, 8))
     a[0, 0:4] = 1.0
     a[1, 4:8] = 1.0
-    idx = {z: i for i, z in enumerate(FOUR_SEQ)}
-    a[2, idx["AA"]] = a[2, idx["AB"]] = 1.0
-    a[2, 4 + idx["AA"]] = a[2, 4 + idx["BA"]] = 1.0
-    b = np.array([0.0, 0.0, 1.0])
-    kkt = np.zeros((11, 11))
-    kkt[:8, :8] = 2.0 * q
-    kkt[:8, 8:] = a.T
-    kkt[8:, :8] = a
-    rhs = np.concatenate([np.zeros(8), b])
+    # the common effect: period 1 of AA and AB, period 2 of AA and BA
+    a[2, [0, 1, 4, 6]] = 1.0
+    kkt = np.block([[2.0 * q, a.T], [a, np.zeros((3, 3))]])
+    rhs = np.concatenate([np.zeros(8), [0.0, 0.0, 1.0]])
     try:
         solution = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError as exc:
@@ -288,11 +264,7 @@ def blue_2seq_scenario_c(
             / [ (s1 + s2 + 2 s12)(AB)/N_AB + (s1 + s2 + 2 s12)(BA)/N_BA ].
     """
     summary.require(TWO_SEQ)
-    if blocks is None:
-        entries = TwoPeriodEntries.from_summary(summary)
-        blocks = {z: entries.block(z) for z in TWO_SEQ}
-    else:
-        blocks = {str(z): np.asarray(m, dtype=float) for z, m in blocks.items()}
+    blocks = _blocks(summary, blocks, TWO_SEQ)
     numerator = 0.0
     denominator = 0.0
     objective_parts = {}
@@ -313,49 +285,59 @@ def blue_2seq_scenario_c(
     return CombinedEstimate(float(value), {"p": float(p)}, float(objective))
 
 
-def conservative_variances(summary: TwoPeriodSummary, scenario: str) -> dict[str, float]:
-    """Plug-in variance bounds that drop the inestimable individual-effect
-    variance term.  Pooled entries are used wherever the scenario equates
-    them; otherwise per-group sample entries."""
+def closed_form(summary: TwoPeriodSummary, scenario: str) -> dict[str, tuple[float, float]]:
+    """Label -> (point, conservative variance) of the closed-form estimators
+    for the summary's design, which must be exactly the four-sequence or the
+    two-sequence design.
+
+    The variances are plug-in bounds that drop the inestimable individual-
+    effect variance term, with pooled entries wherever the scenario equates
+    them and per-group sample entries otherwise.
+    """
     if scenario not in ("a", "b", "c"):
         raise ValueError(f"scenario must be a, b, or c, got {scenario!r}")
     groups = {str(z) for z in summary.counts}
-    entries = TwoPeriodEntries.from_summary(summary)
-    out: dict[str, float] = {}
-    if groups >= set(FOUR_SEQ):
-        n = {z: summary.count(z) for z in FOUR_SEQ}
-        var = {z: summary.covariances[as_sequence(z)] for z in FOUR_SEQ}
-        if scenario in ("a", "b"):
-            out["tau_1"] = entries.s1["A"] / (n["AA"] + n["AB"]) + entries.s1["B"] / (
-                n["BA"] + n["BB"]
-            )
+    four = groups == set(FOUR_SEQ)
+    if not four and groups != set(TWO_SEQ):
+        raise MissingSequenceError(
+            f"closed forms cover the AA/AB/BA/BB and AB/BA designs, got groups {sorted(groups)}"
+        )
+    if scenario == "c":
+        combined = (blue_4seq_scenario_c if four else blue_2seq_scenario_c)(summary)
+        return {"tau": (combined.value, combined.objective)}
+    n = {z: summary.count(z) for z in groups}
+    var = {z: summary.covariances[as_sequence(z)] for z in groups}
+
+    def apart(t: int, g: str, h: str) -> float:
+        """Per-group bound for the difference of two period-t group means."""
+        return var[g][t - 1, t - 1] / n[g] + var[h][t - 1, t - 1] / n[h]
+
+    if four:
+        entries = TwoPeriodEntries.from_summary(summary)
+        variances = {
+            "tau_1": entries.s1["A"] / (n["AA"] + n["AB"]) + entries.s1["B"] / (n["BA"] + n["BB"])
+        }
         if scenario == "a":
-            for z1 in "AB":
-                out[f"tau_2({z1})"] = (
-                    var[z1 + "A"][1, 1] / n[z1 + "A"] + var[z1 + "B"][1, 1] / n[z1 + "B"]
-                )
-            for z2 in "AB":
-                out[f"tau_2^1({z2})"] = (
-                    var["A" + z2][1, 1] / n["A" + z2] + var["B" + z2][1, 1] / n["B" + z2]
-                )
-        elif scenario == "b":
-            out["tau_2"] = entries.s2["A"] / (n["AA"] + n["BA"]) + entries.s2["B"] / (
+            variances.update({f"tau_2({z})": apart(2, z + "A", z + "B") for z in "AB"})
+            variances.update({f"tau_2^1({z})": apart(2, "A" + z, "B" + z) for z in "AB"})
+            points = blue_4seq_scenario_a(summary)
+        else:
+            variances["tau_2"] = entries.s2["A"] / (n["AA"] + n["BA"]) + entries.s2["B"] / (
                 n["AB"] + n["BB"]
             )
-        else:
-            out["tau"] = blue_4seq_scenario_c(summary).objective
-    elif groups >= set(TWO_SEQ):
-        n = {z: summary.count(z) for z in TWO_SEQ}
-        var = {z: summary.covariances[as_sequence(z)] for z in TWO_SEQ}
-        if scenario in ("a", "b"):
-            out["tau_1"] = var["AB"][0, 0] / n["AB"] + var["BA"][0, 0] / n["BA"]
-        if scenario == "b":
-            out["tau_2"] = var["AB"][1, 1] / n["AB"] + var["BA"][1, 1] / n["BA"]
-        if scenario == "c":
-            out["tau"] = blue_2seq_scenario_c(summary).objective
+            points = blue_4seq_scenario_b(summary)
     else:
-        raise MissingSequenceError(f"unsupported group set {sorted(groups)}")
-    return out
+        # under a only tau_1 is estimable, the same contrast in both scenarios
+        variances = {"tau_1": apart(1, "AB", "BA")}
+        if scenario == "b":
+            variances["tau_2"] = apart(2, "AB", "BA")
+        points = blue_2seq_scenario_b(summary)
+    return {label: (points[label], variances[label]) for label in variances}
+
+
+def conservative_variances(summary: TwoPeriodSummary, scenario: str) -> dict[str, float]:
+    """The conservative variances of ``closed_form``, by label."""
+    return {label: variance for label, (_, variance) in closed_form(summary, scenario).items()}
 
 
 def paired_difference_estimate(dataset: ObservedDataset) -> float:

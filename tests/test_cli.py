@@ -109,6 +109,19 @@ class TestEstimandGrammar:
         with pytest.raises(ValueError):
             parse_estimand_request("ratio t=2", SCOPE2)
 
+    @pytest.mark.parametrize(
+        "request_text, message",
+        [("tau", "missing option t= in 'tau'"), ("carry t=2", "missing option k= in 'carry t=2'")],
+    )
+    def test_missing_required_option_is_named(self, tmp_path, capsys, request_text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_estimand_request(request_text, SCOPE2)
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(simulated_dataset(seed=6)))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1", "--estimand", request_text]
+        assert main(argv) == EXIT_PARSE
+        assert message in capsys.readouterr().err
+
 
 class TestIdentifyCommand:
     def test_rank_deficient_design_exits_nonzero(self, tmp_path, capsys):
@@ -359,6 +372,33 @@ class TestFitCommand:
         assert "weight for AB" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("engine", ["rwls", "closed-form"])
+    @pytest.mark.parametrize("level", ["1.5", "0", "nan"])
+    def test_level_outside_the_unit_interval_exits_two_on_every_engine(self, tmp_path, capsys, engine, level):
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(simulated_dataset(seed=6)))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1", "--engine", engine]
+        assert main(argv + ["--level", level]) == EXIT_PARSE
+        assert f"confidence level must be in (0, 1), got {float(level)}" in capsys.readouterr().err
+
+    def test_closed_form_engine_rejects_other_group_sets(self, tmp_path, capsys):
+        dataset = simulated_dataset(seed=6, counts=(5, 5, 5))
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(dataset))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1", "--engine", "closed-form"]
+        assert main(argv) == EXIT_PARSE
+        assert "AA/AB/BA/BB and AB/BA designs" in capsys.readouterr().err
+
+    def test_weights_file_holding_an_array_exits_two(self, tmp_path, capsys):
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(simulated_dataset(seed=6)))
+        weights_file = tmp_path / "weights.json"
+        weights_file.write_text(json.dumps([[1, 0], [0, 1]]))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1"]
+        assert main(argv + ["--weights", f"file:{weights_file}"]) == EXIT_PARSE
+        assert f"{weights_file} must be a JSON object" in capsys.readouterr().err
+
+
 def test_import_does_not_load_scipy_stats():
     env = dict(os.environ)
     src = str(Path(crossover.__file__).resolve().parents[1])
@@ -460,6 +500,37 @@ class TestSimulateCommand:
         assert code == EXIT_PARSE
         assert "at least 2 replications" in capsys.readouterr().err
         assert not out_file.exists()
+
+
+    def test_null_carryover_order_counts_as_absent(self, tmp_path):
+        config = {
+            "design": {"T": 2, "counts": {"AA": 5, "AB": 5, "BA": 5, "BB": 5}},
+            "scenario": "a",
+            "k": None,
+            "weights": "pooled",
+        }
+        config_file = tmp_path / "study.json"
+        config_file.write_text(json.dumps(config))
+        out_file = tmp_path / "mc.json"
+        assert main(["simulate", "--config", str(config_file), "--reps", "3", "--out", str(out_file)]) == EXIT_OK
+        assert json.loads(out_file.read_text())["replications"] == 3
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ([{"design": {"T": 2, "counts": {"AB": 10, "BA": 10}}}], "must be a JSON object"),
+            (
+                {"design": {"T": 2, "counts": {"AB": 10, "BA": 10}}, "scenario": "b", "k": 1, "estimands": "tau t=1"},
+                "estimands must be a list of request strings",
+            ),
+        ],
+    )
+    def test_malformed_config_exits_two_naming_the_file(self, tmp_path, capsys, config, message):
+        config_file = tmp_path / "study.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(config_file), "--reps", "3"]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert str(config_file) in err and message in err
 
 
 class TestAuditCommand:

@@ -13,6 +13,7 @@ from crossover import (
     stack,
     standard_two_period_specs,
 )
+from crossover.rwls import ObservedDataset, pooled_covariance_entries, repair_positive_definite
 from crossover.twoperiod import (
     TwoPeriodEntries,
     TwoPeriodSummary,
@@ -22,6 +23,7 @@ from crossover.twoperiod import (
     blue_4seq_scenario_a,
     blue_4seq_scenario_b,
     blue_4seq_scenario_c,
+    closed_form,
     conservative_variances,
     paired_difference_estimate,
     working_weight_model,
@@ -292,3 +294,64 @@ class TestPairedDifference:
             assert paired_difference_estimate(dataset) == pytest.approx(
                 (basic["tau_1"] + basic["tau_2"]) / 2, abs=1e-10
             )
+
+
+class TestPoolingByClassIds:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_summary_entries_and_working_weights_match_the_engine_pooling(self, seed):
+        rng = np.random.default_rng(seed)
+        groups = FOUR if seed % 2 else ("AB", "BA")
+        design = CrossoverDesign(2, {z: int(n) for z, n in zip(groups, rng.integers(3, 9, size=len(groups)))})
+        dataset = make_dataset(design, rng)
+        # per-sequence scales and shared terms leave some pooled blocks indefinite
+        scale = rng.uniform(0.2, 3.0, size=(len(groups), 2))[dataset.codes]
+        shared = rng.normal(size=(dataset.n_units, 1)) * rng.uniform(0.0, 3.0, size=len(groups))[dataset.codes, None]
+        dataset = ObservedDataset(design, dataset.codes, dataset.outcomes * scale + shared)
+        entries = TwoPeriodEntries.from_summary(TwoPeriodSummary.from_dataset(dataset))
+        engine = pooled_covariance_entries(dataset, "b", 1)
+        repaired = []
+        for z in design.observed:
+            w = str(z)
+            raw = np.array([[entries.s1[w[0]], entries.s12[w]], [entries.s12[w], entries.s2[w[1]]]])
+            if repair_positive_definite(raw)[1]:
+                repaired.append(z)
+            np.testing.assert_allclose(entries.block(w), engine.matrix(z), rtol=1e-15, atol=0)
+        assert tuple(repaired) == engine.repaired
+        model = working_weight_model(dataset, "c")
+        reference = pooled_covariance_entries(dataset, "c", 1)
+        for z in design.observed:
+            np.testing.assert_allclose(model.matrix(z), reference.matrix(z), rtol=1e-15, atol=0)
+        assert model.repaired == reference.repaired
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("scenario", ["a", "b", "c"])
+    @pytest.mark.parametrize("groups", [FOUR, ("AB", "BA")])
+    def test_picks_the_estimator_of_the_design_and_scenario(self, rng, groups, scenario):
+        design = CrossoverDesign(2, {z: 5 + i for i, z in enumerate(groups)})
+        summary = TwoPeriodSummary.from_dataset(make_dataset(design, rng))
+        four = len(groups) == 4
+        if scenario == "c":
+            combined = (blue_4seq_scenario_c if four else blue_2seq_scenario_c)(summary)
+            expected = {"tau": combined.value}
+        elif four:
+            expected = (blue_4seq_scenario_a if scenario == "a" else blue_4seq_scenario_b)(summary)
+        elif scenario == "a":
+            expected = {"tau_1": blue_2seq_scenario_a(summary).tau_1}
+        else:
+            expected = blue_2seq_scenario_b(summary)
+        forms = closed_form(summary, scenario)
+        assert [(label, point) for label, (point, _) in forms.items()] == list(expected.items())
+        assert conservative_variances(summary, scenario) == {label: v for label, (_, v) in forms.items()}
+
+    @pytest.mark.parametrize("scenario", ["a", "b", "c"])
+    def test_other_group_sets_raise(self, scenario):
+        three = ("AA", "AB", "BA")
+        summary = summary_from_means(dict.fromkeys(three, 3), {z: [0.0, 1.0] for z in three})
+        with pytest.raises(MissingSequenceError, match="AA/AB/BA/BB and AB/BA designs"):
+            conservative_variances(summary, scenario)
+
+    def test_unknown_scenario_raises(self):
+        summary = summary_from_means({"AB": 3, "BA": 3}, {"AB": [0, 0], "BA": [0, 0]})
+        with pytest.raises(ValueError, match="scenario must be"):
+            closed_form(summary, "d")
