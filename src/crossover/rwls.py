@@ -17,13 +17,19 @@ sandwich and every estimand; no p x p matrix is formed on that path.
 Omega_z is built from the dataset's moments, computed once (per-sequence
 counts, means and R_z'R_z about the mean): sample covariances or entries
 pooled by ClassMap class ids, each (k, T, T) stack repaired and inverted.
+
+The moments, the weights and the reduced solve, sandwich and functional
+accept leading axes.  ``StackedFit`` runs ``feasible_rwls`` and ``estimate``
+on a (C, N, T) stack of datasets of one design with the same per-item
+array operations, so each replication's results are bit-identical to its
+own fit; a single dataset is the case without a leading axis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 from statistics import NormalDist
 from typing import Mapping, NamedTuple
@@ -50,7 +56,8 @@ ZERO_FUNCTIONAL_TOLERANCE = 1e-12
 
 class Moments(NamedTuple):
     """Per-sequence count, mean and centered cross-product R_z'R_z of a
-    dataset, stacked in code order: (k,), (k, T) and (k, T, T) arrays."""
+    dataset, stacked in code order: (k,), (..., k, T) and (..., k, T, T)
+    arrays, the leading axes running over a stack of datasets."""
 
     counts: np.ndarray
     means: np.ndarray
@@ -136,13 +143,27 @@ class ObservedDataset:
 
 def _sequence_moments(dataset: ObservedDataset) -> Moments:
     """One pass over the sequences: count, mean and centered R_z'R_z."""
-    ys = [dataset.outcomes[idx] for idx in dataset._groups.values()]
-    means = [y.mean(axis=0) for y in ys]
-    centered = [y - mean for y, mean in zip(ys, means)]
-    moments = Moments(np.array([len(y) for y in ys]), np.array(means), np.array([r.T @ r for r in centered]))
+    counts = np.array(list(dataset.design.counts.values()))
+    moments = grouped_moments(dataset.outcomes[np.concatenate(list(dataset._groups.values()))], counts)
     for array in moments:
         array.flags.writeable = False
     return moments
+
+
+def _split_groups(grouped: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
+    """The (..., N_z, T) block of each sequence in (..., N, T) outcomes
+    listed sequence by sequence."""
+    return np.split(grouped, np.cumsum(counts)[:-1], axis=-2)
+
+
+def grouped_moments(grouped: np.ndarray, counts: np.ndarray) -> Moments:
+    """Moments of (..., N, T) outcomes listed sequence by sequence: counts[0]
+    units of the first implemented sequence, then counts[1] of the next."""
+    ys = _split_groups(grouped, counts)
+    means = [y.mean(axis=-2) for y in ys]
+    centered = [y - mean[..., None, :] for y, mean in zip(ys, means)]
+    cross = [r.swapaxes(-1, -2) @ r for r in centered]
+    return Moments(counts, np.stack(means, axis=-2), np.stack(cross, axis=-3))
 
 
 @dataclass(frozen=True)
@@ -200,21 +221,28 @@ def _weight_model(matrices: np.ndarray, observed, provenance: str) -> WeightMode
     return WeightModel(dict(zip(observed, repaired)), provenance, tuple(compress(observed, fixed)))
 
 
+def sample_by_sequence(counts: np.ndarray, cross: np.ndarray, sequences) -> np.ndarray:
+    """The unrepaired (..., k, T, T) stack of sample covariances, divisor
+    N_z - 1.  ``sequences`` name the rows in a too-few-units error."""
+    if counts.min() < 2:
+        raise DegenerateCovarianceError(
+            f"sequence {sequences[np.argmin(counts)]} has {counts.min()} unit(s); need "
+            "at least 2 for a sample covariance (use pooled or user weights)"
+        )
+    return cross / (counts - 1)[:, None, None]
+
+
 def sample_covariances(dataset: ObservedDataset) -> WeightModel:
     """Per-sequence sample covariance (divisor N_z - 1), repaired to PD."""
     counts, _, cross = dataset.moments
-    if counts.min() < 2:
-        raise DegenerateCovarianceError(
-            f"sequence {dataset.design.observed[np.argmin(counts)]} has {counts.min()} unit(s); need "
-            "at least 2 for a sample covariance (use pooled or user weights)"
-        )
-    return _weight_model(cross / (counts - 1)[:, None, None], dataset.design.observed, "sample")
+    observed = dataset.design.observed
+    return _weight_model(sample_by_sequence(counts, cross, observed), observed, "sample")
 
 
 def pool_by_class(counts: np.ndarray, cross: np.ndarray, ids: np.ndarray, sequences) -> np.ndarray:
-    """The unrepaired (k, T, T) stack of pooled entries: each (t, t') entry
-    of cross, summed over the sequences sharing both their period-t and
-    period-t' class ids, over degrees of freedom sum(N_z) - #sequences
+    """The unrepaired (..., k, T, T) stack of pooled entries: each (t, t')
+    entry of cross, summed over the sequences sharing both their period-t
+    and period-t' class ids, over degrees of freedom sum(N_z) - #sequences
     pooled.  ``sequences`` name the rows in a degenerate-entry error."""
     rows, cols = np.triu_indices(cross.shape[-1])
     # one group per (entry, class pair), a class id fixing its period; keys
@@ -229,9 +257,14 @@ def pool_by_class(counts: np.ndarray, cross: np.ndarray, ids: np.ndarray, sequen
         raise DegenerateCovarianceError(
             f"entry ({rows[entry] + 1},{cols[entry] + 1}) pooled over {members} has no degrees of freedom"
         )
+    lead = cross.shape[:-3]
+    # each dataset of a stack sums its own groups, offset past the others'
+    offsets = np.arange(math.prod(lead)).reshape(lead + (1, 1)) * dof.size
+    entries = cross[..., rows, cols].swapaxes(-1, -2)
+    sums = np.bincount((group + offsets).ravel(), entries.ravel(), minlength=offsets.size * dof.size)
     pooled = np.zeros_like(cross)
-    pooled[:, rows, cols] = (np.bincount(group.ravel(), cross[:, rows, cols].T.ravel()) / dof)[group].T
-    pooled[:, cols, rows] = pooled[:, rows, cols]
+    pooled[..., rows, cols] = (sums.reshape(lead + dof.shape) / dof)[..., group].swapaxes(-1, -2)
+    pooled[..., cols, rows] = pooled[..., rows, cols]
     return pooled
 
 
@@ -309,8 +342,48 @@ class RwlsFit:
 
 
 def _solve_reduced(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """M^-1 rhs from the Cholesky factor L of M."""
-    return np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+    """M^-1 rhs from the Cholesky factor L of M; both may be stacks."""
+    return np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
+
+
+def _weight_inverses(weights: WeightModel, design: CrossoverDesign) -> list[np.ndarray]:
+    """Omega_z^-1 for each implemented sequence, in code order.
+
+    Raises MissingSequenceError when the weight model lacks an implemented
+    sequence and ValueError for a weight of the wrong shape."""
+    horizon = design.horizon
+    for z in design.observed:
+        omega = weights.matrices.get(z)
+        if omega is None:
+            raise MissingSequenceError(f"weight model lacks a matrix for {z}")
+        if omega.shape != (horizon, horizon):
+            raise ValueError(f"weight for {z} has shape {omega.shape}")
+    return [weights.inverses[z] for z in design.observed]
+
+
+def _reduced_system(blocks, counts, inverses, means):
+    """G_z = N_z Omega_z^-1 Z_z per implemented sequence, M = sum_z Z_z' G_z
+    and sum_z G_z' Ybar_z, from each sequence's Z_z block, count, and
+    (..., T, T) inverse and (..., T) mean."""
+    weighted = [n * inverse @ block for n, inverse, block in zip(counts, inverses, blocks)]
+    reduced = np.zeros(weighted[0].shape[:-2] + 2 * blocks[0].shape[-1:])
+    rhs = 0.0
+    for block, g, mean in zip(blocks, weighted, means):
+        reduced += block.T @ g
+        rhs = rhs + g.swapaxes(-1, -2) @ mean[..., None]
+    return weighted, reduced, rhs[..., 0]
+
+
+def _cholesky(reduced: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(reduced)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError("reduced normal matrix is not positive definite") from exc
+
+
+def _coefficients(basis: np.ndarray, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """gamma = Z M^-1 rhs, over stacks of factors and right-hand sides."""
+    return (basis @ _solve_reduced(factor, rhs[..., None]))[..., 0]
 
 
 def solve_restricted_wls(
@@ -333,30 +406,18 @@ def solve_restricted_wls(
     layout = restriction.layout
     basis = restriction.basis
     horizon = design.horizon
-    reduced = np.zeros((basis.shape[1], basis.shape[1]))
-    rhs = np.zeros(basis.shape[1])
-    weighted = {}
+    inverses = _weight_inverses(weights, design)
     fitted_means = {}
-    for z, n in design.counts.items():
-        omega = weights.matrices.get(z)
-        if omega is None:
-            raise MissingSequenceError(f"weight model lacks a matrix for {z}")
-        if omega.shape != (horizon, horizon):
-            raise ValueError(f"weight for {z} has shape {omega.shape}")
+    for z in design.observed:
         mean = np.asarray(means[z], dtype=float)
         if mean.shape != (horizon,):
             raise ValueError(f"mean for {z} must have shape ({horizon},)")
-        block = basis[layout.block(z)]
-        g = n * weights.inverses[z] @ block
-        reduced += block.T @ g
-        rhs += g.T @ mean
-        weighted[z] = g
         fitted_means[z] = mean
-    try:
-        factor = np.linalg.cholesky(reduced)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError("reduced normal matrix is not positive definite") from exc
-    gamma = basis @ _solve_reduced(factor, rhs)
+    blocks = [basis[layout.block(z)] for z in design.observed]
+    counts = list(design.counts.values())
+    weighted, reduced, rhs = _reduced_system(blocks, counts, inverses, fitted_means.values())
+    factor = _cholesky(reduced)
+    gamma = _coefficients(basis, factor, rhs)
     condition = float(np.linalg.cond(reduced))
     warnings: list[str] = []
     if condition > CONDITION_WARNING_THRESHOLD:
@@ -371,7 +432,7 @@ def solve_restricted_wls(
         means=fitted_means,
         gamma=gamma,
         factor=factor,
-        weighted_basis=weighted,
+        weighted_basis=dict(zip(design.observed, weighted)),
         condition_number=condition,
         warnings=tuple(warnings),
     )
@@ -383,17 +444,25 @@ def solve_restricted_wls(
     return fit
 
 
+def _score_meat(residuals, weighted, counts) -> np.ndarray:
+    """S'S for the (..., N, d) score matrix S stacking R_z G_z / N_z over
+    the implemented sequences' (..., N_z, T) residual blocks R_z."""
+    scores = np.concatenate([r @ g / n for r, g, n in zip(residuals, weighted, counts)], axis=-2)
+    return scores.swapaxes(-1, -2) @ scores
+
+
 def _reduced_meat(
     fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool
 ) -> np.ndarray:
     """S'S for the N x d score matrix S stacking R_z G_z / N_z over the
     implemented sequences, optionally scaled by N / (N - d)."""
     layout = fit.layout
-    scores = np.concatenate([
-        (dataset.outcomes[idx] - fit.gamma[layout.block(z)]) @ fit.weighted_basis[z] / idx.size
-        for z, idx in dataset.group_indices().items()
-    ])
-    meat = scores.T @ scores
+    groups = dataset.group_indices()
+    meat = _score_meat(
+        [dataset.outcomes[idx] - fit.gamma[layout.block(z)] for z, idx in groups.items()],
+        [fit.weighted_basis[z] for z in groups],
+        [idx.size for idx in groups.values()],
+    )
     if small_sample_scale:
         n = dataset.n_units
         free = layout.size - fit.restriction.n_rows
@@ -417,6 +486,10 @@ def ehw_covariance(
     """
     fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
     return fit.ehw
+
+
+def _unknown_weights(weights) -> ValueError:
+    return ValueError(f"weights must be 'sample', 'pooled', or a WeightModel, got {weights!r}")
 
 
 def feasible_rwls(
@@ -443,15 +516,14 @@ def feasible_rwls(
     elif weights == "pooled":
         model = pooled_covariance_entries(dataset, scenario, carryover_order)
     else:
-        raise ValueError(f"weights must be 'sample', 'pooled', or a WeightModel, got {weights!r}")
+        raise _unknown_weights(weights)
     fit = solve_restricted_wls(design, sequence_means(dataset), model, restriction)
     fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
     return fit
 
 
-def _estimand_matrix(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
+def _estimand_matrix(layout: CoefficientLayout, spec: EstimandSpec) -> np.ndarray:
     """K x p matrix assembling the spec's W blocks over the layout."""
-    layout = fit.layout
     if spec.horizon != layout.horizon:
         raise ValueError(f"spec horizon {spec.horizon} != layout horizon {layout.horizon}")
     scope_set = set(layout.scope)
@@ -463,6 +535,24 @@ def _estimand_matrix(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
     return b
 
 
+def _estimand_rows(restriction: RestrictionMatrix, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B, BZ and the mask of the rows of B lying in the restriction row
+    space (BZ = 0), which are exact zeroes of the restricted model."""
+    b = _estimand_matrix(restriction.layout, spec)
+    bz = b @ restriction.basis
+    scale = np.maximum(np.abs(b).max(axis=1), 1.0)
+    return b, bz, np.abs(bz).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
+
+
+def _functional(b, bz, restricted, gamma, factor) -> tuple[np.ndarray, np.ndarray]:
+    """B gamma-hat and (BZ) M^-1 over stacks of fits, snapped rows zeroed."""
+    point = (b @ gamma[..., None])[..., 0]
+    point[..., restricted] = 0.0
+    bm = _solve_reduced(factor, bz.T).swapaxes(-1, -2)
+    bm[..., restricted, :] = 0.0
+    return point, bm
+
+
 def _reduced_functional(fit: RwlsFit, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray]:
     """The point estimate B gamma-hat and (BZ) M^-1, with snapped rows zeroed.
 
@@ -470,15 +560,7 @@ def _reduced_functional(fit: RwlsFit, spec: EstimandSpec) -> tuple[np.ndarray, n
     are exact zeroes of the restricted model, so their estimates and
     variances are snapped to exact zero.
     """
-    b = _estimand_matrix(fit, spec)
-    bz = b @ fit.restriction.basis
-    scale = np.maximum(np.abs(b).max(axis=1), 1.0)
-    restricted = np.abs(bz).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
-    point = b @ fit.gamma
-    point[restricted] = 0.0
-    bm = _solve_reduced(fit.factor, bz.T).T
-    bm[restricted] = 0.0
-    return point, bm
+    return _functional(*_estimand_rows(fit.restriction, spec), fit.gamma, fit.factor)
 
 
 def point_estimate(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
@@ -506,6 +588,13 @@ def _chi2_sf(dof: int, x: float) -> float:
     )
 
 
+def critical_value(level: float) -> float:
+    """The two-sided standard normal quantile of a level in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
+
+
 @dataclass(frozen=True)
 class EstimandEstimate:
     labels: tuple[str, ...]
@@ -527,8 +616,7 @@ class EstimandEstimate:
 def estimate(fit: RwlsFit, spec: EstimandSpec, level: float = 0.95) -> EstimandEstimate:
     """Point estimate, sandwich covariance, per-coordinate confidence
     intervals, and the Wald statistic against zero for one estimand."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
+    z_crit = critical_value(level)
     if fit.reduced_meat is None:
         raise ValueError("fit has no sandwich pieces; run feasible_rwls or ehw_covariance first")
     point, bm = _reduced_functional(fit, spec)
@@ -536,7 +624,6 @@ def estimate(fit: RwlsFit, spec: EstimandSpec, level: float = 0.95) -> EstimandE
     covariance = (covariance + covariance.T) / 2.0
     variances = np.clip(np.diag(covariance), 0.0, None)
     std_errors = np.sqrt(variances)
-    z_crit = NormalDist().inv_cdf(0.5 + level / 2.0)
     ci_lower = point - z_crit * std_errors
     ci_upper = point + z_crit * std_errors
     wald = float(point @ np.linalg.pinv(covariance) @ point)
@@ -582,3 +669,69 @@ def oracle_variance(
         total += m @ table.covariance(z) @ m.T / n
     total -= individual_effect_covariance(spec, table) / table.n_units
     return total
+
+
+class StackedFit:
+    """``feasible_rwls`` then ``estimate``, on stacks of datasets of one design.
+
+    Construction does once what every dataset shares: the Z_z blocks, B,
+    BZ and the snapped rows, the counts, and the inverses of user weights.
+    It raises the errors no data can change: NotIdentifiableError, an
+    unknown weight choice, a missing or misshapen user weight, and a
+    sequence or pooled entry with no degrees of freedom.  Calling it on a
+    (C, N, T) outcome stack, each row listing its units sequence by
+    sequence in code order, returns the (C, K) point estimates and
+    sandwich variances, each bitwise what the dataset's own
+    ``feasible_rwls`` and ``estimate`` give, and raises ConditioningError
+    when a reduced matrix has no Cholesky factor.  The condition number,
+    the restriction-residual warning and the Wald test are not computed.
+    """
+
+    def __init__(
+        self,
+        design: CrossoverDesign,
+        restriction: RestrictionMatrix,
+        spec: EstimandSpec,
+        weights: str | WeightModel = "sample",
+        scenario: str | None = None,
+        carryover_order: int | None = None,
+    ):
+        check = is_identifiable(design, restriction)
+        if not check.identifiable:
+            raise NotIdentifiableError(check.rank, check.dimension)
+        observed = design.observed
+        self.counts = np.array(list(design.counts.values()))
+        self.basis = restriction.basis
+        self.slices = [restriction.layout.block(z) for z in observed]
+        self.blocks = [self.basis[block] for block in self.slices]
+        self.rows = _estimand_rows(restriction, spec)
+        self.covariances = self.inverses = None
+        if isinstance(weights, WeightModel):
+            self.inverses = _weight_inverses(weights, design)
+            return
+        if weights == "sample":
+            self.covariances = partial(sample_by_sequence, self.counts, sequences=observed)
+        elif weights == "pooled":
+            ids = ClassMap(design.horizon, scenario, carryover_order).ids(observed)[1]
+            self.covariances = partial(pool_by_class, self.counts, ids=ids, sequences=observed)
+        else:
+            raise _unknown_weights(weights)
+        # the count checks read no data: an empty stack raises them now
+        self.covariances(np.empty((0, len(observed), design.horizon, design.horizon)))
+
+    def __call__(self, grouped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        moments = grouped_moments(grouped, self.counts)
+        inverses = self.inverses
+        if inverses is None:
+            inverses = np.moveaxis(np.linalg.inv(repair_positive_definite(self.covariances(moments.cross))[0]), -3, 0)
+        means = np.moveaxis(moments.means, -2, 0)
+        weighted, reduced, rhs = _reduced_system(self.blocks, self.counts, inverses, means)
+        factor = _cholesky(reduced)
+        gamma = _coefficients(self.basis, factor, rhs)
+        groups = _split_groups(grouped, self.counts)
+        residuals = [y - gamma[..., None, block] for y, block in zip(groups, self.slices)]
+        meat = _score_meat(residuals, weighted, self.counts)
+        point, bm = _functional(*self.rows, gamma, factor)
+        covariance = bm @ meat @ bm.swapaxes(-1, -2)
+        # estimate symmetrizes the covariance, which leaves its diagonal as is
+        return point, np.diagonal(covariance, axis1=-2, axis2=-1)

@@ -2,9 +2,13 @@
 
 The study design is design-based: one potential-outcome table is fixed per
 study, and only the treatment assignment is redrawn across replications.
-Reports collect per-estimand bias samples, empirical and mean estimated
-variances, and confidence-interval coverage.  An exact audit enumerates
-every assignment of a small design instead of sampling.
+Replication r draws its assignment from the seed stream ``[seed, r]``.
+The replications are fitted in chunks of MC_CHUNK as stacked arrays
+(``rwls.StackedFit``), each result bitwise what a fit of that replication
+alone gives, so memory is bounded by one chunk whatever the replication
+count.  Reports collect per-estimand bias samples, empirical and mean
+estimated variances, and confidence-interval coverage.  An exact audit
+enumerates every assignment of a small design instead of sampling.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ from .estimands import (
 from .identification import is_identifiable
 from .rwls import (
     ObservedDataset,
+    StackedFit,
     WeightModel,
-    estimate,
-    feasible_rwls,
+    critical_value,
     implied_estimator_weights,
     oracle_variance,
     repair_positive_definite,
@@ -48,6 +52,9 @@ from .sequences import (
 )
 
 TWO_PERIOD_SEQUENCES = ("AA", "AB", "BA", "BB")
+# replications fitted as one stack: at N = 400 units and d = 6 free
+# coefficients the chunk's largest array, the scores, is 1.2 MB
+MC_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -181,17 +188,12 @@ def _outcome_cube(table: PotentialOutcomeTable, design: CrossoverDesign) -> np.n
     return np.stack([table.outcomes[z] for z in design.observed])
 
 
-def _observe(design: CrossoverDesign, cube: np.ndarray, codes: np.ndarray, units: np.ndarray) -> ObservedDataset:
-    """Dataset of the outcomes each unit shows under the coded assignment."""
-    return ObservedDataset(design, codes, cube[codes, units])
-
-
 def realize_dataset(table: PotentialOutcomeTable, assignment: Assignment) -> ObservedDataset:
     """Observed outcomes implied by a table and one assignment."""
     design = assignment.design
     index = {z: i for i, z in enumerate(design.observed)}
     codes = np.array([index[z] for z in assignment.sequences])
-    return _observe(design, _outcome_cube(table, design), codes, np.arange(len(codes)))
+    return ObservedDataset(design, codes, _outcome_cube(table, design)[codes, np.arange(len(codes))])
 
 
 def standard_two_period_specs(scope) -> list[EstimandSpec]:
@@ -295,9 +297,15 @@ def run_monte_carlo(
     uses), gathers the observed outcomes from the table, runs the
     feasible restricted fit, and records the bias, the estimated
     variances, and whether each confidence interval covers the truth.
+    The fits run MC_CHUNK replications at a time on stacked arrays
+    (``rwls.StackedFit``); every result is bitwise what the replication's
+    own ``feasible_rwls`` and ``estimate`` give.  ``scenario`` and
+    ``carryover_order`` default to the generator's.
     Refuses fewer than 2 replications (the empirical variance needs two),
     scenario/design pairs that fail the rank condition, and tables
-    inconsistent with the scenario.
+    inconsistent with the scenario; the errors a fit raises whatever the
+    data (weight choice, confidence level, too few units) come before the
+    first draw.
     """
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
@@ -309,8 +317,10 @@ def run_monte_carlo(
     else:
         table = generate_table(generator, design.n_units, design)
         generator_seed = generator.seed
-        scenario = scenario or generator.scenario
-        carryover_order = carryover_order or generator.carryover_order
+        if scenario is None:
+            scenario = generator.scenario
+        if carryover_order is None:
+            carryover_order = generator.carryover_order
     restriction = assemble(scenario, design.horizon, design.scope, carryover_order)
     check = is_identifiable(design, restriction)
     if not check.identifiable:
@@ -323,20 +333,27 @@ def run_monte_carlo(
     check_table_consistency(table, restriction)
     stacked = stack(list(specs))
     truth = true_value(stacked, table)
-    n_est = stacked.dimension
-    bias = np.empty((replications, n_est))
-    covered = np.empty((replications, n_est), dtype=bool)
-    est_vars = np.empty((replications, n_est))
+    fit = StackedFit(design, restriction, stacked, weight_choice, scenario, carryover_order)
+    z_crit = critical_value(level)
+    bias = np.empty((replications, stacked.dimension))
+    covered = np.empty((replications, stacked.dimension), dtype=bool)
+    est_vars = np.empty((replications, stacked.dimension))
     template = code_template(design)
-    cube = _outcome_cube(table, design)
-    units = np.arange(design.n_units)
-    for r in range(replications):
-        dataset = _observe(design, cube, sample_codes(template, [seed, r]), units)
-        fit = feasible_rwls(dataset, scenario, carryover_order, weight_choice, restriction)
-        result = estimate(fit, stacked, level)
-        bias[r] = result.point - truth
-        covered[r] = (result.ci_lower <= truth) & (truth <= result.ci_upper)
-        est_vars[r] = np.diag(result.covariance)
+    # one-byte codes sort by radix and permute as the template does
+    small = template.astype(np.min_scalar_type(template[-1]))
+    # row i of the flattened cube is unit i % N under sequence i // N
+    rows = _outcome_cube(table, design).reshape(-1, design.horizon)
+    firsts = template * design.n_units
+    for start in range(0, replications, MC_CHUNK):
+        chunk = slice(start, min(start + MC_CHUNK, replications))
+        codes = np.stack([sample_codes(small, [seed, r]) for r in range(chunk.start, chunk.stop)])
+        # a stable sort lists each sequence's units in increasing order,
+        # and the sorted codes are the template itself
+        units = np.argsort(codes, axis=1, kind="stable")
+        point, est_vars[chunk] = fit(np.take(rows, firsts + units, axis=0))
+        half_width = z_crit * np.sqrt(np.clip(est_vars[chunk], 0.0, None))
+        bias[chunk] = point - truth
+        covered[chunk] = (point - half_width <= truth) & (truth <= point + half_width)
     return McReport(
         scenario=scenario,
         carryover_order=carryover_order,

@@ -161,6 +161,53 @@ class TestMoments:
         assert len(passes) == 1 and passes[0] is dataset
 
 
+class TestStacks:
+    """The weight layer and StackedFit on a leading replication axis give,
+    item by item, bitwise the single-dataset results."""
+
+    def stack_of_datasets(self, design, rng, replications=5):
+        grouped = rng.normal(size=(replications, design.n_units, design.horizon))
+        labels = template_labels(design)
+        return grouped, [ObservedDataset(design, labels, outcomes) for outcomes in grouped]
+
+    @pytest.mark.parametrize("horizon,scenario,order", [(2, "a", None), (3, "b", 2), (4, "c", 1)])
+    def test_moments_and_weights_match_item_by_item(self, rng, horizon, scenario, order):
+        observed = full_sequence_set(horizon)[1::2]
+        design = CrossoverDesign(horizon, {z: 3 + i for i, z in enumerate(observed)})
+        grouped, datasets = self.stack_of_datasets(design, rng)
+        moments = rwls.grouped_moments(grouped, np.array(list(design.counts.values())))
+        ids = ClassMap(horizon, scenario, order).ids(observed)[1]
+        pooled = rwls.pool_by_class(moments.counts, moments.cross, ids, observed)
+        sample = rwls.sample_by_sequence(moments.counts, moments.cross, observed)
+        for r, dataset in enumerate(datasets):
+            assert np.array_equal(moments.means[r], dataset.moments.means)
+            assert np.array_equal(moments.cross[r], dataset.moments.cross)
+            assert np.array_equal(pooled[r], rwls.pool_by_class(*dataset.moments[::2], ids, observed))
+            assert np.array_equal(sample[r], rwls.sample_by_sequence(*dataset.moments[::2], observed))
+
+    @pytest.mark.parametrize("scenario,order", [("a", None), ("b", 1), ("c", 2)])
+    @pytest.mark.parametrize("weights", ["sample", "pooled", "user"])
+    def test_stacked_fit_matches_feasible_rwls_and_estimate(self, rng, scenario, order, weights):
+        design = CrossoverDesign(3, {z: 3 + i % 3 for i, z in enumerate(full_sequence_set(3))})
+        restriction = assemble(scenario, 3, design.scope, order)
+        if weights == "user":
+            weights = WeightModel({z: np.eye(3) + 0.2 for z in design.observed}, "user")
+        spec = stack(all_instantaneous_effects(3, design.scope)[:2] + [carryover_effect(3, 2, "", "AB", design.scope)])
+        grouped, datasets = self.stack_of_datasets(design, rng)
+        point, variances = rwls.StackedFit(design, restriction, spec, weights, scenario, order)(grouped)
+        for r, dataset in enumerate(datasets):
+            result = estimate(feasible_rwls(dataset, scenario, order, weights, restriction), spec)
+            assert np.array_equal(point[r], result.point)
+            assert np.array_equal(variances[r], np.diag(result.covariance))
+
+    def test_failed_cholesky_raises_conditioning_error(self, rng):
+        design = four_seq_design()
+        negative = WeightModel({z: -np.eye(2) for z in design.observed}, "user")
+        fit = rwls.StackedFit(design, assemble("b", 2, design.scope, 1), instantaneous_effect(1, "", design.scope), negative)
+        with pytest.raises(ConditioningError, match="not positive definite"):
+            fit(self.stack_of_datasets(design, rng)[0])
+
+
 class TestRepairPositiveDefinite:
     @pytest.mark.parametrize("horizon", [2, 3, 6, 7])
     def test_stack_repair_and_inverse_match_matrix_by_matrix(self, rng, horizon):

@@ -1,16 +1,22 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from crossover import (
     ConditioningError,
     CrossoverDesign,
+    DegenerateCovarianceError,
     EnumerationSizeError,
+    MissingSequenceError,
     NotIdentifiableError,
     ObservedDataset,
     ScenarioGenerator,
     WeightModel,
     as_sequence,
     assemble,
+    carryover_effect,
     check_table_consistency,
     emit_bias_distribution,
     enumerate_assignments,
@@ -23,13 +29,16 @@ from crossover import (
     individual_effects,
     instantaneous_effect,
     random_consistent_table,
+    realize_dataset,
     run_monte_carlo,
     sample_assignment,
+    sample_covariances,
     solve_restricted_wls,
     stack,
     standard_two_period_specs,
     true_value,
 )
+from crossover import simulator
 
 SCOPE2 = full_sequence_set(2)
 
@@ -182,20 +191,82 @@ class TestRunMonteCarlo:
         with pytest.raises(ValueError, match="at least 2 replications"):
             run_monte_carlo(generator, design, standard_two_period_specs(SCOPE2), replications)
 
+    def test_explicit_carryover_order_zero_is_not_replaced(self):
+        design = CrossoverDesign(2, {z: 5 for z in ("AA", "AB", "BA", "BB")})
+        generator = ScenarioGenerator(scenario="b", carryover_order=2, seed=2)
+        with pytest.raises(ValueError, match=re.escape("carryover order 0 outside [1, 2]")):
+            run_monte_carlo(generator, design, standard_two_period_specs(SCOPE2), 4, carryover_order=0)
 
-def reference_monte_carlo(table, design, specs, replications, weights, seed, scenario):
+
+class TestErrorsBeforeAnyDraw:
+    """Errors a fit raises for any data come before the first draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def draw(*args):
+            raise AssertionError("an assignment was drawn")
+
+        monkeypatch.setattr(simulator, "sample_codes", draw)
+
+    def run(self, counts, **kwargs):
+        design = CrossoverDesign(2, counts)
+        generator = ScenarioGenerator(scenario="b", seed=3)
+        return run_monte_carlo(generator, design, standard_two_period_specs(SCOPE2), 4, **kwargs)
+
+    def test_unknown_weight_choice(self):
+        message = "weights must be 'sample', 'pooled', or a WeightModel, got 'bogus'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.run({"AB": 4, "BA": 4}, weight_choice="bogus")
+
+    def test_confidence_level(self):
+        with pytest.raises(ValueError, match=re.escape("confidence level must be in (0, 1), got 1.5")):
+            self.run({"AB": 4, "BA": 4}, level=1.5)
+
+    def test_one_unit_sequence_with_sample_weights(self):
+        with pytest.raises(DegenerateCovarianceError, match=r"^sequence AB has 1 unit\(s\); need at least 2"):
+            self.run({"AA": 3, "AB": 1, "BA": 3, "BB": 3})
+
+    def test_one_unit_sequence_with_pooled_weights(self):
+        pattern = r"^entry \(1,1\) pooled over \[.*\] has no degrees of freedom$"
+        with pytest.raises(DegenerateCovarianceError, match=pattern):
+            self.run({"AB": 1, "BA": 4}, weight_choice="pooled")
+
+    def test_missing_user_weight(self):
+        weights = WeightModel({"AB": np.eye(2)}, "user")
+        with pytest.raises(MissingSequenceError, match="lacks a matrix for BA"):
+            self.run({"AB": 4, "BA": 4}, weight_choice=weights)
+
+
+class TestMemory:
+    def test_peak_does_not_grow_with_replications(self):
+        design = CrossoverDesign(2, {z: 100 for z in ("AA", "AB", "BA", "BB")})
+        generator = ScenarioGenerator(scenario="a", seed=4)
+        specs = standard_two_period_specs(SCOPE2)
+        run_monte_carlo(generator, design, specs, replications=2, seed=1)
+        peaks = []
+        for replications in (100, 2000):
+            tracemalloc.start()
+            try:
+                run_monte_carlo(generator, design, specs, replications=replications, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+
+def reference_monte_carlo(table, design, specs, replications, weights, seed, scenario, order=1, level=0.95):
     """Per-replication Assignment path: sample, realize from the sequences,
     fit, estimate."""
     stacked = stack(specs)
-    restriction = assemble(scenario, 2, design.scope, 1)
+    restriction = assemble(scenario, design.horizon, design.scope, order)
     truth = true_value(stacked, table)
     bias, variances, covered = [], [], []
     for r in range(replications):
         assignment = sample_assignment(design, [seed, r])
         outcomes = np.array([table.outcomes[z][i] for i, z in enumerate(assignment.sequences)])
         dataset = ObservedDataset(design, assignment.sequences, outcomes)
-        fit = feasible_rwls(dataset, scenario, 1, weights, restriction)
-        result = estimate(fit, stacked)
+        fit = feasible_rwls(dataset, scenario, order, weights, restriction)
+        result = estimate(fit, stacked, level)
         bias.append(result.point - truth)
         variances.append(np.diag(result.covariance))
         covered.append((result.ci_lower <= truth) & (truth <= result.ci_upper))
@@ -221,6 +292,49 @@ class TestCodedEngineMatchesAssignmentPath:
         assert np.array_equal(report.bias, bias)
         assert np.array_equal(report.estimated_variances, variances)
         assert np.array_equal(report.covered, covered)
+
+    @pytest.mark.parametrize("scenario,order", [("a", 1), ("b", 1), ("b", 2), ("c", 1)])
+    @pytest.mark.parametrize("weights", ["sample", "pooled", "user"])
+    @pytest.mark.parametrize("units", [4, 3])
+    def test_three_period_monte_carlo_is_bit_identical(self, scenario, order, weights, units):
+        # at 3 units per sequence (N_z <= T) every sample covariance is
+        # singular and repaired
+        design = CrossoverDesign(3, {z: units for z in full_sequence_set(3)})
+        table = random_consistent_table(3, scenario, order, design.n_units, seed=41)
+        if weights == "user":
+            weights = WeightModel({z: np.eye(3) + 0.4 for z in design.observed}, "user")
+        specs = [instantaneous_effect(t, "A" * (t - 1), design.scope) for t in (1, 2, 3)]
+        specs.append(carryover_effect(3, 1, "A", "B", design.scope))
+        report = run_monte_carlo(
+            table, design, specs, replications=10, weight_choice=weights, level=0.9,
+            seed=5, scenario=scenario, carryover_order=order,
+        )
+        expected = reference_monte_carlo(table, design, specs, 10, weights, 5, scenario, order, 0.9)
+        assert np.array_equal(report.bias, expected[0])
+        assert np.array_equal(report.estimated_variances, expected[1])
+        assert np.array_equal(report.covered, expected[2])
+
+    def test_sample_weights_are_repaired_when_groups_are_small(self):
+        design = CrossoverDesign(3, {z: 3 for z in full_sequence_set(3)})
+        table = random_consistent_table(3, "b", 1, design.n_units, seed=41)
+        dataset = realize_dataset(table, sample_assignment(design, [5, 0]))
+        assert sample_covariances(dataset).repaired == design.observed
+
+    @pytest.mark.parametrize("weights", ["sample", "user"])
+    def test_chunk_boundary_is_bit_identical(self, weights):
+        replications = simulator.MC_CHUNK + 1
+        design = CrossoverDesign(2, {"AB": 5, "BA": 4, "BB": 6})
+        table = random_consistent_table(2, "b", 1, design.n_units, seed=12)
+        if weights == "user":
+            weights = WeightModel({z: [[1.0, 0.2], [0.2, 3.0]] for z in design.observed}, "user")
+        specs = standard_two_period_specs(SCOPE2)
+        report = run_monte_carlo(
+            table, design, specs, replications, weights, seed=8, scenario="b", carryover_order=1
+        )
+        expected = reference_monte_carlo(table, design, specs, replications, weights, 8, "b")
+        assert np.array_equal(report.bias, expected[0])
+        assert np.array_equal(report.estimated_variances, expected[1])
+        assert np.array_equal(report.covered, expected[2])
 
     @pytest.mark.parametrize(
         "horizon,scenario,counts",
