@@ -396,40 +396,83 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_integer(value) or isinstance(value, float)
+
+
+# kinds of config field: a check and the words naming it in an error
+INTEGER = (_is_integer, "an integer")
+NUMBER = (_is_number, "a number")
+TEXT = (lambda value: isinstance(value, str), "a string")
+FOUR_NUMBERS = (
+    lambda value: isinstance(value, list) and len(value) == 4 and all(map(_is_number, value)),
+    "a list of 4 numbers",
+)
+_REQUIRED = object()
+
+
+def _config_field(block: dict, name: str, kind, source: str, default=_REQUIRED):
+    """block[name], checked to be of the kind; ``default`` when it is absent
+    or null.  ``source`` names the block in the error for a missing
+    required field or a value of another kind."""
+    value = block.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{source} needs the field {name!r}")
+        return default
+    check, words = kind
+    if not check(value):
+        raise ValueError(f"{source}: field {name!r} must be {words}, got {json.dumps(value)[:40]}")
+    return value
+
+
 def _cmd_simulate(args) -> int:
-    config = _json_object(json.loads(Path(args.config).read_text()), args.config)
-    design_cfg = _json_object(config.get("design"), f"{args.config}: design")
-    counts = _json_object(design_cfg.get("counts"), f"{args.config}: design counts")
-    design = CrossoverDesign(int(design_cfg["T"]), {as_sequence(z): int(n) for z, n in counts.items()})
-    gen_cfg = _json_object(config.get("generator", {}), f"{args.config}: generator")
+    source = args.config
+    config = _json_object(json.loads(Path(source).read_text()), source)
+    design_cfg = _json_object(config.get("design"), f"{source}: design")
+    counts = _json_object(design_cfg.get("counts"), f"{source}: design counts")
+    design = CrossoverDesign(
+        _config_field(design_cfg, "T", INTEGER, f"{source}: design"),
+        {as_sequence(z): _config_field(counts, z, INTEGER, f"{source}: design counts") for z in counts},
+    )
+    generator_source = f"{source}: generator"
+    gen_cfg = _json_object(config.get("generator", {}), generator_source)
+
+    def generator_field(name, kind, default):
+        return _config_field(gen_cfg, name, kind, generator_source, default)
+
     # a null k (natural under scenario a, which has no carryover order) counts as absent
-    order = next((k for k in (config.get("k"), gen_cfg.get("carryover_order")) if k is not None), 1)
+    order = _config_field(config, "k", INTEGER, source, None)
     generator = ScenarioGenerator(
-        kind=gen_cfg.get("kind", "gaussian_model"),
-        scenario=config.get("scenario", gen_cfg.get("scenario", "b")),
-        carryover_order=int(order),
-        seed=int(gen_cfg.get("seed", config.get("seed", 0))),
-        beta1=tuple(gen_cfg.get("beta1", (0.0, 0.0, 1.0, 1.0))),
-        beta2=tuple(gen_cfg.get("beta2", (0.0, 1.0, 0.0, 1.0))),
-        rho=float(gen_cfg.get("rho", 0.3)),
-        tau1=float(gen_cfg.get("tau1", 1.0)),
-        tau2=float(gen_cfg.get("tau2", 1.0)),
-        carry_a=float(gen_cfg.get("carry_a", 0.0)),
-        carry_b=float(gen_cfg.get("carry_b", 0.0)),
+        kind=generator_field("kind", TEXT, "gaussian_model"),
+        scenario=_config_field(config, "scenario", TEXT, source, None) or generator_field("scenario", TEXT, "b"),
+        carryover_order=order if order is not None else generator_field("carryover_order", INTEGER, 1),
+        seed=generator_field("seed", INTEGER, _config_field(config, "seed", INTEGER, source, 0)),
+        beta1=tuple(map(float, generator_field("beta1", FOUR_NUMBERS, (0.0, 0.0, 1.0, 1.0)))),
+        beta2=tuple(map(float, generator_field("beta2", FOUR_NUMBERS, (0.0, 1.0, 0.0, 1.0)))),
+        rho=float(generator_field("rho", NUMBER, 0.3)),
+        tau1=float(generator_field("tau1", NUMBER, 1.0)),
+        tau2=float(generator_field("tau2", NUMBER, 1.0)),
+        carry_a=float(generator_field("carry_a", NUMBER, 0.0)),
+        carry_b=float(generator_field("carry_b", NUMBER, 0.0)),
     )
     requests = config.get("estimands") or []
     if not isinstance(requests, list) or not all(isinstance(req, str) for req in requests):
-        raise ValueError(f"{args.config}: estimands must be a list of request strings, got {requests!r}")
+        raise ValueError(f"{source}: estimands must be a list of request strings, got {requests!r}")
     specs = _requested_specs(requests, design)
-    replications = args.reps if args.reps is not None else int(config.get("replications", 10_000))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    replications = args.reps if args.reps is not None else _config_field(config, "replications", INTEGER, source, 10_000)
+    seed = args.seed if args.seed is not None else _config_field(config, "seed", INTEGER, source, 0)
     report = run_monte_carlo(
         generator,
         design,
         specs,
         replications=replications,
-        weight_choice=config.get("weights", "sample"),
-        level=float(config.get("level", 0.95)),
+        weight_choice=_config_field(config, "weights", TEXT, source, "sample"),
+        level=float(_config_field(config, "level", NUMBER, source, 0.95)),
         seed=seed,
     )
     _json_out(report.to_dict(), args.out)

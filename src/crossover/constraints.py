@@ -16,6 +16,7 @@ their null space computed numerically.  C is kept compact: the dense
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -35,7 +36,7 @@ class CoefficientLayout:
     scope: tuple[TreatmentSequence, ...]
 
     def __post_init__(self):
-        scope = tuple(sorted({as_sequence(z) for z in self.scope}))
+        scope = tuple(sorted({as_sequence(z) for z in self.scope}, key=attrgetter("letters")))
         if not scope:
             raise ValueError("scope must be nonempty")
         for z in scope:
@@ -53,6 +54,10 @@ class CoefficientLayout:
         if not 1 <= period <= self.horizon:
             raise ValueError(f"period {period} outside [1, {self.horizon}]")
         return self._index[z] * self.horizon + (period - 1)
+
+    def positions(self, sequences: Iterable[TreatmentSequence]) -> list[int]:
+        """The scope position of each sequence; KeyError for one outside it."""
+        return [self._index[z] for z in sequences]
 
     def block(self, z: TreatmentSequence | str) -> slice:
         """Column slice of one sequence's T coefficients."""
@@ -91,11 +96,18 @@ class ClassMap:
         """The (period, key) of every class the sequences meet, in sorted
         order, and the (len(sequences), T) class id of each (sequence,
         period) entry, an index into that list."""
-        keys = [[(t, self.key(t, z)) for t in range(1, self.horizon + 1)] for z in sequences]
-        classes = sorted({key for row in keys for key in row})
-        index = {key: j for j, key in enumerate(classes)}
-        ids = np.array([[index[key] for key in row] for row in keys], dtype=np.intp)
-        return classes, ids.reshape(-1, self.horizon)
+        words = [z.letters for z in sequences]
+        letters = np.array(words, dtype=f"S{self.horizon}").view("S1").reshape(len(words), self.horizon)
+        classes: list[tuple[int, str]] = []
+        ids = np.empty(letters.shape, dtype=np.intp)
+        for t in range(1, self.horizon + 1):
+            start = 0 if self.scenario == "a" else max(0, t - self.order)
+            # the keys of one period share a length, so byte order is key order
+            window = np.ascontiguousarray(letters[:, start:t]).view(f"S{t - start}")[:, 0]
+            keys, inverse = np.unique(window, return_inverse=True)
+            ids[:, t - 1] = len(classes) + inverse.ravel()
+            classes.extend((t, key.decode()) for key in keys.tolist())
+        return classes, ids
 
     def generators(self, period: int, key: str) -> tuple[tuple, ...]:
         """Class-level generators whose sum is the value of one class: the
@@ -110,7 +122,8 @@ class ClassMap:
         basis Z of its null space.  C chains the members of each class, plus
         under scenario c the class-level cycle rows K on each class's first
         column.  With E the class indicators and D the class sizes,
-        Z = E D^-1/2 null(K D^-1/2), null(.) being the identity under a, b."""
+        Z = E D^-1/2 null(K D^-1/2), null(.) being the identity under a, b;
+        the restriction keeps the class ids and Q = D^-1/2 null(K D^-1/2)."""
         classes, ids = self.ids(layout.scope)
         of_column = ids.ravel()
         sizes = np.bincount(of_column).astype(float)
@@ -121,13 +134,13 @@ class ClassMap:
         pairs = np.column_stack([by_class[:-1][same], by_class[1:][same]])
         first = by_class[np.concatenate([[True], ~same])]
         if self.scenario != "c":
-            cycles, basis = np.zeros((0, len(classes))), np.diag(sizes**-0.5)
+            cycles, basis = np.zeros((0, len(classes))), sizes**-0.5
         else:
             cycles = _cycle_rows(classes, self.order)
             free = _null_space(cycles / np.sqrt(sizes)) if len(cycles) else np.eye(len(classes))
             basis = free / np.sqrt(sizes)[:, None]
         restriction = RestrictionMatrix.__new__(RestrictionMatrix)
-        return restriction._hold(layout, pairs, cycles, first, self.scenario, self.order, basis[of_column])
+        return restriction._hold(layout, pairs, cycles, first, self.scenario, self.order, of_column, basis)
 
 
 def _null_space(matrix: np.ndarray) -> np.ndarray:
@@ -221,11 +234,16 @@ class RestrictionMatrix:
     C is stored compactly: chain rows as (left, right) column pairs of +1
     and -1, then one row block on given columns (K under scenario c, or
     given rows over all columns).  ``matrix`` builds the dense (m, p) array
-    on each read and ``residual`` evaluates max|C v|.  ``basis`` is a p x d
-    orthonormal basis Z of the null space of C (gamma = Z beta), computed
-    from given rows.  ``verdicts`` holds the identification
-    verdict for each implemented sequence set checked against Z, filled in
-    by ``identification.is_identifiable``.
+    on each read and ``residual`` evaluates max|C v|.
+
+    The orthonormal basis Z of the null space of C (gamma = Z beta) is
+    held at class width, Z = E Q: ``class_ids`` gives the class of each of
+    the p columns (E its indicators) and ``class_basis`` is the (q, d)
+    matrix Q, stored as its diagonal when it is diagonal (scenarios a and
+    b).  Given rows are their own classes, with Q = null(C).  ``basis``
+    builds the dense p x d array Z on each read.  ``verdicts`` holds the
+    identification verdict for each implemented sequence set, filled in by
+    ``identification.is_identifiable``.
     """
 
     def __init__(self, layout, matrix, scenario=None, carryover_order=None):
@@ -233,14 +251,48 @@ class RestrictionMatrix:
         p = layout.size
         if matrix.ndim != 2 or matrix.shape[1] != p:
             raise ValueError(f"restriction matrix must be (L, {p}), got {matrix.shape}")
-        basis = _null_space(matrix) if matrix.shape[0] else np.eye(p)
+        basis = _null_space(matrix) if matrix.shape[0] else np.ones(p)
         no_pairs = np.zeros((0, 2), dtype=np.intp)
-        self._hold(layout, no_pairs, matrix, np.arange(p), scenario, carryover_order, basis)
+        columns = np.arange(p)
+        self._hold(layout, no_pairs, matrix, columns, scenario, carryover_order, columns, basis)
 
-    def _hold(self, layout, pairs, rows, columns, scenario, carryover_order, basis) -> RestrictionMatrix:
+    def _hold(self, layout, pairs, rows, columns, scenario, carryover_order, class_ids, class_basis) -> RestrictionMatrix:
         self.layout, self._pairs, self._rows, self._columns = layout, pairs, rows, columns
-        self.scenario, self.carryover_order, self.basis, self.verdicts = scenario, carryover_order, basis, {}
+        self.scenario, self.carryover_order, self.verdicts = scenario, carryover_order, {}
+        self.class_ids, self.class_basis, self._hits = class_ids, class_basis, {}
         return self
+
+    @property
+    def dimension(self) -> int:
+        """d, the number of free coefficients."""
+        return self.class_basis.shape[-1]
+
+    def class_rows(self, classes: np.ndarray) -> np.ndarray:
+        """The rows of Q for the given class ids, dense."""
+        q = self.class_basis
+        if q.ndim == 2:
+            return q[classes]
+        rows = np.zeros((len(classes), q.size))
+        rows[np.arange(len(classes)), classes] = q[classes]
+        return rows
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The dense p x d basis Z = E Q, built on each read."""
+        return self.class_rows(self.class_ids)
+
+    def classes_of(self, sequences: tuple[TreatmentSequence, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted ids of the classes the sequences' coefficients hit, and
+        the (len(sequences), T) index of each (sequence, period) entry into
+        them; read-only, computed once per sequence tuple."""
+        found = self._hits.get(sequences)
+        if found is None:
+            ids = self.class_ids.reshape(len(self.layout.scope), -1)[self.layout.positions(sequences)]
+            hit, local = np.unique(ids, return_inverse=True)
+            found = self._hits[sequences] = (hit, local.reshape(ids.shape))
+            for array in found:
+                array.flags.writeable = False
+        return found
 
     @property
     def n_rows(self) -> int:

@@ -1,18 +1,27 @@
 """Restricted weighted least squares estimation and EHW inference.
 
-The engine consumes per-sequence outcome means, per-sequence weight
-matrices, and a restriction matrix C, and solves the restricted problem
-in the null space of C (Bjorck, Numerical Methods for Least Squares
-Problems, 1996).  With Z an orthonormal p x d null-space basis, Z_z its
-rows in z's coefficient block, G_z = N_z Omega_z^-1 Z_z and R_z the
-N_z x T unit residuals of z, summing over the implemented sequences,
+The engine consumes per-sequence counts, means and centered cross-products,
+per-sequence weight matrices, and a restriction matrix C, and solves the
+restricted problem in the null space of C (Bjorck, Numerical Methods for
+Least Squares Problems, 1996).  The orthonormal null-space basis is kept at
+class width, Z = E Q (``constraints.RestrictionMatrix``): E maps each of the
+p coefficients to its assumption class and Q is q x d.  With Q_h the rows
+of Q for the h classes the implemented sequences hit, E_z the T x h
+indicators of z's periods among them, W_z = N_z Omega_z^-1 and Ybar_z, R_z
+the mean and N_z x T residuals of z, summing over the implemented sequences,
 
-    M = sum_z Z_z' G_z = L L',    gamma = Z M^-1 sum_z G_z' Ybar_z,
-    meat = sum_z G_z' R_z' R_z G_z / N_z^2,
-    Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'.
+    A = sum_z E_z' W_z E_z,    M = Q_h' A Q_h = L L',
+    beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z,    gamma = E Q beta,
+    R_z'R_z = cross_z + N_z delta_z delta_z',    delta_z = Ybar_z - gamma_z,
+    meat = Q_h' (sum_z E_z' Omega_z^-1 R_z'R_z Omega_z^-1 E_z) Q_h,
+    Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)',    BZ = (B E) Q.
 
-One Cholesky factor L of the d x d matrix M serves the solve, the
-sandwich and every estimand; no p x p matrix is formed on that path.
+A and the class-width meat are each one ``bincount`` scatter over the class
+ids; under scenarios a and b Q is diagonal, so M is A scaled.  The meat
+reads the dataset's moments alone: no pass over the units.  One Cholesky
+factor L of the d x d matrix M serves the solve, the sandwich and every
+estimand; neither the p x d basis Z nor any p x p matrix is formed on that
+path.
 
 Omega_z is built from the dataset's moments, computed once (per-sequence
 counts, means and R_z'R_z about the mean): sample covariances or entries
@@ -150,16 +159,10 @@ def _sequence_moments(dataset: ObservedDataset) -> Moments:
     return moments
 
 
-def _split_groups(grouped: np.ndarray, counts: np.ndarray) -> list[np.ndarray]:
-    """The (..., N_z, T) block of each sequence in (..., N, T) outcomes
-    listed sequence by sequence."""
-    return np.split(grouped, np.cumsum(counts)[:-1], axis=-2)
-
-
 def grouped_moments(grouped: np.ndarray, counts: np.ndarray) -> Moments:
     """Moments of (..., N, T) outcomes listed sequence by sequence: counts[0]
     units of the first implemented sequence, then counts[1] of the next."""
-    ys = _split_groups(grouped, counts)
+    ys = np.split(grouped, np.cumsum(counts)[:-1], axis=-2)
     means = [y.mean(axis=-2) for y in ys]
     centered = [y - mean[..., None, :] for y, mean in zip(ys, means)]
     cross = [r.swapaxes(-1, -2) @ r for r in centered]
@@ -169,12 +172,14 @@ def grouped_moments(grouped: np.ndarray, counts: np.ndarray) -> Moments:
 @dataclass(frozen=True)
 class WeightModel:
     """Per-sequence T x T weight matrices, positive definite after repair,
-    and their ``inverses``, computed once at construction."""
+    and their ``inverses``, computed once at construction as one stack in
+    sequence order (``inverse_stack``)."""
 
     matrices: Mapping[TreatmentSequence, np.ndarray]
     provenance: str = "user"
     repaired: tuple[TreatmentSequence, ...] = ()
     inverses: dict[TreatmentSequence, np.ndarray] = field(init=False, repr=False, compare=False)
+    inverse_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrices = {}
@@ -184,12 +189,15 @@ class WeightModel:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"weight for {z} must be square, got {m.shape}")
             matrices[z] = m
-        matrices = dict(sorted(matrices.items()))
+        matrices = dict(sorted(matrices.items(), key=lambda item: item[0].letters))
         if len({m.shape for m in matrices.values()}) > 1:
             raise ValueError(f"weight matrices must share one shape, got {[m.shape for m in matrices.values()]}")
-        inverses = np.linalg.inv(np.stack(list(matrices.values()))) if matrices else ()
+        repaired = set(map(as_sequence, self.repaired))
+        mask = np.array([z in repaired for z in matrices], dtype=bool)
+        inverses = _inverses(np.stack(list(matrices.values())), mask) if matrices else np.empty((0, 0, 0))
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "inverses", dict(zip(matrices, inverses)))
+        object.__setattr__(self, "inverse_stack", inverses)
 
     def matrix(self, z: TreatmentSequence | str) -> np.ndarray:
         return self.matrices[as_sequence(z)]
@@ -208,6 +216,17 @@ def repair_positive_definite(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
     fixed = lift > 0.0
     m[fixed] = m[fixed] + lift[fixed][:, None, None] * np.eye(m.shape[-1])
     return m, fixed if m.ndim > 2 else bool(fixed)
+
+
+def _inverses(matrices: np.ndarray, repaired: np.ndarray) -> np.ndarray:
+    """Omega^-1 of a (..., k, T, T) stack.  The inverses of the matrices the
+    (..., k) mask marks as repaired are symmetrized: at their condition (up
+    to ~1e8) ``inv`` leaves them asymmetric by rounding, M inherits that,
+    and the Cholesky factorization reads one triangle only."""
+    inverses = np.linalg.inv(matrices)
+    fixed = inverses[repaired]
+    inverses[repaired] = (fixed + fixed.swapaxes(-1, -2)) / 2.0
+    return inverses
 
 
 def sequence_means(dataset: ObservedDataset) -> dict[TreatmentSequence, np.ndarray]:
@@ -239,6 +258,16 @@ def sample_covariances(dataset: ObservedDataset) -> WeightModel:
     return _weight_model(sample_by_sequence(counts, cross, observed), observed, "sample")
 
 
+def _scatter(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The (..., size) sums of (..., *keys.shape) values by their keys in
+    [0, size), in one bincount: each item of a stack sums its own values,
+    offset past the others', in the order a single item sums them."""
+    lead = values.shape[: values.ndim - keys.ndim]
+    offsets = np.arange(math.prod(lead)).reshape(lead + (1,) * keys.ndim) * size
+    sums = np.bincount((keys + offsets).ravel(), values.ravel(), minlength=offsets.size * size)
+    return sums.reshape(lead + (size,))
+
+
 def pool_by_class(counts: np.ndarray, cross: np.ndarray, ids: np.ndarray, sequences) -> np.ndarray:
     """The unrepaired (..., k, T, T) stack of pooled entries: each (t, t')
     entry of cross, summed over the sequences sharing both their period-t
@@ -257,13 +286,9 @@ def pool_by_class(counts: np.ndarray, cross: np.ndarray, ids: np.ndarray, sequen
         raise DegenerateCovarianceError(
             f"entry ({rows[entry] + 1},{cols[entry] + 1}) pooled over {members} has no degrees of freedom"
         )
-    lead = cross.shape[:-3]
-    # each dataset of a stack sums its own groups, offset past the others'
-    offsets = np.arange(math.prod(lead)).reshape(lead + (1, 1)) * dof.size
-    entries = cross[..., rows, cols].swapaxes(-1, -2)
-    sums = np.bincount((group + offsets).ravel(), entries.ravel(), minlength=offsets.size * dof.size)
+    sums = _scatter(group, cross[..., rows, cols].swapaxes(-1, -2), dof.size)
     pooled = np.zeros_like(cross)
-    pooled[..., rows, cols] = (sums.reshape(lead + dof.shape) / dof)[..., group].swapaxes(-1, -2)
+    pooled[..., rows, cols] = (sums / dof)[..., group].swapaxes(-1, -2)
     pooled[..., cols, rows] = pooled[..., rows, cols]
     return pooled
 
@@ -284,14 +309,15 @@ def pooled_covariance_entries(
 @dataclass
 class RwlsFit:
     """A solved restricted weighted least squares fit in the d reduced
-    coordinates of the null-space basis Z (see the module docstring).
+    coordinates of the null-space basis Z = E Q (see the module docstring).
 
-    ``gamma`` is the coefficient vector over the layout; ``factor`` is the
-    Cholesky factor L of M = sum_z Z_z' G_z, and ``condition_number`` is
-    cond(M); ``weighted_basis`` maps each implemented sequence to G_z.
-    ``reduced_meat`` (set once residuals are available) is the d x d meat,
-    so Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'.  The p x p ``u11`` =
-    Z M^-1 Z' and ``ehw`` = Z M^-1 meat M^-1 Z' are formed only when read.
+    ``gamma`` is the coefficient vector over the layout and ``beta`` its
+    reduced coordinates, gamma = Z beta; ``factor`` is the Cholesky factor
+    L of M and ``condition_number`` is cond(M), from its eigenvalues.
+    ``reduced_meat`` (set once residual moments are available) is the d x d
+    meat, so Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'.  The p x p
+    ``u11`` = Z M^-1 Z' and ``ehw`` = Z M^-1 meat M^-1 Z', and the blocks
+    ``weighted_basis`` G_z = N_z Omega_z^-1 Z_z, are formed only when read.
     """
 
     design: CrossoverDesign
@@ -299,8 +325,8 @@ class RwlsFit:
     weight_model: WeightModel
     means: dict[TreatmentSequence, np.ndarray]
     gamma: np.ndarray
+    beta: np.ndarray
     factor: np.ndarray
-    weighted_basis: dict[TreatmentSequence, np.ndarray]
     condition_number: float
     warnings: tuple[str, ...] = ()
     reduced_meat: np.ndarray | None = None
@@ -320,6 +346,17 @@ class RwlsFit:
     @property
     def restriction_residual(self) -> float:
         return self.restriction.residual(self.gamma)
+
+    @property
+    def weighted_basis(self) -> dict[TreatmentSequence, np.ndarray]:
+        """G_z = N_z Omega_z^-1 Z_z for each implemented sequence."""
+        observed = self.design.observed
+        hit, local = self.restriction.classes_of(observed)
+        blocks = self.restriction.class_rows(hit)[local]
+        weighted = np.array(list(self.design.counts.values()))[:, None, None] * _weight_inverses(
+            self.weight_model, self.design
+        )
+        return dict(zip(observed, weighted @ blocks))
 
     @property
     def u11(self) -> np.ndarray:
@@ -346,32 +383,73 @@ def _solve_reduced(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
 
 
-def _weight_inverses(weights: WeightModel, design: CrossoverDesign) -> list[np.ndarray]:
-    """Omega_z^-1 for each implemented sequence, in code order.
+def _weight_inverses(weights: WeightModel, design: CrossoverDesign) -> np.ndarray:
+    """The (k, T, T) stack of Omega_z^-1 over the implemented sequences, in
+    code order.
 
     Raises MissingSequenceError when the weight model lacks an implemented
     sequence and ValueError for a weight of the wrong shape."""
-    horizon = design.horizon
-    for z in design.observed:
-        omega = weights.matrices.get(z)
-        if omega is None:
-            raise MissingSequenceError(f"weight model lacks a matrix for {z}")
-        if omega.shape != (horizon, horizon):
-            raise ValueError(f"weight for {z} has shape {omega.shape}")
-    return [weights.inverses[z] for z in design.observed]
+    observed = design.observed
+    if tuple(weights.matrices) == observed:
+        inverses = weights.inverse_stack
+    else:
+        missing = [z for z in observed if z not in weights.matrices]
+        if missing:
+            raise MissingSequenceError(f"weight model lacks a matrix for {missing[0]}")
+        inverses = np.stack([weights.inverses[z] for z in observed])
+    # the model's matrices share one shape
+    if inverses.shape[1:] != (design.horizon, design.horizon):
+        raise ValueError(f"weight for {observed[0]} has shape {inverses.shape[1:]}")
+    return inverses
 
 
-def _reduced_system(blocks, counts, inverses, means):
-    """G_z = N_z Omega_z^-1 Z_z per implemented sequence, M = sum_z Z_z' G_z
-    and sum_z G_z' Ybar_z, from each sequence's Z_z block, count, and
-    (..., T, T) inverse and (..., T) mean."""
-    weighted = [n * inverse @ block for n, inverse, block in zip(counts, inverses, blocks)]
-    reduced = np.zeros(weighted[0].shape[:-2] + 2 * blocks[0].shape[-1:])
-    rhs = 0.0
-    for block, g, mean in zip(blocks, weighted, means):
-        reduced += block.T @ g
-        rhs = rhs + g.swapaxes(-1, -2) @ mean[..., None]
-    return weighted, reduced, rhs[..., 0]
+def _project(q: np.ndarray, square: np.ndarray) -> np.ndarray:
+    """Q_h' X Q_h for a (..., h, h) stack X, a 1-D q being a diagonal Q_h."""
+    if q.ndim == 1:
+        return square * q[:, None] * q
+    return q.T @ square @ q
+
+
+def _project_vector(q: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    """Q_h' x for a (..., h) stack x, a 1-D q being a diagonal Q_h."""
+    if q.ndim == 1:
+        return vector * q
+    return (q.T @ vector[..., None])[..., 0]
+
+
+def _class_values(q: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Q beta, the (..., q) coefficient of each class."""
+    if q.ndim == 1:
+        return q * beta
+    return (q @ beta[..., None])[..., 0]
+
+
+def _scatter_blocks(local: np.ndarray, blocks: np.ndarray, size: int) -> np.ndarray:
+    """sum_z E_z' X_z E_z: (..., k, T, T) blocks summed into (..., h, h) by
+    the class index of each (sequence, period) entry."""
+    keys = local[:, :, None] * size + local[:, None, :]
+    return _scatter(keys, blocks, size * size).reshape(blocks.shape[:-3] + (size, size))
+
+
+def _class_solve(q, local, counts, inverses, means):
+    """M, its Cholesky factor L and beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z
+    from the rows q of Q the design hits, their (k, T) index, the counts
+    and (..., k, T, T) inverses and (..., k, T) means."""
+    size = len(q)
+    weighted = counts[:, None, None] * inverses
+    reduced = _project(q, _scatter_blocks(local, weighted, size))
+    rhs = _project_vector(q, _scatter(local, (weighted @ means[..., None])[..., 0], size))
+    factor = _cholesky(reduced)
+    return reduced, factor, _solve_reduced(factor, rhs[..., None])[..., 0]
+
+
+def _class_meat(q, local, counts, inverses, means, cross, fitted):
+    """Q_h' (sum_z E_z' Omega_z^-1 R_z'R_z Omega_z^-1 E_z) Q_h with
+    R_z'R_z = cross_z + N_z delta_z delta_z', delta_z the (..., k, T) means
+    less the fitted coefficients."""
+    delta = means - fitted
+    spread = cross + counts[:, None, None] * delta[..., :, None] * delta[..., None, :]
+    return _project(q, _scatter_blocks(local, inverses @ spread @ inverses, len(q)))
 
 
 def _cholesky(reduced: np.ndarray) -> np.ndarray:
@@ -381,9 +459,10 @@ def _cholesky(reduced: np.ndarray) -> np.ndarray:
         raise ConditioningError("reduced normal matrix is not positive definite") from exc
 
 
-def _coefficients(basis: np.ndarray, factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """gamma = Z M^-1 rhs, over stacks of factors and right-hand sides."""
-    return (basis @ _solve_reduced(factor, rhs[..., None]))[..., 0]
+def _condition(reduced: np.ndarray) -> float:
+    """cond(M) of the symmetric M, from its extreme eigenvalues."""
+    eigenvalues = np.linalg.eigvalsh(reduced)
+    return float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0.0 else math.inf
 
 
 def solve_restricted_wls(
@@ -403,8 +482,6 @@ def solve_restricted_wls(
     check = is_identifiable(design, restriction)
     if not check.identifiable:
         raise NotIdentifiableError(check.rank, check.dimension)
-    layout = restriction.layout
-    basis = restriction.basis
     horizon = design.horizon
     inverses = _weight_inverses(weights, design)
     fitted_means = {}
@@ -413,12 +490,12 @@ def solve_restricted_wls(
         if mean.shape != (horizon,):
             raise ValueError(f"mean for {z} must have shape ({horizon},)")
         fitted_means[z] = mean
-    blocks = [basis[layout.block(z)] for z in design.observed]
-    counts = list(design.counts.values())
-    weighted, reduced, rhs = _reduced_system(blocks, counts, inverses, fitted_means.values())
-    factor = _cholesky(reduced)
-    gamma = _coefficients(basis, factor, rhs)
-    condition = float(np.linalg.cond(reduced))
+    q = restriction.class_basis
+    hit, local = restriction.classes_of(design.observed)
+    counts = np.array(list(design.counts.values()))
+    reduced, factor, beta = _class_solve(q[hit], local, counts, inverses, np.stack(list(fitted_means.values())))
+    gamma = _class_values(q, beta)[restriction.class_ids]
+    condition = _condition(reduced)
     warnings: list[str] = []
     if condition > CONDITION_WARNING_THRESHOLD:
         warnings.append(
@@ -431,8 +508,8 @@ def solve_restricted_wls(
         weight_model=weights,
         means=fitted_means,
         gamma=gamma,
+        beta=beta,
         factor=factor,
-        weighted_basis=dict(zip(design.observed, weighted)),
         condition_number=condition,
         warnings=tuple(warnings),
     )
@@ -444,28 +521,21 @@ def solve_restricted_wls(
     return fit
 
 
-def _score_meat(residuals, weighted, counts) -> np.ndarray:
-    """S'S for the (..., N, d) score matrix S stacking R_z G_z / N_z over
-    the implemented sequences' (..., N_z, T) residual blocks R_z."""
-    scores = np.concatenate([r @ g / n for r, g, n in zip(residuals, weighted, counts)], axis=-2)
-    return scores.swapaxes(-1, -2) @ scores
-
-
 def _reduced_meat(
     fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool
 ) -> np.ndarray:
-    """S'S for the N x d score matrix S stacking R_z G_z / N_z over the
-    implemented sequences, optionally scaled by N / (N - d)."""
-    layout = fit.layout
-    groups = dataset.group_indices()
-    meat = _score_meat(
-        [dataset.outcomes[idx] - fit.gamma[layout.block(z)] for z, idx in groups.items()],
-        [fit.weighted_basis[z] for z in groups],
-        [idx.size for idx in groups.values()],
-    )
+    """The d x d meat from the dataset's moments (see the module docstring),
+    optionally scaled by N / (N - d)."""
+    restriction = fit.restriction
+    q = restriction.class_basis
+    hit, local = restriction.classes_of(fit.design.observed)
+    counts, means, cross = dataset.moments
+    inverses = _weight_inverses(fit.weight_model, fit.design)
+    fitted = _class_values(q, fit.beta)[hit[local]]
+    meat = _class_meat(q[hit], local, counts, inverses, means, cross, fitted)
     if small_sample_scale:
         n = dataset.n_units
-        free = layout.size - fit.restriction.n_rows
+        free = fit.layout.size - restriction.n_rows
         if n <= free:
             raise ValueError(f"small-sample scale needs N > {free}, got N = {n}")
         meat = meat * (n / (n - free))
@@ -475,7 +545,8 @@ def _reduced_meat(
 def ehw_covariance(
     fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool = False
 ) -> np.ndarray:
-    """Sandwich covariance of the coefficient vector from unit residuals.
+    """Sandwich covariance of the coefficient vector from the residual
+    moments.
 
     Stores the d x d reduced meat on the fit for estimand-level reuse and
     returns the p x p matrix Z M^-1 meat M^-1 Z' (``fit.ehw``).
@@ -522,31 +593,31 @@ def feasible_rwls(
     return fit
 
 
-def _estimand_matrix(layout: CoefficientLayout, spec: EstimandSpec) -> np.ndarray:
-    """K x p matrix assembling the spec's W blocks over the layout."""
+def _estimand_rows(restriction: RestrictionMatrix, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray]:
+    """BZ = (B E) Q, B E summing the spec's W blocks by class, and the mask
+    of the rows of B lying in the restriction row space (BZ = 0), which are
+    exact zeroes of the restricted model."""
+    layout = restriction.layout
     if spec.horizon != layout.horizon:
         raise ValueError(f"spec horizon {spec.horizon} != layout horizon {layout.horizon}")
-    scope_set = set(layout.scope)
-    b = np.zeros((spec.dimension, layout.size))
-    for z, w in spec.weights.items():
-        if z not in scope_set:
-            raise ValueError(f"spec references {z} outside the fitted scope")
-        b[:, layout.block(z)] = w
-    return b
+    try:
+        positions = layout.positions(spec.weights)
+    except KeyError as exc:
+        raise ValueError(f"spec references {exc.args[0]} outside the fitted scope") from None
+    q = restriction.class_basis
+    blocks = np.stack(list(spec.weights.values()))
+    ids = restriction.class_ids.reshape(len(layout.scope), -1)[positions]
+    # B E: each row of the (n, K, T) blocks summed by class
+    by_class = _scatter(ids, blocks.swapaxes(0, 1), len(q))
+    bz = by_class * q if q.ndim == 1 else by_class @ q
+    scale = np.maximum(np.abs(blocks).max(axis=(0, 2)), 1.0)
+    return bz, np.abs(bz).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
 
 
-def _estimand_rows(restriction: RestrictionMatrix, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """B, BZ and the mask of the rows of B lying in the restriction row
-    space (BZ = 0), which are exact zeroes of the restricted model."""
-    b = _estimand_matrix(restriction.layout, spec)
-    bz = b @ restriction.basis
-    scale = np.maximum(np.abs(b).max(axis=1), 1.0)
-    return b, bz, np.abs(bz).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
-
-
-def _functional(b, bz, restricted, gamma, factor) -> tuple[np.ndarray, np.ndarray]:
-    """B gamma-hat and (BZ) M^-1 over stacks of fits, snapped rows zeroed."""
-    point = (b @ gamma[..., None])[..., 0]
+def _functional(bz, restricted, beta, factor) -> tuple[np.ndarray, np.ndarray]:
+    """B gamma-hat = (BZ) beta and (BZ) M^-1 over stacks of fits, snapped
+    rows zeroed."""
+    point = (bz @ beta[..., None])[..., 0]
     point[..., restricted] = 0.0
     bm = _solve_reduced(factor, bz.T).swapaxes(-1, -2)
     bm[..., restricted, :] = 0.0
@@ -560,7 +631,7 @@ def _reduced_functional(fit: RwlsFit, spec: EstimandSpec) -> tuple[np.ndarray, n
     are exact zeroes of the restricted model, so their estimates and
     variances are snapped to exact zero.
     """
-    return _functional(*_estimand_rows(fit.restriction, spec), fit.gamma, fit.factor)
+    return _functional(*_estimand_rows(fit.restriction, spec), fit.beta, fit.factor)
 
 
 def point_estimate(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
@@ -674,8 +745,9 @@ def oracle_variance(
 class StackedFit:
     """``feasible_rwls`` then ``estimate``, on stacks of datasets of one design.
 
-    Construction does once what every dataset shares: the Z_z blocks, B,
-    BZ and the snapped rows, the counts, and the inverses of user weights.
+    Construction does once what every dataset shares: the classes the
+    design hits and their rows of Q, BZ and the snapped rows, the counts,
+    and the inverses of user weights.
     It raises the errors no data can change: NotIdentifiableError, an
     unknown weight choice, a missing or misshapen user weight, and a
     sequence or pooled entry with no degrees of freedom.  Calling it on a
@@ -701,9 +773,9 @@ class StackedFit:
             raise NotIdentifiableError(check.rank, check.dimension)
         observed = design.observed
         self.counts = np.array(list(design.counts.values()))
-        self.basis = restriction.basis
-        self.slices = [restriction.layout.block(z) for z in observed]
-        self.blocks = [self.basis[block] for block in self.slices]
+        self.class_basis = restriction.class_basis
+        hit, self.local = restriction.classes_of(observed)
+        self.hit_rows, self.entry_classes = self.class_basis[hit], hit[self.local]
         self.rows = _estimand_rows(restriction, spec)
         self.covariances = self.inverses = None
         if isinstance(weights, WeightModel):
@@ -719,19 +791,21 @@ class StackedFit:
         # the count checks read no data: an empty stack raises them now
         self.covariances(np.empty((0, len(observed), design.horizon, design.horizon)))
 
+    @property
+    def classes(self) -> int:
+        """h, the number of classes the design hits: M stacks are built at
+        (h, h) per dataset."""
+        return len(self.hit_rows)
+
     def __call__(self, grouped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        moments = grouped_moments(grouped, self.counts)
+        counts, means, cross = grouped_moments(grouped, self.counts)
         inverses = self.inverses
         if inverses is None:
-            inverses = np.moveaxis(np.linalg.inv(repair_positive_definite(self.covariances(moments.cross))[0]), -3, 0)
-        means = np.moveaxis(moments.means, -2, 0)
-        weighted, reduced, rhs = _reduced_system(self.blocks, self.counts, inverses, means)
-        factor = _cholesky(reduced)
-        gamma = _coefficients(self.basis, factor, rhs)
-        groups = _split_groups(grouped, self.counts)
-        residuals = [y - gamma[..., None, block] for y, block in zip(groups, self.slices)]
-        meat = _score_meat(residuals, weighted, self.counts)
-        point, bm = _functional(*self.rows, gamma, factor)
+            inverses = _inverses(*repair_positive_definite(self.covariances(cross)))
+        _, factor, beta = _class_solve(self.hit_rows, self.local, counts, inverses, means)
+        fitted = _class_values(self.class_basis, beta)[..., self.entry_classes]
+        meat = _class_meat(self.hit_rows, self.local, counts, inverses, means, cross, fitted)
+        point, bm = _functional(*self.rows, beta, factor)
         covariance = bm @ meat @ bm.swapaxes(-1, -2)
         # estimate symmetrizes the covariance, which leaves its diagonal as is
         return point, np.diagonal(covariance, axis1=-2, axis2=-1)

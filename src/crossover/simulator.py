@@ -3,12 +3,13 @@
 The study design is design-based: one potential-outcome table is fixed per
 study, and only the treatment assignment is redrawn across replications.
 Replication r draws its assignment from the seed stream ``[seed, r]``.
-The replications are fitted in chunks of MC_CHUNK as stacked arrays
+The replications are fitted in chunks as stacked arrays
 (``rwls.StackedFit``), each result bitwise what a fit of that replication
-alone gives, so memory is bounded by one chunk whatever the replication
-count.  Reports collect per-estimand bias samples, empirical and mean
-estimated variances, and confidence-interval coverage.  An exact audit
-enumerates every assignment of a small design instead of sampling.
+alone gives; a chunk holds as many replications as fit MC_CHUNK_BYTES, so
+memory is bounded by one chunk whatever the design and replication count.
+Reports collect per-estimand bias samples, empirical and mean estimated
+variances, and confidence-interval coverage.  An exact audit enumerates
+every assignment of a small design instead of sampling.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ from .sequences import (
 )
 
 TWO_PERIOD_SEQUENCES = ("AA", "AB", "BA", "BB")
-# replications fitted as one stack: at N = 400 units and d = 6 free
-# coefficients the chunk's largest array, the scores, is 1.2 MB
-MC_CHUNK = 64
+# bytes of the per-replication stacks a chunk of replications holds: the
+# (N, T) outcomes, the (k, T, T) weights and the (h, h) class-width
+# matrices; 78 replications of the four-sequence N = 400 study under b
+MC_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -180,6 +182,15 @@ def random_consistent_table(
     return PotentialOutcomeTable(horizon, outcomes)
 
 
+def chunk_size(design: CrossoverDesign, classes: int) -> int:
+    """Replications per stacked fit: as many as MC_CHUNK_BYTES holds of
+    the design's (N, T), (k, T, T) and (h, h) float stacks, h being the
+    number of classes it hits, and at least one."""
+    horizon = design.horizon
+    floats = design.n_units * horizon + len(design.counts) * horizon**2 + classes**2
+    return max(1, MC_CHUNK_BYTES // (8 * floats))
+
+
 def _outcome_cube(table: PotentialOutcomeTable, design: CrossoverDesign) -> np.ndarray:
     """(k, N, T) potential outcomes of the design's implemented sequences,
     in code order."""
@@ -297,10 +308,11 @@ def run_monte_carlo(
     uses), gathers the observed outcomes from the table, runs the
     feasible restricted fit, and records the bias, the estimated
     variances, and whether each confidence interval covers the truth.
-    The fits run MC_CHUNK replications at a time on stacked arrays
+    The fits run ``chunk_size`` replications at a time on stacked arrays
     (``rwls.StackedFit``); every result is bitwise what the replication's
     own ``feasible_rwls`` and ``estimate`` give.  ``scenario`` and
-    ``carryover_order`` default to the generator's.
+    ``carryover_order`` default to the generator's; scenario a has no
+    carryover order, and its report gives None.
     Refuses fewer than 2 replications (the empirical variance needs two),
     scenario/design pairs that fail the rank condition, and tables
     inconsistent with the scenario; the errors a fit raises whatever the
@@ -321,6 +333,8 @@ def run_monte_carlo(
             scenario = generator.scenario
         if carryover_order is None:
             carryover_order = generator.carryover_order
+    if scenario == "a":
+        carryover_order = None
     restriction = assemble(scenario, design.horizon, design.scope, carryover_order)
     check = is_identifiable(design, restriction)
     if not check.identifiable:
@@ -344,8 +358,9 @@ def run_monte_carlo(
     # row i of the flattened cube is unit i % N under sequence i // N
     rows = _outcome_cube(table, design).reshape(-1, design.horizon)
     firsts = template * design.n_units
-    for start in range(0, replications, MC_CHUNK):
-        chunk = slice(start, min(start + MC_CHUNK, replications))
+    size = chunk_size(design, fit.classes)
+    for start in range(0, replications, size):
+        chunk = slice(start, min(start + size, replications))
         codes = np.stack([sample_codes(small, [seed, r]) for r in range(chunk.start, chunk.stop)])
         # a stable sort lists each sequence's units in increasing order,
         # and the sorted codes are the template itself

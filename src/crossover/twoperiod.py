@@ -45,11 +45,17 @@ TWO_SEQ = ("AB", "BA")
 
 @dataclass(frozen=True)
 class TwoPeriodSummary:
-    """Group counts, mean vectors, and sample covariance matrices."""
+    """Group counts, mean vectors, and sample covariance matrices.
+
+    ``cross`` optionally holds each group's centered cross-products R_z'R_z
+    (``from_dataset`` takes them from the dataset's moments); the pooled
+    entries are formed from them, else from (N_z - 1) times the
+    covariances."""
 
     counts: Mapping[TreatmentSequence, int]
     means: Mapping[TreatmentSequence, np.ndarray]
     covariances: Mapping[TreatmentSequence, np.ndarray]
+    cross: Mapping[TreatmentSequence, np.ndarray] | None = None
 
     def __post_init__(self):
         counts = {as_sequence(z): int(n) for z, n in self.counts.items()}
@@ -61,13 +67,17 @@ class TwoPeriodSummary:
         object.__setattr__(self, "counts", dict(sorted(counts.items())))
         object.__setattr__(self, "means", dict(sorted(means.items())))
         object.__setattr__(self, "covariances", dict(sorted(covs.items())))
+        if self.cross is not None:
+            cross = {as_sequence(z): np.asarray(c, dtype=float) for z, c in self.cross.items()}
+            object.__setattr__(self, "cross", dict(sorted(cross.items())))
 
     @classmethod
     def from_dataset(cls, dataset: ObservedDataset) -> "TwoPeriodSummary":
         if dataset.design.horizon != 2:
             raise ValueError("summary requires a two-period design")
         covs = sample_covariances(dataset)
-        return cls(dict(dataset.design.counts), sequence_means(dataset), covs.matrices)
+        cross = dict(zip(dataset.design.observed, dataset.moments.cross))
+        return cls(dict(dataset.design.counts), sequence_means(dataset), covs.matrices, cross)
 
     def count(self, z: str) -> int:
         return self.counts[as_sequence(z)]
@@ -96,18 +106,22 @@ class TwoPeriodEntries:
 
     @classmethod
     def from_summary(cls, summary: TwoPeriodSummary) -> "TwoPeriodEntries":
-        """Pool the summary's (N_z - 1) covariances by the scenario-b class
-        ids, weighting by group degrees of freedom."""
+        """Pool the summary's cross-products by the scenario-b class ids,
+        weighting by group degrees of freedom, as ``working_weight_model``
+        pools the dataset's."""
         sequences = list(summary.counts)
         counts = np.array(list(summary.counts.values()))
-        cross = (counts - 1)[:, None, None] * np.array([summary.covariances[z] for z in sequences])
+        if summary.cross is not None:
+            cross = np.array([summary.cross[z] for z in sequences])
+        else:
+            cross = (counts - 1)[:, None, None] * np.array([summary.covariances[z] for z in sequences])
         pooled = pool_by_class(counts, cross, ClassMap(2, "b", 1).ids(sequences)[1], sequences)
         words = [str(z) for z in sequences]
         # each sequence is its own (1, 2) class pair: s12 is its covariance
         return cls(
             {z[0]: m[0, 0] for z, m in zip(words, pooled)},
             {z[1]: m[1, 1] for z, m in zip(words, pooled)},
-            {z: float(summary.covariances[as_sequence(z)][0, 1]) for z in words},
+            {z: float(m[0, 1]) for z, m in zip(words, pooled)},
         )
 
     def block(self, z: str) -> np.ndarray:

@@ -88,6 +88,19 @@ def dense_sandwich(dataset: ObservedDataset, fit) -> np.ndarray:
     return fit.u11 @ x.T @ omega_inv @ sigma @ omega_inv @ x @ fit.u11
 
 
+def score_meat(fit, dataset: ObservedDataset) -> np.ndarray:
+    """The d x d sandwich meat from per-unit scores: S'S for the N x d
+    matrix S stacking R_z G_z / N_z over the implemented sequences, R_z
+    the unit residuals of z against the fitted coefficients."""
+    groups = dataset.group_indices()
+    weighted = fit.weighted_basis
+    scores = np.concatenate([
+        (dataset.outcomes[idx] - fit.gamma[fit.layout.block(z)]) @ weighted[z] / idx.size
+        for z, idx in groups.items()
+    ])
+    return scores.T @ scores
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -515,6 +515,35 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config_file), "--reps", "3", "--out", str(out_file)]) == EXIT_OK
         assert json.loads(out_file.read_text())["replications"] == 3
 
+    def test_scenario_a_reports_a_null_carryover_order(self, tmp_path):
+        config = {"design": {"T": 2, "counts": {"AA": 5, "AB": 5, "BA": 5, "BB": 5}}, "scenario": "a", "k": None}
+        config_file = tmp_path / "study.json"
+        config_file.write_text(json.dumps(config))
+        out_file = tmp_path / "mc.json"
+        assert main(["simulate", "--config", str(config_file), "--reps", "3", "--out", str(out_file)]) == EXIT_OK
+        assert json.loads(out_file.read_text())["carryover_order"] is None
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {"design": {"T": 2, "counts": {"AB": 10, "BA": 10}}, "generator": {"beta1": 3}},
+                "generator: field 'beta1' must be a list of 4 numbers, got 3",
+            ),
+            ({"design": {"counts": {"AB": 10, "BA": 10}}}, "design needs the field 'T'"),
+            ({"design": {"T": "two", "counts": {"AB": 10, "BA": 10}}}, "field 'T' must be an integer"),
+            ({"design": {"T": 2, "counts": {"AB": 1.5, "BA": 10}}}, "field 'AB' must be an integer"),
+            ({"design": {"T": 2, "counts": {"AB": 10, "BA": 10}}, "generator": {"rho": "high"}}, "field 'rho' must be a number"),
+            ({"design": {"T": 2, "counts": {"AB": 10, "BA": 10}}, "replications": True}, "field 'replications' must be an integer"),
+        ],
+    )
+    def test_mistyped_or_missing_field_exits_two_naming_it(self, tmp_path, capsys, config, message):
+        config_file = tmp_path / "study.json"
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(config_file)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert str(config_file) in err and message in err
+
     @pytest.mark.parametrize(
         "config, message",
         [

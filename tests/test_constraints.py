@@ -327,6 +327,20 @@ class TestClassMap:
         for z, row in zip(scope, ids):
             assert [keys[j] for j in row] == [(t, classes.key(t, z)) for t in (1, 2, 3)]
 
+    @pytest.mark.parametrize("horizon", range(1, 7))
+    def test_ids_match_the_key_loop_on_random_sequence_sets(self, horizon):
+        rng = np.random.default_rng(horizon)
+        full = full_sequence_set(horizon)
+        for scenario, order in [("a", None)] + [(s, k) for s in "bc" for k in range(1, horizon + 1)]:
+            classes = ClassMap(horizon, scenario, order)
+            for size in (1, len(full) // 2, len(full)):
+                picked = [full[i] for i in rng.permutation(len(full))[:size]]
+                keys = [[(t, classes.key(t, z)) for t in range(1, horizon + 1)] for z in picked]
+                expected = sorted({key for row in keys for key in row})
+                got, ids = classes.ids(picked)
+                assert got == expected
+                assert ids.tolist() == [[expected.index(key) for key in row] for row in keys]
+
     def test_unknown_scenario_and_bad_orders_rejected(self):
         for args in (("d", 3, None), ("b", 3, None), ("c", 3, 0), ("b", 3, 4)):
             with pytest.raises(ValueError):

@@ -41,9 +41,9 @@ from crossover import (
     true_value,
 )
 from crossover import rwls, twoperiod
-from crossover.constraints import ClassMap
+from crossover.constraints import ClassMap, CoefficientLayout, RestrictionMatrix, restriction_from_rows
 from crossover.rwls import _chi2_sf, repair_positive_definite
-from conftest import dense_sandwich, make_dataset, nullspace_restricted_wls, template_labels
+from conftest import dense_sandwich, make_dataset, nullspace_restricted_wls, score_meat, template_labels
 
 
 def four_seq_design(counts=(3, 4, 5, 3)):
@@ -761,3 +761,123 @@ class TestDesignBasedProperties:
         )
         engine = point_estimate(fit, spec)[0]
         assert engine == pytest.approx(paired_difference_estimate(dataset), abs=1e-10)
+
+
+def _implemented_scope_dataset(horizon, units, seed, scenario="a", order=None):
+    """Eight random sequences of one horizon, each its own scope member,
+    observed from a table consistent with the scenario."""
+    rng = np.random.default_rng(seed)
+    words = set()
+    while len(words) < 8:
+        words.add("".join(rng.choice(["A", "B"], horizon)))
+    design = CrossoverDesign(horizon, {z: units for z in words}, scope=words)
+    table = random_consistent_table(horizon, scenario, order or 1, design.n_units, scope=words, seed=seed)
+    return realize_dataset(table, sample_assignment(design, seed))
+
+
+class TestClassWidthFit:
+    """M, the meat and BZ are formed at class width from the class ids and
+    the moments record; the dense basis Z is built only when read."""
+
+    CASES = [("a", None, "sample"), ("b", 1, "sample"), ("b", 2, "pooled"), ("c", 1, "sample"), ("c", 2, "pooled")]
+
+    @pytest.mark.parametrize("scenario,order,weights", CASES)
+    def test_moments_meat_matches_the_per_unit_score_meat(self, rng, scenario, order, weights):
+        design = CrossoverDesign(4, {z: 12 for z in full_sequence_set(4)})
+        table = random_consistent_table(4, scenario, order or 1, design.n_units, seed=3)
+        dataset = realize_dataset(table, sample_assignment(design, 4))
+        fit = feasible_rwls(dataset, scenario, order, weights)
+        assert fit.weight_model.repaired == ()
+        reference = score_meat(fit, dataset)
+        assert np.abs(fit.reduced_meat - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_moments_meat_matches_the_score_meat_under_user_rows(self, rng):
+        layout = CoefficientLayout(3, full_sequence_set(3))
+        rows = np.vstack([assemble("b", 3, layout.scope, 1).matrix[:6], rng.normal(size=(2, layout.size))])
+        restriction = restriction_from_rows(layout, rows)
+        design = CrossoverDesign(3, {z: 6 for z in layout.scope})
+        dataset = make_dataset(design, rng)
+        fit = feasible_rwls(dataset, "b", 1, "sample", restriction)
+        reference = score_meat(fit, dataset)
+        assert np.abs(fit.reduced_meat - reference).max() <= 1e-12 * np.abs(reference).max()
+        assert np.abs(fit.gamma - nullspace_restricted_wls(dataset, fit.weight_model, restriction)).max() < 1e-10
+
+    def test_weighted_basis_is_n_omega_inverse_times_the_basis_block(self, rng):
+        design = CrossoverDesign(3, {z: 5 for z in full_sequence_set(3)[::2]})
+        fit = feasible_rwls(make_dataset(design, rng), "c", 1)
+        basis = fit.restriction.basis
+        for z, g in fit.weighted_basis.items():
+            expected = design.counts[z] * fit.weight_model.inverses[z] @ basis[fit.layout.block(z)]
+            assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("scenario,order,weights", CASES + [("rows", None, "sample")])
+    def test_fit_and_estimate_never_build_the_dense_basis(self, rng, monkeypatch, scenario, order, weights):
+        design = CrossoverDesign(3, {z: 6 for z in full_sequence_set(3)})
+        dataset = make_dataset(design, rng)
+        restriction = None
+        if scenario == "rows":
+            layout = CoefficientLayout(3, design.scope)
+            restriction = restriction_from_rows(layout, assemble("b", 3, design.scope, 1).matrix)
+            scenario, order = "b", 1
+        spec = stack([instantaneous_effect(1, "", design.scope), carryover_effect(3, 1, "A", "B", design.scope)])
+        built = []
+        dense = RestrictionMatrix.basis
+        monkeypatch.setattr(RestrictionMatrix, "basis", property(lambda self: built.append(self) or dense.fget(self)))
+        fit = feasible_rwls(dataset, scenario, order, weights, restriction)
+        estimate(fit, spec)
+        rwls.StackedFit(design, fit.restriction, spec, weights, scenario, order)(dataset.outcomes[None])
+        assert built == []
+
+    @pytest.mark.parametrize("scenario,order", [("a", None), ("b", 2), ("c", 1)])
+    def test_long_horizon_fit_builds_no_dense_basis_and_matches_a_dense_reference(self, monkeypatch, scenario, order):
+        dataset = _implemented_scope_dataset(30, 40, seed=6, scenario=scenario, order=order)
+        monkeypatch.setattr(RestrictionMatrix, "basis", property(lambda self: pytest.fail("dense basis built")))
+        fit = feasible_rwls(dataset, scenario, order)
+        monkeypatch.undo()
+        assert fit.weight_model.repaired == ()
+        # the reduced normal equations on the dense basis blocks
+        basis, layout = fit.restriction.basis, fit.layout
+        reduced = np.zeros((basis.shape[1], basis.shape[1]))
+        rhs = np.zeros(basis.shape[1])
+        for z, n in dataset.design.counts.items():
+            block, inverse = basis[layout.block(z)], fit.weight_model.inverses[z]
+            reduced += n * block.T @ inverse @ block
+            rhs += n * block.T @ inverse @ fit.means[z]
+        reference = basis @ np.linalg.solve(reduced, rhs)
+        assert np.abs(fit.gamma - reference).max() <= 1e-10 * np.abs(reference).max()
+
+
+class TestSymmetricRepairedInverses:
+    def test_only_repaired_inverses_are_symmetrized(self, rng):
+        half = rng.normal(size=(3, 6, 4))
+        singular = half @ half.swapaxes(1, 2)
+        full = rng.normal(size=(3, 6, 6))
+        full = full @ full.swapaxes(1, 2) + np.eye(6)
+        stack = np.concatenate([singular, full])
+        matrices, mask = repair_positive_definite(stack)
+        assert mask.tolist() == [True] * 3 + [False] * 3
+        model = rwls._weight_model(stack, full_sequence_set(3)[:6], "sample")
+        assert model.repaired == full_sequence_set(3)[:3]
+        for (z, inverse), matrix, fixed in zip(model.inverses.items(), matrices, mask):
+            if fixed:
+                assert np.array_equal(inverse, inverse.T)
+                assert np.abs(inverse - np.linalg.inv(matrix)).max() <= 1e-6 * np.abs(inverse).max()
+            else:
+                assert np.array_equal(inverse, np.linalg.inv(matrix))
+
+    @pytest.mark.parametrize("horizon,units,seed", [(20, 10, 0), (20, 10, 2), (100, 30, 0)])
+    def test_scenario_a_fits_with_repaired_sample_weights(self, horizon, units, seed):
+        # asymmetric inverses of the repaired blocks left M without a
+        # Cholesky factor on these designs
+        dataset = _implemented_scope_dataset(horizon, units, seed)
+        fit = feasible_rwls(dataset, "a")
+        assert fit.weight_model.repaired == dataset.design.observed
+        assert np.isfinite(fit.condition_number)
+        spec = instantaneous_effect(1, "", dataset.design.scope)
+        result = estimate(fit, spec)
+        assert np.isfinite(result.point).all() and result.covariance[0, 0] > 0.0
+        point, variances = rwls.StackedFit(dataset.design, fit.restriction, spec, "sample", "a")(
+            dataset.outcomes[np.concatenate(list(dataset.group_indices().values()))][None]
+        )
+        assert np.array_equal(point[0], result.point)
+        assert np.array_equal(variances[0], np.diag(result.covariance))

@@ -321,8 +321,9 @@ class TestCodedEngineMatchesAssignmentPath:
         assert sample_covariances(dataset).repaired == design.observed
 
     @pytest.mark.parametrize("weights", ["sample", "user"])
-    def test_chunk_boundary_is_bit_identical(self, weights):
-        replications = simulator.MC_CHUNK + 1
+    def test_chunk_boundary_is_bit_identical(self, monkeypatch, weights):
+        monkeypatch.setattr(simulator, "chunk_size", lambda design, classes: 64)
+        replications = 65
         design = CrossoverDesign(2, {"AB": 5, "BA": 4, "BB": 6})
         table = random_consistent_table(2, "b", 1, design.n_units, seed=12)
         if weights == "user":
@@ -444,3 +445,53 @@ class TestPrecisionOrdering:
         }
         assert spreads["b"] <= spreads["a"] + 2 * (mc_se["a"] + mc_se["b"])
         assert spreads["c"] <= spreads["b"] + 2 * (mc_se["b"] + mc_se["c"])
+
+
+class TestChunkBudget:
+    """A chunk holds as many replications as MC_CHUNK_BYTES allows."""
+
+    def test_large_class_count_gets_a_smaller_chunk(self):
+        small = CrossoverDesign(2, {z: 100 for z in ("AA", "AB", "BA", "BB")})
+        large = CrossoverDesign(6, {z: 3 for z in full_sequence_set(6)})
+        spec = instantaneous_effect(1, "", large.scope)
+        fit = simulator.StackedFit(large, assemble("a", 6, large.scope), spec)
+        assert fit.classes == 126
+        chunk = simulator.chunk_size(large, fit.classes)
+        assert 1 <= chunk < simulator.chunk_size(small, 4)
+        per_replication = 8 * (large.n_units * 6 + 64 * 36 + 126**2)
+        assert chunk * per_replication <= simulator.MC_CHUNK_BYTES < (chunk + 1) * per_replication
+
+    def test_chunk_is_at_least_one_replication(self, monkeypatch):
+        monkeypatch.setattr(simulator, "MC_CHUNK_BYTES", 8)
+        assert simulator.chunk_size(CrossoverDesign(2, {"AB": 3, "BA": 3}), 4) == 1
+
+    @pytest.mark.parametrize(
+        "kind,counts,scenario",
+        [
+            ("constant_effect", {z: 100 for z in ("AA", "AB", "BA", "BB")}, "a"),
+            ("gaussian_model", {z: 100 for z in ("AA", "AB", "BA", "BB")}, "b"),
+            ("constant_effect", {z: 100 for z in ("AA", "AB", "BA", "BB")}, "c"),
+            ("gaussian_model", {"AB": 200, "BA": 200}, "b"),
+            ("constant_effect", {"AB": 200, "BA": 200}, "c"),
+        ],
+    )
+    def test_coverage_studies_are_bitwise_those_of_a_chunk_of_64(self, monkeypatch, kind, counts, scenario):
+        design = CrossoverDesign(2, counts)
+        generator = ScenarioGenerator(kind=kind, scenario=scenario, seed=814)
+        specs = standard_two_period_specs(SCOPE2)
+        report = run_monte_carlo(generator, design, specs, replications=300, seed=515)
+        monkeypatch.setattr(simulator, "chunk_size", lambda design, classes: 64)
+        fixed = run_monte_carlo(generator, design, specs, replications=300, seed=515)
+        assert np.array_equal(report.bias, fixed.bias)
+        assert np.array_equal(report.estimated_variances, fixed.estimated_variances)
+        assert np.array_equal(report.covered, fixed.covered)
+
+
+class TestCarryoverOrderReport:
+    def test_scenario_a_reports_no_carryover_order(self):
+        design = CrossoverDesign(2, {z: 5 for z in ("AA", "AB", "BA", "BB")})
+        specs = standard_two_period_specs(SCOPE2)
+        report = run_monte_carlo(ScenarioGenerator(scenario="a", seed=3), design, specs, replications=3)
+        assert report.carryover_order is None and report.to_dict()["carryover_order"] is None
+        ordered = run_monte_carlo(ScenarioGenerator(scenario="b", seed=3), design, specs, replications=3)
+        assert ordered.carryover_order == 1

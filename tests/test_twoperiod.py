@@ -125,6 +125,25 @@ class TestScenarioCFourSequences:
         result = estimate(fit, instantaneous_effect(1, "", dataset.design.scope))
         assert result.point[0] == pytest.approx(closed.value, abs=1e-8)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_pools_the_engine_inputs_at_two_units_per_group(self, seed):
+        # at 2 units per group the sample covariances are rank one and the
+        # repair lifts them; the closed form must pool the raw cross-products
+        rng = np.random.default_rng(seed)
+        design = CrossoverDesign(2, dict.fromkeys(FOUR, 2))
+        dataset = make_dataset(design, rng)
+        summary = TwoPeriodSummary.from_dataset(dataset)
+        model = working_weight_model(dataset, "c")
+        entries = TwoPeriodEntries.from_summary(summary)
+        for z in design.observed:
+            assert np.array_equal(entries.block(str(z)), model.matrix(z))
+        closed = closed_form(summary, "c")["tau"]
+        assert closed == (blue_4seq_scenario_c(summary, model.matrices).value,
+                          blue_4seq_scenario_c(summary, model.matrices).objective)
+        fit = feasible_rwls(dataset, "c", 1, model)
+        result = estimate(fit, instantaneous_effect(1, "", dataset.design.scope))
+        assert result.point[0] == pytest.approx(closed[0], rel=1e-6, abs=1e-8)
+
     def test_matches_nullspace_program(self, rng):
         # independent quadratic-program solve over the unbiased weightings
         import scipy.linalg
