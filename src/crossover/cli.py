@@ -397,37 +397,42 @@ def _cmd_fit(args) -> int:
 
 
 def _is_integer(value) -> bool:
+    """An int, or a float with an integral value (some JSON writers emit 10.0)."""
+    if isinstance(value, float):
+        return value.is_integer()
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    return _is_integer(value) or isinstance(value, float)
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# kinds of config field: a check and the words naming it in an error
-INTEGER = (_is_integer, "an integer")
-NUMBER = (_is_number, "a number")
-TEXT = (lambda value: isinstance(value, str), "a string")
+# kinds of config field: a check, the words naming it in an error, and the
+# conversion of a value that passes the check
+INTEGER = (_is_integer, "an integer", int)
+NUMBER = (_is_number, "a number", float)
+TEXT = (lambda value: isinstance(value, str), "a string", str)
 FOUR_NUMBERS = (
     lambda value: isinstance(value, list) and len(value) == 4 and all(map(_is_number, value)),
     "a list of 4 numbers",
+    lambda value: tuple(map(float, value)),
 )
 _REQUIRED = object()
 
 
 def _config_field(block: dict, name: str, kind, source: str, default=_REQUIRED):
-    """block[name], checked to be of the kind; ``default`` when it is absent
-    or null.  ``source`` names the block in the error for a missing
-    required field or a value of another kind."""
+    """block[name], checked to be of the kind and converted; ``default``
+    when it is absent or null.  ``source`` names the block in the error for
+    a missing required field or a value of another kind."""
     value = block.get(name)
     if value is None:
         if default is _REQUIRED:
             raise ValueError(f"{source} needs the field {name!r}")
         return default
-    check, words = kind
+    check, words, convert = kind
     if not check(value):
         raise ValueError(f"{source}: field {name!r} must be {words}, got {json.dumps(value)[:40]}")
-    return value
+    return convert(value)
 
 
 def _cmd_simulate(args) -> int:
@@ -452,13 +457,13 @@ def _cmd_simulate(args) -> int:
         scenario=_config_field(config, "scenario", TEXT, source, None) or generator_field("scenario", TEXT, "b"),
         carryover_order=order if order is not None else generator_field("carryover_order", INTEGER, 1),
         seed=generator_field("seed", INTEGER, _config_field(config, "seed", INTEGER, source, 0)),
-        beta1=tuple(map(float, generator_field("beta1", FOUR_NUMBERS, (0.0, 0.0, 1.0, 1.0)))),
-        beta2=tuple(map(float, generator_field("beta2", FOUR_NUMBERS, (0.0, 1.0, 0.0, 1.0)))),
-        rho=float(generator_field("rho", NUMBER, 0.3)),
-        tau1=float(generator_field("tau1", NUMBER, 1.0)),
-        tau2=float(generator_field("tau2", NUMBER, 1.0)),
-        carry_a=float(generator_field("carry_a", NUMBER, 0.0)),
-        carry_b=float(generator_field("carry_b", NUMBER, 0.0)),
+        beta1=generator_field("beta1", FOUR_NUMBERS, (0.0, 0.0, 1.0, 1.0)),
+        beta2=generator_field("beta2", FOUR_NUMBERS, (0.0, 1.0, 0.0, 1.0)),
+        rho=generator_field("rho", NUMBER, 0.3),
+        tau1=generator_field("tau1", NUMBER, 1.0),
+        tau2=generator_field("tau2", NUMBER, 1.0),
+        carry_a=generator_field("carry_a", NUMBER, 0.0),
+        carry_b=generator_field("carry_b", NUMBER, 0.0),
     )
     requests = config.get("estimands") or []
     if not isinstance(requests, list) or not all(isinstance(req, str) for req in requests):
@@ -472,7 +477,7 @@ def _cmd_simulate(args) -> int:
         specs,
         replications=replications,
         weight_choice=_config_field(config, "weights", TEXT, source, "sample"),
-        level=float(_config_field(config, "level", NUMBER, source, 0.95)),
+        level=_config_field(config, "level", NUMBER, source, 0.95),
         seed=seed,
     )
     _json_out(report.to_dict(), args.out)

@@ -134,7 +134,7 @@ class ClassMap:
         pairs = np.column_stack([by_class[:-1][same], by_class[1:][same]])
         first = by_class[np.concatenate([[True], ~same])]
         if self.scenario != "c":
-            cycles, basis = np.zeros((0, len(classes))), sizes**-0.5
+            cycles, basis = np.zeros((0, len(classes))), np.diag(sizes**-0.5)
         else:
             cycles = _cycle_rows(classes, self.order)
             free = _null_space(cycles / np.sqrt(sizes)) if len(cycles) else np.eye(len(classes))
@@ -239,11 +239,11 @@ class RestrictionMatrix:
     The orthonormal basis Z of the null space of C (gamma = Z beta) is
     held at class width, Z = E Q: ``class_ids`` gives the class of each of
     the p columns (E its indicators) and ``class_basis`` is the (q, d)
-    matrix Q, stored as its diagonal when it is diagonal (scenarios a and
-    b).  Given rows are their own classes, with Q = null(C).  ``basis``
-    builds the dense p x d array Z on each read.  ``verdicts`` holds the
-    identification verdict for each implemented sequence set, filled in by
-    ``identification.is_identifiable``.
+    matrix Q: D^-1/2 under scenarios a and b, D^-1/2 null(K D^-1/2) under
+    c (D the class sizes).  Given rows are their own classes, with
+    Q = null(C).  ``basis`` builds the dense p x d array Z on each read.
+    ``verdicts`` holds the identification verdict for each implemented
+    sequence set, filled in by ``identification.is_identifiable``.
     """
 
     def __init__(self, layout, matrix, scenario=None, carryover_order=None):
@@ -251,7 +251,7 @@ class RestrictionMatrix:
         p = layout.size
         if matrix.ndim != 2 or matrix.shape[1] != p:
             raise ValueError(f"restriction matrix must be (L, {p}), got {matrix.shape}")
-        basis = _null_space(matrix) if matrix.shape[0] else np.ones(p)
+        basis = _null_space(matrix) if matrix.shape[0] else np.eye(p)
         no_pairs = np.zeros((0, 2), dtype=np.intp)
         columns = np.arange(p)
         self._hold(layout, no_pairs, matrix, columns, scenario, carryover_order, columns, basis)
@@ -265,21 +265,12 @@ class RestrictionMatrix:
     @property
     def dimension(self) -> int:
         """d, the number of free coefficients."""
-        return self.class_basis.shape[-1]
-
-    def class_rows(self, classes: np.ndarray) -> np.ndarray:
-        """The rows of Q for the given class ids, dense."""
-        q = self.class_basis
-        if q.ndim == 2:
-            return q[classes]
-        rows = np.zeros((len(classes), q.size))
-        rows[np.arange(len(classes)), classes] = q[classes]
-        return rows
+        return self.class_basis.shape[1]
 
     @property
     def basis(self) -> np.ndarray:
         """The dense p x d basis Z = E Q, built on each read."""
-        return self.class_rows(self.class_ids)
+        return self.class_basis[self.class_ids]
 
     def classes_of(self, sequences: tuple[TreatmentSequence, ...]) -> tuple[np.ndarray, np.ndarray]:
         """The sorted ids of the classes the sequences' coefficients hit, and

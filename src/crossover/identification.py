@@ -57,16 +57,12 @@ class IdentificationCheck:
 
 
 def numerical_rank(matrix: np.ndarray) -> int:
-    """The number of singular values above RANK_TOLERANCE * s_max *
-    max(shape); a 1-D array stands for a diagonal matrix, whose singular
-    values are its absolute entries."""
     if matrix.size == 0:
         return 0
-    singular = np.abs(matrix) if matrix.ndim == 1 else np.linalg.svd(matrix, compute_uv=False)
-    top = singular.max()
-    if top == 0.0:
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    if singular.size == 0 or singular[0] == 0.0:
         return 0
-    cutoff = RANK_TOLERANCE * top * max(matrix.shape)
+    cutoff = RANK_TOLERANCE * singular[0] * max(matrix.shape)
     return int(np.sum(singular > cutoff))
 
 
@@ -74,8 +70,7 @@ def is_identifiable(design: CrossoverDesign, restriction: RestrictionMatrix) -> 
     """Full rank of X'X + C'C, computed as p - d + rank(Z_obs), means every
     linear estimand of the scoped means admits an unbiased linear estimator.
     With Z = E Q, rank(Z_obs) is the rank of the rows of Q for the classes
-    that the implemented sequences hit, at most q x d; under scenarios a
-    and b Q is diagonal and the rank check reads its diagonal.
+    that the implemented sequences hit, at most q x d.
 
     The verdict depends on the implemented sequences, not their counts, so
     it is computed once per sequence set and kept on the restriction."""
@@ -85,8 +80,7 @@ def is_identifiable(design: CrossoverDesign, restriction: RestrictionMatrix) -> 
     check = restriction.verdicts.get(design.observed)
     if check is None:
         # Z_obs repeats the rows of Q for the classes the implemented
-        # sequences hit, so it has their rank; a diagonal Q (scenarios a
-        # and b) keeps its rows' nonzero entries, on distinct columns
+        # sequences hit, so it has their rank
         hit = restriction.classes_of(design.observed)[0]
         p = layout.size
         rank = p - restriction.dimension + numerical_rank(restriction.class_basis[hit])

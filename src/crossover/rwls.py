@@ -17,8 +17,7 @@ the mean and N_z x T residuals of z, summing over the implemented sequences,
     Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)',    BZ = (B E) Q.
 
 A and the class-width meat are each one ``bincount`` scatter over the class
-ids; under scenarios a and b Q is diagonal, so M is A scaled.  The meat
-reads the dataset's moments alone: no pass over the units.  One Cholesky
+ids.  The meat reads the dataset's moments alone: no pass over the units.  One Cholesky
 factor L of the d x d matrix M serves the solve, the sandwich and every
 estimand; neither the p x d basis Z nor any p x p matrix is formed on that
 path.
@@ -172,14 +171,12 @@ def grouped_moments(grouped: np.ndarray, counts: np.ndarray) -> Moments:
 @dataclass(frozen=True)
 class WeightModel:
     """Per-sequence T x T weight matrices, positive definite after repair,
-    and their ``inverses``, computed once at construction as one stack in
-    sequence order (``inverse_stack``)."""
+    and their ``inverses``, computed once at construction."""
 
     matrices: Mapping[TreatmentSequence, np.ndarray]
     provenance: str = "user"
     repaired: tuple[TreatmentSequence, ...] = ()
     inverses: dict[TreatmentSequence, np.ndarray] = field(init=False, repr=False, compare=False)
-    inverse_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         matrices = {}
@@ -197,7 +194,6 @@ class WeightModel:
         inverses = _inverses(np.stack(list(matrices.values())), mask) if matrices else np.empty((0, 0, 0))
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "inverses", dict(zip(matrices, inverses)))
-        object.__setattr__(self, "inverse_stack", inverses)
 
     def matrix(self, z: TreatmentSequence | str) -> np.ndarray:
         return self.matrices[as_sequence(z)]
@@ -352,7 +348,7 @@ class RwlsFit:
         """G_z = N_z Omega_z^-1 Z_z for each implemented sequence."""
         observed = self.design.observed
         hit, local = self.restriction.classes_of(observed)
-        blocks = self.restriction.class_rows(hit)[local]
+        blocks = self.restriction.class_basis[hit][local]
         weighted = np.array(list(self.design.counts.values()))[:, None, None] * _weight_inverses(
             self.weight_model, self.design
         )
@@ -390,37 +386,18 @@ def _weight_inverses(weights: WeightModel, design: CrossoverDesign) -> np.ndarra
     Raises MissingSequenceError when the weight model lacks an implemented
     sequence and ValueError for a weight of the wrong shape."""
     observed = design.observed
-    if tuple(weights.matrices) == observed:
-        inverses = weights.inverse_stack
-    else:
-        missing = [z for z in observed if z not in weights.matrices]
-        if missing:
-            raise MissingSequenceError(f"weight model lacks a matrix for {missing[0]}")
-        inverses = np.stack([weights.inverses[z] for z in observed])
+    missing = [z for z in observed if z not in weights.matrices]
+    if missing:
+        raise MissingSequenceError(f"weight model lacks a matrix for {missing[0]}")
+    inverses = np.stack([weights.inverses[z] for z in observed])
     # the model's matrices share one shape
     if inverses.shape[1:] != (design.horizon, design.horizon):
         raise ValueError(f"weight for {observed[0]} has shape {inverses.shape[1:]}")
     return inverses
 
 
-def _project(q: np.ndarray, square: np.ndarray) -> np.ndarray:
-    """Q_h' X Q_h for a (..., h, h) stack X, a 1-D q being a diagonal Q_h."""
-    if q.ndim == 1:
-        return square * q[:, None] * q
-    return q.T @ square @ q
-
-
-def _project_vector(q: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """Q_h' x for a (..., h) stack x, a 1-D q being a diagonal Q_h."""
-    if q.ndim == 1:
-        return vector * q
-    return (q.T @ vector[..., None])[..., 0]
-
-
 def _class_values(q: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Q beta, the (..., q) coefficient of each class."""
-    if q.ndim == 1:
-        return q * beta
     return (q @ beta[..., None])[..., 0]
 
 
@@ -437,10 +414,10 @@ def _class_solve(q, local, counts, inverses, means):
     and (..., k, T, T) inverses and (..., k, T) means."""
     size = len(q)
     weighted = counts[:, None, None] * inverses
-    reduced = _project(q, _scatter_blocks(local, weighted, size))
-    rhs = _project_vector(q, _scatter(local, (weighted @ means[..., None])[..., 0], size))
+    reduced = q.T @ _scatter_blocks(local, weighted, size) @ q
+    rhs = q.T @ _scatter(local, (weighted @ means[..., None])[..., 0], size)[..., None]
     factor = _cholesky(reduced)
-    return reduced, factor, _solve_reduced(factor, rhs[..., None])[..., 0]
+    return reduced, factor, _solve_reduced(factor, rhs)[..., 0]
 
 
 def _class_meat(q, local, counts, inverses, means, cross, fitted):
@@ -449,7 +426,7 @@ def _class_meat(q, local, counts, inverses, means, cross, fitted):
     less the fitted coefficients."""
     delta = means - fitted
     spread = cross + counts[:, None, None] * delta[..., :, None] * delta[..., None, :]
-    return _project(q, _scatter_blocks(local, inverses @ spread @ inverses, len(q)))
+    return q.T @ _scatter_blocks(local, inverses @ spread @ inverses, len(q)) @ q
 
 
 def _cholesky(reduced: np.ndarray) -> np.ndarray:
@@ -609,7 +586,7 @@ def _estimand_rows(restriction: RestrictionMatrix, spec: EstimandSpec) -> tuple[
     ids = restriction.class_ids.reshape(len(layout.scope), -1)[positions]
     # B E: each row of the (n, K, T) blocks summed by class
     by_class = _scatter(ids, blocks.swapaxes(0, 1), len(q))
-    bz = by_class * q if q.ndim == 1 else by_class @ q
+    bz = by_class @ q
     scale = np.maximum(np.abs(blocks).max(axis=(0, 2)), 1.0)
     return bz, np.abs(bz).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
 

@@ -47,10 +47,10 @@ TWO_SEQ = ("AB", "BA")
 class TwoPeriodSummary:
     """Group counts, mean vectors, and sample covariance matrices.
 
-    ``cross`` optionally holds each group's centered cross-products R_z'R_z
-    (``from_dataset`` takes them from the dataset's moments); the pooled
-    entries are formed from them, else from (N_z - 1) times the
-    covariances."""
+    ``cross`` holds each group's centered cross-products R_z'R_z, from
+    which the pooled entries are formed: ``from_dataset`` takes them from
+    the dataset's moments, and a summary given none takes (N_z - 1) times
+    its covariances."""
 
     counts: Mapping[TreatmentSequence, int]
     means: Mapping[TreatmentSequence, np.ndarray]
@@ -67,9 +67,11 @@ class TwoPeriodSummary:
         object.__setattr__(self, "counts", dict(sorted(counts.items())))
         object.__setattr__(self, "means", dict(sorted(means.items())))
         object.__setattr__(self, "covariances", dict(sorted(covs.items())))
-        if self.cross is not None:
+        if self.cross is None:
+            cross = {z: (n - 1) * covs[z] for z, n in counts.items() if z in covs}
+        else:
             cross = {as_sequence(z): np.asarray(c, dtype=float) for z, c in self.cross.items()}
-            object.__setattr__(self, "cross", dict(sorted(cross.items())))
+        object.__setattr__(self, "cross", dict(sorted(cross.items())))
 
     @classmethod
     def from_dataset(cls, dataset: ObservedDataset) -> "TwoPeriodSummary":
@@ -111,10 +113,7 @@ class TwoPeriodEntries:
         pools the dataset's."""
         sequences = list(summary.counts)
         counts = np.array(list(summary.counts.values()))
-        if summary.cross is not None:
-            cross = np.array([summary.cross[z] for z in sequences])
-        else:
-            cross = (counts - 1)[:, None, None] * np.array([summary.covariances[z] for z in sequences])
+        cross = np.array([summary.cross[z] for z in sequences])
         pooled = pool_by_class(counts, cross, ClassMap(2, "b", 1).ids(sequences)[1], sequences)
         words = [str(z) for z in sequences]
         # each sequence is its own (1, 2) class pair: s12 is its covariance

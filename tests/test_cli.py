@@ -523,6 +523,26 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config_file), "--reps", "3", "--out", str(out_file)]) == EXIT_OK
         assert json.loads(out_file.read_text())["carryover_order"] is None
 
+    def test_integral_floats_are_read_as_integers(self, tmp_path):
+        # some JSON writers emit every number as a float
+        config = {
+            "design": {"T": 2.0, "counts": {"AB": 10.0, "BA": 10}},
+            "scenario": "b",
+            "k": 1.0,
+            "replications": 3.0,
+            "seed": 3.0,
+        }
+        config_file = tmp_path / "study.json"
+        config_file.write_text(json.dumps(config))
+        out_file = tmp_path / "mc.json"
+        assert main(["simulate", "--config", str(config_file), "--out", str(out_file)]) == EXIT_OK
+        floats = json.loads(out_file.read_text())
+        config.update(design={"T": 2, "counts": {"AB": 10, "BA": 10}}, k=1, replications=3, seed=3)
+        config_file.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(config_file), "--out", str(out_file)]) == EXIT_OK
+        assert json.loads(out_file.read_text()) == floats
+        assert floats["replications"] == 3 and floats["carryover_order"] == 1
+
     @pytest.mark.parametrize(
         "config, message",
         [
