@@ -13,9 +13,6 @@ from .constraints import (
     RestrictionMatrix,
     assemble,
     row_reduce,
-    rows_no_anticipation,
-    rows_no_carryover,
-    rows_time_invariant,
 )
 from .errors import (
     ConditioningError,
@@ -45,7 +42,6 @@ from .identification import (
     mean_derivation_time_invariant,
     mean_witness_carryover,
     mean_witness_no_anticipation,
-    regressor_block,
     time_invariant_closure,
 )
 from .rwls import (

@@ -32,7 +32,6 @@ import json
 import re
 import sys
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 
@@ -57,6 +56,7 @@ from .identification import (
 from .rwls import (
     ObservedDataset,
     WeightModel,
+    critical_value,
     estimate,
     feasible_rwls,
 )
@@ -328,17 +328,15 @@ def _estimand_rows(labels, point, se, lower, upper) -> list[dict]:
     ]
 
 
-def _closed_form_report(dataset: ObservedDataset, scenario: str, level: float) -> list[dict]:
+def _closed_form_report(dataset: ObservedDataset, scenario: str, z_crit: float) -> list[dict]:
     forms = twoperiod.closed_form(twoperiod.TwoPeriodSummary.from_dataset(dataset), scenario)
     point = np.array([p for p, _ in forms.values()])
     se = np.sqrt([v for _, v in forms.values()])
-    z_crit = NormalDist().inv_cdf(0.5 + level / 2.0)
     return _estimand_rows(forms, point, se, point - z_crit * se, point + z_crit * se)
 
 
 def _cmd_fit(args) -> int:
-    if not 0.0 < args.level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {args.level}")
+    z_crit = critical_value(args.level)
     design = None
     if args.design:
         design = design_from_text(Path(args.design).read_text())
@@ -359,7 +357,7 @@ def _cmd_fit(args) -> int:
             print("closed-form engine needs a two-period design and, under b and c, --k 1", file=sys.stderr)
             return EXIT_PARSE
         payload["engine"] = "closed-form"
-        payload["estimands"] = _closed_form_report(dataset, args.scenario, args.level)
+        payload["estimands"] = _closed_form_report(dataset, args.scenario, z_crit)
         payload["note"] = "conservative variances; --estimand requests are ignored by this engine"
         _json_out(payload, args.out)
         return EXIT_OK

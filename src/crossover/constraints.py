@@ -185,27 +185,6 @@ def _cycle_rows(classes: list[tuple[int, str]], order: int) -> np.ndarray:
     return np.array(rows).reshape(len(rows), len(classes))
 
 
-def rows_no_anticipation(layout: CoefficientLayout) -> np.ndarray:
-    """Rows equating period-t coefficients of sequences sharing a length-t prefix."""
-    return ClassMap(layout.horizon, "a").restriction(layout).matrix
-
-
-def rows_no_carryover(layout: CoefficientLayout, order: int) -> np.ndarray:
-    """Rows equating period-t coefficients (t >= k) of sequences sharing the
-    trailing length-k window."""
-    restriction = ClassMap(layout.horizon, "b", order).restriction(layout)
-    return restriction.matrix[restriction._pairs[:, 0] % layout.horizon + 1 >= order]
-
-
-def rows_time_invariant(layout: CoefficientLayout, order: int) -> np.ndarray:
-    """Rows tying window contrasts together across periods t >= k, one per
-    independent cycle of the graph joining each period to the windows seen
-    at it.  With the carryover rows they span the time-invariance
-    restriction on any scope."""
-    restriction = ClassMap(layout.horizon, "c", order).restriction(layout)
-    return restriction.matrix[len(restriction._pairs) :]
-
-
 def row_reduce(rows: np.ndarray) -> np.ndarray:
     """Select a full-row-rank subset of rows spanning the same row space.
 

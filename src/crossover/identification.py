@@ -1,14 +1,14 @@
 """Identifiability checks: the global rank condition and per-mean witnesses.
 
-The regressor block of a sequence z is the T x (T|S|) matrix placing an
-identity in z's coefficient block.  All estimands are unbiasedly estimable
-when X'X + C'C is full rank, that is, when the rows Z_obs of the null-space
-basis Z of C in the implemented sequences' blocks have full column rank;
-unit counts play no part.  When it fails, per-mean checkers report which
-group means are still reachable: through an implemented sequence of the
-mean's class in ``constraints.ClassMap`` (shared prefix or trailing
-window), or through a difference-in-differences closure (time-invariant
-effects).
+A unit of sequence z observes z's own T coefficients, so X'X is block
+diagonal with N_z I_T on the coefficient block of each implemented z and
+zero elsewhere.  All estimands are unbiasedly estimable when X'X + C'C is
+full rank, that is, when the rows Z_obs of the null-space basis Z of C in
+the implemented sequences' blocks have full column rank; unit counts play
+no part.  When it fails, per-mean checkers report which group means are
+still reachable: through an implemented sequence of the mean's class in
+``constraints.ClassMap`` (shared prefix or trailing window), or through a
+difference-in-differences closure (time-invariant effects).
 """
 
 from __future__ import annotations
@@ -19,17 +19,10 @@ from typing import Union
 
 import numpy as np
 
-from .constraints import ClassMap, CoefficientLayout, RestrictionMatrix
+from .constraints import ClassMap, RestrictionMatrix
 from .sequences import CrossoverDesign, TreatmentSequence, as_sequence
 
 RANK_TOLERANCE = 1e-8
-
-
-def regressor_block(layout: CoefficientLayout, z: TreatmentSequence | str) -> np.ndarray:
-    """T x (T|S|) regressor matrix shared by every unit assigned to z."""
-    block = np.zeros((layout.horizon, layout.size))
-    block[:, layout.block(z)] = np.eye(layout.horizon)
-    return block
 
 
 def gram_plus_restriction(design: CrossoverDesign, restriction: RestrictionMatrix) -> np.ndarray:

@@ -26,11 +26,16 @@ Omega_z is built from the dataset's moments, computed once (per-sequence
 counts, means and R_z'R_z about the mean): sample covariances or entries
 pooled by ClassMap class ids, each (k, T, T) stack repaired and inverted.
 
-The moments, the weights and the reduced solve, sandwich and functional
-accept leading axes.  ``StackedFit`` runs ``feasible_rwls`` and ``estimate``
-on a (C, N, T) stack of datasets of one design with the same per-item
-array operations, so each replication's results are bit-identical to its
-own fit; a single dataset is the case without a leading axis.
+One fit plan, built once per design, restriction and weight choice, holds
+what every fit of them shares: the identification verdict, the class index
+of the implemented sequences (the counts, Q_h and each entry's class) and
+the weight rule, which either inverts user weights once or builds sample
+or pooled covariances from the moments after count checks that read no
+data.  Its solve and meat accept leading axes.  A single fit is the plan
+applied to one dataset's moments, and ``RwlsFit`` keeps the plan for the
+sandwich and G_z.  ``StackedFit`` is the plan applied to the moments of a
+(C, N, T) stack of datasets of one design, with the same per-item array
+operations, so each replication's results are bit-identical to its own fit.
 """
 
 from __future__ import annotations
@@ -249,9 +254,7 @@ def sample_by_sequence(counts: np.ndarray, cross: np.ndarray, sequences) -> np.n
 
 def sample_covariances(dataset: ObservedDataset) -> WeightModel:
     """Per-sequence sample covariance (divisor N_z - 1), repaired to PD."""
-    counts, _, cross = dataset.moments
-    observed = dataset.design.observed
-    return _weight_model(sample_by_sequence(counts, cross, observed), observed, "sample")
+    return _weights_of(dataset, "sample")
 
 
 def _scatter(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -296,10 +299,28 @@ def pooled_covariance_entries(
     ClassMap class ids (see ``pool_by_class``).  Scenario c pools with the
     scenario-b classes, since time invariance adds no equalities.
     """
-    counts, _, cross = dataset.moments
-    observed = dataset.design.observed
-    ids = ClassMap(dataset.design.horizon, scenario, carryover_order).ids(observed)[1]
-    return _weight_model(pool_by_class(counts, cross, ids, observed), observed, "pooled")
+    return _weights_of(dataset, "pooled", scenario, carryover_order)
+
+
+def _covariance_rule(weights, design: CrossoverDesign, scenario, carryover_order):
+    """The rule of the weight choice "sample" or "pooled": it maps the
+    (..., k, T, T) centered cross-products to the unrepaired covariance
+    stack, and its count checks read the design alone.  Any other choice
+    raises ValueError."""
+    observed = design.observed
+    counts = np.array(list(design.counts.values()))
+    if weights == "sample":
+        return partial(sample_by_sequence, counts, sequences=observed)
+    if weights == "pooled":
+        ids = ClassMap(design.horizon, scenario, carryover_order).ids(observed)[1]
+        return partial(pool_by_class, counts, ids=ids, sequences=observed)
+    raise ValueError(f"weights must be 'sample', 'pooled', or a WeightModel, got {weights!r}")
+
+
+def _weights_of(dataset: ObservedDataset, choice: str, scenario=None, carryover_order=None) -> WeightModel:
+    """The repaired weight model that the choice builds from the dataset's moments."""
+    covariances = _covariance_rule(choice, dataset.design, scenario, carryover_order)
+    return _weight_model(covariances(dataset.moments.cross), dataset.design.observed, choice)
 
 
 @dataclass
@@ -314,6 +335,7 @@ class RwlsFit:
     meat, so Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'.  The p x p
     ``u11`` = Z M^-1 Z' and ``ehw`` = Z M^-1 meat M^-1 Z', and the blocks
     ``weighted_basis`` G_z = N_z Omega_z^-1 Z_z, are formed only when read.
+    The fit keeps the plan it was solved with, for the meat and G_z.
     """
 
     design: CrossoverDesign
@@ -326,6 +348,7 @@ class RwlsFit:
     condition_number: float
     warnings: tuple[str, ...] = ()
     reduced_meat: np.ndarray | None = None
+    _plan: _FitPlan = field(init=False, repr=False, compare=False)
 
     @property
     def layout(self) -> CoefficientLayout:
@@ -346,13 +369,9 @@ class RwlsFit:
     @property
     def weighted_basis(self) -> dict[TreatmentSequence, np.ndarray]:
         """G_z = N_z Omega_z^-1 Z_z for each implemented sequence."""
-        observed = self.design.observed
-        hit, local = self.restriction.classes_of(observed)
-        blocks = self.restriction.class_basis[hit][local]
-        weighted = np.array(list(self.design.counts.values()))[:, None, None] * _weight_inverses(
-            self.weight_model, self.design
-        )
-        return dict(zip(observed, weighted @ blocks))
+        plan = self._plan
+        weighted = plan.counts[:, None, None] * plan.inverses
+        return dict(zip(self.design.observed, weighted @ plan.class_basis[plan.entry_classes]))
 
     @property
     def u11(self) -> np.ndarray:
@@ -379,67 +398,94 @@ def _solve_reduced(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
 
 
-def _weight_inverses(weights: WeightModel, design: CrossoverDesign) -> np.ndarray:
-    """The (k, T, T) stack of Omega_z^-1 over the implemented sequences, in
-    code order.
-
-    Raises MissingSequenceError when the weight model lacks an implemented
-    sequence and ValueError for a weight of the wrong shape."""
-    observed = design.observed
-    missing = [z for z in observed if z not in weights.matrices]
-    if missing:
-        raise MissingSequenceError(f"weight model lacks a matrix for {missing[0]}")
-    inverses = np.stack([weights.inverses[z] for z in observed])
-    # the model's matrices share one shape
-    if inverses.shape[1:] != (design.horizon, design.horizon):
-        raise ValueError(f"weight for {observed[0]} has shape {inverses.shape[1:]}")
-    return inverses
-
-
 def _class_values(q: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Q beta, the (..., q) coefficient of each class."""
     return (q @ beta[..., None])[..., 0]
-
-
-def _scatter_blocks(local: np.ndarray, blocks: np.ndarray, size: int) -> np.ndarray:
-    """sum_z E_z' X_z E_z: (..., k, T, T) blocks summed into (..., h, h) by
-    the class index of each (sequence, period) entry."""
-    keys = local[:, :, None] * size + local[:, None, :]
-    return _scatter(keys, blocks, size * size).reshape(blocks.shape[:-3] + (size, size))
-
-
-def _class_solve(q, local, counts, inverses, means):
-    """M, its Cholesky factor L and beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z
-    from the rows q of Q the design hits, their (k, T) index, the counts
-    and (..., k, T, T) inverses and (..., k, T) means."""
-    size = len(q)
-    weighted = counts[:, None, None] * inverses
-    reduced = q.T @ _scatter_blocks(local, weighted, size) @ q
-    rhs = q.T @ _scatter(local, (weighted @ means[..., None])[..., 0], size)[..., None]
-    factor = _cholesky(reduced)
-    return reduced, factor, _solve_reduced(factor, rhs)[..., 0]
-
-
-def _class_meat(q, local, counts, inverses, means, cross, fitted):
-    """Q_h' (sum_z E_z' Omega_z^-1 R_z'R_z Omega_z^-1 E_z) Q_h with
-    R_z'R_z = cross_z + N_z delta_z delta_z', delta_z the (..., k, T) means
-    less the fitted coefficients."""
-    delta = means - fitted
-    spread = cross + counts[:, None, None] * delta[..., :, None] * delta[..., None, :]
-    return q.T @ _scatter_blocks(local, inverses @ spread @ inverses, len(q)) @ q
-
-
-def _cholesky(reduced: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(reduced)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError("reduced normal matrix is not positive definite") from exc
 
 
 def _condition(reduced: np.ndarray) -> float:
     """cond(M) of the symmetric M, from its extreme eigenvalues."""
     eigenvalues = np.linalg.eigvalsh(reduced)
     return float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0.0 else math.inf
+
+
+class _FitPlan:
+    """What every fit of one design, restriction and weight choice shares,
+    built once (see the module docstring).
+
+    Construction raises the errors no data can change, in this order:
+    NotIdentifiableError, a malformed spec, then an unknown weight choice,
+    a sequence or pooled entry with no degrees of freedom, or a user
+    weight model that lacks an implemented sequence or is misshapen.
+    ``hit_rows`` is Q_h, ``local`` the (k, T) index of each (sequence,
+    period) entry into the classes hit and ``entry_classes`` its class.
+    ``inverses`` is the (k, T, T) stack of a user model's Omega_z^-1; for
+    "sample" and "pooled" it is None and ``covariances`` builds the
+    unrepaired stack from the cross-products.  ``rows`` holds BZ and the
+    snapped rows of the spec, None without one.
+    """
+
+    def __init__(
+        self,
+        design: CrossoverDesign,
+        restriction: RestrictionMatrix,
+        spec: EstimandSpec | None,
+        weights: str | WeightModel = "sample",
+        scenario: str | None = None,
+        carryover_order: int | None = None,
+    ):
+        check = is_identifiable(design, restriction)
+        if not check.identifiable:
+            raise NotIdentifiableError(check.rank, check.dimension)
+        observed = design.observed
+        self.counts = np.array(list(design.counts.values()))
+        self.class_basis = restriction.class_basis
+        hit, self.local = restriction.classes_of(observed)
+        self.hit_rows, self.entry_classes = self.class_basis[hit], hit[self.local]
+        self.rows = None if spec is None else _estimand_rows(restriction, spec)
+        self.covariances = self.inverses = None
+        shape = (design.horizon, design.horizon)
+        if not isinstance(weights, WeightModel):
+            self.covariances = _covariance_rule(weights, design, scenario, carryover_order)
+            # the count checks read no data: an empty stack raises them now
+            self.covariances(np.empty((0, len(observed)) + shape))
+            return
+        missing = [z for z in observed if z not in weights.matrices]
+        if missing:
+            raise MissingSequenceError(f"weight model lacks a matrix for {missing[0]}")
+        self.inverses = np.stack([weights.inverses[z] for z in observed])
+        # the model's matrices share one shape
+        if self.inverses.shape[1:] != shape:
+            raise ValueError(f"weight for {observed[0]} has shape {self.inverses.shape[1:]}")
+
+    def _reduce(self, blocks: np.ndarray) -> np.ndarray:
+        """Q_h' (sum_z E_z' X_z E_z) Q_h: (..., k, T, T) blocks summed into
+        (..., h, h) by the class index of each (sequence, period) entry."""
+        q, size = self.hit_rows, len(self.hit_rows)
+        keys = self.local[:, :, None] * size + self.local[:, None, :]
+        return q.T @ _scatter(keys, blocks, size * size).reshape(blocks.shape[:-3] + (size, size)) @ q
+
+    def solve(self, means: np.ndarray, inverses: np.ndarray):
+        """M, its Cholesky factor L and beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z
+        from (..., k, T) means and (..., k, T, T) inverses."""
+        q = self.hit_rows
+        weighted = self.counts[:, None, None] * inverses
+        reduced = self._reduce(weighted)
+        rhs = q.T @ _scatter(self.local, (weighted @ means[..., None])[..., 0], len(q))[..., None]
+        try:
+            factor = np.linalg.cholesky(reduced)
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningError("reduced normal matrix is not positive definite") from exc
+        return reduced, factor, _solve_reduced(factor, rhs)[..., 0]
+
+    def meat(self, moments: Moments, inverses: np.ndarray, beta: np.ndarray) -> np.ndarray:
+        """Q_h' (sum_z E_z' Omega_z^-1 R_z'R_z Omega_z^-1 E_z) Q_h with
+        R_z'R_z = cross_z + N_z delta_z delta_z', delta_z the (..., k, T)
+        means less the fitted coefficients Q beta."""
+        _, means, cross = moments
+        delta = means - _class_values(self.class_basis, beta)[..., self.entry_classes]
+        spread = cross + self.counts[:, None, None] * delta[..., :, None] * delta[..., None, :]
+        return self._reduce(inverses @ spread @ inverses)
 
 
 def solve_restricted_wls(
@@ -456,22 +502,16 @@ def solve_restricted_wls(
     ConditioningError when the reduced matrix M has no Cholesky factor.
     A condition number of M above 1e12 attaches a warning to the fit.
     """
-    check = is_identifiable(design, restriction)
-    if not check.identifiable:
-        raise NotIdentifiableError(check.rank, check.dimension)
+    plan = _FitPlan(design, restriction, None, weights)
     horizon = design.horizon
-    inverses = _weight_inverses(weights, design)
     fitted_means = {}
     for z in design.observed:
         mean = np.asarray(means[z], dtype=float)
         if mean.shape != (horizon,):
             raise ValueError(f"mean for {z} must have shape ({horizon},)")
         fitted_means[z] = mean
-    q = restriction.class_basis
-    hit, local = restriction.classes_of(design.observed)
-    counts = np.array(list(design.counts.values()))
-    reduced, factor, beta = _class_solve(q[hit], local, counts, inverses, np.stack(list(fitted_means.values())))
-    gamma = _class_values(q, beta)[restriction.class_ids]
+    reduced, factor, beta = plan.solve(np.stack(list(fitted_means.values())), plan.inverses)
+    gamma = _class_values(plan.class_basis, beta)[restriction.class_ids]
     condition = _condition(reduced)
     warnings: list[str] = []
     if condition > CONDITION_WARNING_THRESHOLD:
@@ -490,6 +530,7 @@ def solve_restricted_wls(
         condition_number=condition,
         warnings=tuple(warnings),
     )
+    fit._plan = plan
     residual = fit.restriction_residual
     if residual > RESTRICTION_TOLERANCE * (1.0 + np.abs(gamma).max()):
         fit.warnings = fit.warnings + (
@@ -503,16 +544,11 @@ def _reduced_meat(
 ) -> np.ndarray:
     """The d x d meat from the dataset's moments (see the module docstring),
     optionally scaled by N / (N - d)."""
-    restriction = fit.restriction
-    q = restriction.class_basis
-    hit, local = restriction.classes_of(fit.design.observed)
-    counts, means, cross = dataset.moments
-    inverses = _weight_inverses(fit.weight_model, fit.design)
-    fitted = _class_values(q, fit.beta)[hit[local]]
-    meat = _class_meat(q[hit], local, counts, inverses, means, cross, fitted)
+    plan = fit._plan
+    meat = plan.meat(dataset.moments, plan.inverses, fit.beta)
     if small_sample_scale:
         n = dataset.n_units
-        free = fit.layout.size - restriction.n_rows
+        free = fit.layout.size - fit.restriction.n_rows
         if n <= free:
             raise ValueError(f"small-sample scale needs N > {free}, got N = {n}")
         meat = meat * (n / (n - free))
@@ -536,10 +572,6 @@ def ehw_covariance(
     return fit.ehw
 
 
-def _unknown_weights(weights) -> ValueError:
-    return ValueError(f"weights must be 'sample', 'pooled', or a WeightModel, got {weights!r}")
-
-
 def feasible_rwls(
     dataset: ObservedDataset,
     scenario: str,
@@ -557,15 +589,9 @@ def feasible_rwls(
     design = dataset.design
     if restriction is None:
         restriction = assemble(scenario, design.horizon, design.scope, carryover_order)
-    if isinstance(weights, WeightModel):
-        model = weights
-    elif weights == "sample":
-        model = sample_covariances(dataset)
-    elif weights == "pooled":
-        model = pooled_covariance_entries(dataset, scenario, carryover_order)
-    else:
-        raise _unknown_weights(weights)
-    fit = solve_restricted_wls(design, sequence_means(dataset), model, restriction)
+    if not isinstance(weights, WeightModel):
+        weights = _weights_of(dataset, weights, scenario, carryover_order)
+    fit = solve_restricted_wls(design, sequence_means(dataset), weights, restriction)
     fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
     return fit
 
@@ -719,54 +745,18 @@ def oracle_variance(
     return total
 
 
-class StackedFit:
+class StackedFit(_FitPlan):
     """``feasible_rwls`` then ``estimate``, on stacks of datasets of one design.
 
-    Construction does once what every dataset shares: the classes the
-    design hits and their rows of Q, BZ and the snapped rows, the counts,
-    and the inverses of user weights.
-    It raises the errors no data can change: NotIdentifiableError, an
-    unknown weight choice, a missing or misshapen user weight, and a
-    sequence or pooled entry with no degrees of freedom.  Calling it on a
-    (C, N, T) outcome stack, each row listing its units sequence by
-    sequence in code order, returns the (C, K) point estimates and
+    Construction builds the fit plan of the design, restriction, weight
+    choice and estimand, raising the errors no data can change.  Calling
+    it on a (C, N, T) outcome stack, each row listing its units sequence
+    by sequence in code order, returns the (C, K) point estimates and
     sandwich variances, each bitwise what the dataset's own
     ``feasible_rwls`` and ``estimate`` give, and raises ConditioningError
     when a reduced matrix has no Cholesky factor.  The condition number,
     the restriction-residual warning and the Wald test are not computed.
     """
-
-    def __init__(
-        self,
-        design: CrossoverDesign,
-        restriction: RestrictionMatrix,
-        spec: EstimandSpec,
-        weights: str | WeightModel = "sample",
-        scenario: str | None = None,
-        carryover_order: int | None = None,
-    ):
-        check = is_identifiable(design, restriction)
-        if not check.identifiable:
-            raise NotIdentifiableError(check.rank, check.dimension)
-        observed = design.observed
-        self.counts = np.array(list(design.counts.values()))
-        self.class_basis = restriction.class_basis
-        hit, self.local = restriction.classes_of(observed)
-        self.hit_rows, self.entry_classes = self.class_basis[hit], hit[self.local]
-        self.rows = _estimand_rows(restriction, spec)
-        self.covariances = self.inverses = None
-        if isinstance(weights, WeightModel):
-            self.inverses = _weight_inverses(weights, design)
-            return
-        if weights == "sample":
-            self.covariances = partial(sample_by_sequence, self.counts, sequences=observed)
-        elif weights == "pooled":
-            ids = ClassMap(design.horizon, scenario, carryover_order).ids(observed)[1]
-            self.covariances = partial(pool_by_class, self.counts, ids=ids, sequences=observed)
-        else:
-            raise _unknown_weights(weights)
-        # the count checks read no data: an empty stack raises them now
-        self.covariances(np.empty((0, len(observed), design.horizon, design.horizon)))
 
     @property
     def classes(self) -> int:
@@ -775,13 +765,12 @@ class StackedFit:
         return len(self.hit_rows)
 
     def __call__(self, grouped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        counts, means, cross = grouped_moments(grouped, self.counts)
+        moments = grouped_moments(grouped, self.counts)
         inverses = self.inverses
         if inverses is None:
-            inverses = _inverses(*repair_positive_definite(self.covariances(cross)))
-        _, factor, beta = _class_solve(self.hit_rows, self.local, counts, inverses, means)
-        fitted = _class_values(self.class_basis, beta)[..., self.entry_classes]
-        meat = _class_meat(self.hit_rows, self.local, counts, inverses, means, cross, fitted)
+            inverses = _inverses(*repair_positive_definite(self.covariances(moments.cross)))
+        _, factor, beta = self.solve(moments.means, inverses)
+        meat = self.meat(moments, inverses, beta)
         point, bm = _functional(*self.rows, beta, factor)
         covariance = bm @ meat @ bm.swapaxes(-1, -2)
         # estimate symmetrizes the covariance, which leaves its diagonal as is

@@ -19,9 +19,6 @@ from crossover import (
     full_sequence_set,
     random_consistent_table,
     row_reduce,
-    rows_no_anticipation,
-    rows_no_carryover,
-    rows_time_invariant,
 )
 
 LAYOUT2 = CoefficientLayout(2, full_sequence_set(2))
@@ -44,6 +41,28 @@ WINDOW_ROWS_2P = np.array(
 TIME_ROW_2P = np.array([[1, -1, 0, 1, -1, 0, 0, 0]], dtype=float)
 
 
+def prefix_rows(layout):
+    """C under scenario a: rows equating period-t coefficients of sequences
+    sharing a length-t prefix."""
+    return assemble("a", layout.horizon, layout.scope).matrix
+
+
+def window_rows(layout, order):
+    """The rows of C under scenario b from period k on, equating period-t
+    coefficients of sequences sharing the trailing length-k window."""
+    matrix = assemble("b", layout.horizon, layout.scope, order).matrix
+    # a chain row's first nonzero column is a coefficient of its period
+    period = np.argmax(matrix != 0, axis=1) % layout.horizon + 1
+    return matrix[period >= order]
+
+
+def cycle_rows(layout, order):
+    """The rows scenario c appends to scenario b's C: one per independent
+    cycle tying window contrasts together across periods t >= k."""
+    chain = assemble("b", layout.horizon, layout.scope, order).n_rows
+    return assemble("c", layout.horizon, layout.scope, order).matrix[chain:]
+
+
 def rank(matrix):
     return np.linalg.matrix_rank(matrix) if matrix.size else 0
 
@@ -57,44 +76,44 @@ def same_row_space(a, b):
 
 class TestNoAnticipationRows:
     def test_two_period_full_scope(self):
-        assert np.array_equal(rows_no_anticipation(LAYOUT2), PREFIX_ROWS_2P)
+        assert np.array_equal(prefix_rows(LAYOUT2), PREFIX_ROWS_2P)
 
     def test_single_period_has_no_rows(self):
         layout = CoefficientLayout(1, full_sequence_set(1))
-        assert rows_no_anticipation(layout).shape[0] == 0
+        assert prefix_rows(layout).shape[0] == 0
 
     def test_three_period_row_count(self):
         layout = CoefficientLayout(3, full_sequence_set(3))
         # t=1: two classes of 4 -> 6 rows; t=2: four classes of 2 -> 4 rows
-        assert rows_no_anticipation(layout).shape[0] == 10
+        assert prefix_rows(layout).shape[0] == 10
 
 
 class TestNoCarryoverRows:
     def test_two_period_order_one_contains_window_rows(self):
-        rows = rows_no_carryover(LAYOUT2, 1)
+        rows = window_rows(LAYOUT2, 1)
         period2 = rows[np.flatnonzero(np.abs(rows[:, 1::2]).sum(axis=1) > 0)]
         assert np.array_equal(period2, WINDOW_ROWS_2P)
         assert same_row_space(rows, np.vstack([PREFIX_ROWS_2P, WINDOW_ROWS_2P]))
 
     def test_order_equal_to_horizon_yields_nothing(self):
-        assert rows_no_carryover(LAYOUT2, 2).shape[0] == 0
+        assert window_rows(LAYOUT2, 2).shape[0] == 0
 
     def test_disjoint_windows_yield_nothing(self):
         layout = CoefficientLayout(3, ("AAB", "ABA", "BAA"))
-        assert rows_no_carryover(layout, 2).shape[0] == 0
+        assert window_rows(layout, 2).shape[0] == 0
 
 
 class TestTimeInvariantRows:
     def test_two_period_single_row(self):
-        assert np.array_equal(rows_time_invariant(LAYOUT2, 1), TIME_ROW_2P)
+        assert np.array_equal(cycle_rows(LAYOUT2, 1), TIME_ROW_2P)
 
     def test_single_period_has_no_rows(self):
         layout = CoefficientLayout(1, full_sequence_set(1))
-        assert rows_time_invariant(layout, 1).shape[0] == 0
+        assert cycle_rows(layout, 1).shape[0] == 0
 
     def test_single_window_value_has_no_rows(self):
         layout = CoefficientLayout(2, ("AA",))
-        assert rows_time_invariant(layout, 1).shape[0] == 0
+        assert cycle_rows(layout, 1).shape[0] == 0
 
 
 class TestRowReduce:
@@ -108,9 +127,9 @@ class TestRowReduce:
     def test_two_period_scenario_c_stack_rank(self):
         raw = np.vstack(
             [
-                rows_no_anticipation(LAYOUT2),
-                rows_no_carryover(LAYOUT2, 1),
-                rows_time_invariant(LAYOUT2, 1),
+                prefix_rows(LAYOUT2),
+                window_rows(LAYOUT2, 1),
+                cycle_rows(LAYOUT2, 1),
             ]
         )
         reduced = row_reduce(raw)
@@ -311,7 +330,7 @@ class TestClassMap:
         restriction = assemble("c", 4, scope, 2)
         assert restriction.basis.shape[1] == 7
         assert restriction.n_rows == 1
-        assert rows_time_invariant(restriction.layout, 2).shape[0] == 1
+        assert cycle_rows(restriction.layout, 2).shape[0] == 1
         table = random_consistent_table(4, "c", 2, 16, scope=scope, seed=5)
         layout = restriction.layout
         stacked = np.concatenate([table.mean_vector(z) for z in layout.scope])

@@ -11,7 +11,6 @@ from crossover import (
     mean_derivation_time_invariant,
     mean_witness_carryover,
     mean_witness_no_anticipation,
-    regressor_block,
     time_invariant_closure,
 )
 from crossover.constraints import RestrictionMatrix
@@ -25,11 +24,13 @@ def empty_restriction(horizon, scope):
 
 class TestRegressorStructure:
     def test_block_has_identity_in_own_columns(self):
-        layout = CoefficientLayout(2, full_sequence_set(2))
-        block = regressor_block(layout, "BA")
-        assert block.shape == (2, 8)
-        assert block.sum() == 2
-        assert np.array_equal(block[:, layout.block("BA")], np.eye(2))
+        # each unit of BA observes BA's own coefficients: X'X = N_z I there
+        design = CrossoverDesign(2, {"BA": 3})
+        layout = CoefficientLayout(2, design.scope)
+        gram = gram_plus_restriction(design, empty_restriction(2, design.scope))
+        assert gram.shape == (8, 8)
+        assert gram.sum() == 6
+        assert np.array_equal(gram[layout.block("BA"), layout.block("BA")], 3 * np.eye(2))
 
 
 class TestGramPlusRestriction:

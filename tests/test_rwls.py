@@ -50,6 +50,11 @@ def four_seq_design(counts=(3, 4, 5, 3)):
     return CrossoverDesign(2, dict(zip(("AA", "AB", "BA", "BB"), counts)))
 
 
+# eight of the sixteen T=4 sequences, hitting every trailing pair at
+# periods 2 to 4
+HALF_T4_ALL_WINDOWS = ("AAAA", "AABB", "ABAB", "ABBA", "BAAB", "BABA", "BBAA", "BBBB")
+
+
 def diagonal_weights(design, values=(1.0, 1.0)):
     return WeightModel({z: np.diag(values) for z in design.observed}, "user")
 
@@ -185,13 +190,27 @@ class TestStacks:
             assert np.array_equal(pooled[r], rwls.pool_by_class(*dataset.moments[::2], ids, observed))
             assert np.array_equal(sample[r], rwls.sample_by_sequence(*dataset.moments[::2], observed))
 
-    @pytest.mark.parametrize("scenario,order", [("a", None), ("b", 1), ("c", 2)])
+    @pytest.mark.parametrize(
+        "implemented,scenario,order",
+        [
+            pytest.param(full_sequence_set(3), "a", None, id="a-None"),
+            pytest.param(full_sequence_set(3), "b", 1, id="b-1"),
+            pytest.param(full_sequence_set(3), "c", 2, id="c-2"),
+            # half of the T=4 scope: under b every class must be hit (Q is
+            # diagonal), under c the period-4 class B is not (Q_h < Q)
+            pytest.param(HALF_T4_ALL_WINDOWS, "b", 2, id="half-T4-b-2"),
+            pytest.param(full_sequence_set(4)[::2], "c", 1, id="half-T4-c-1"),
+        ],
+    )
     @pytest.mark.parametrize("weights", ["sample", "pooled", "user"])
-    def test_stacked_fit_matches_feasible_rwls_and_estimate(self, rng, scenario, order, weights):
-        design = CrossoverDesign(3, {z: 3 + i % 3 for i, z in enumerate(full_sequence_set(3))})
-        restriction = assemble(scenario, 3, design.scope, order)
+    def test_stacked_fit_matches_feasible_rwls_and_estimate(self, rng, implemented, scenario, order, weights):
+        horizon = len(implemented[0])
+        design = CrossoverDesign(
+            horizon, {z: 3 + i % 3 for i, z in enumerate(implemented)}, full_sequence_set(horizon)
+        )
+        restriction = assemble(scenario, horizon, design.scope, order)
         if weights == "user":
-            weights = WeightModel({z: np.eye(3) + 0.2 for z in design.observed}, "user")
+            weights = WeightModel({z: np.eye(horizon) + 0.2 for z in design.observed}, "user")
         spec = stack(all_instantaneous_effects(3, design.scope)[:2] + [carryover_effect(3, 2, "", "AB", design.scope)])
         grouped, datasets = self.stack_of_datasets(design, rng)
         point, variances = rwls.StackedFit(design, restriction, spec, weights, scenario, order)(grouped)
@@ -199,6 +218,27 @@ class TestStacks:
             result = estimate(feasible_rwls(dataset, scenario, order, weights, restriction), spec)
             assert np.array_equal(point[r], result.point)
             assert np.array_equal(variances[r], np.diag(result.covariance))
+
+    def test_errors_no_data_can_change_keep_their_order(self, rng):
+        # AB/BA fails the rank condition under scenario a; AB has one unit
+        design = CrossoverDesign(2, {"AB": 1, "BA": 4})
+        restriction = assemble("a", 2, design.scope)
+        spec = instantaneous_effect(1, "", design.scope)
+        # the stack checks identification, then the spec, then the weights
+        with pytest.raises(NotIdentifiableError):
+            rwls.StackedFit(design, restriction, spec, "bogus")
+        identified = four_seq_design((1, 4, 4, 4))
+        wrong_horizon = instantaneous_effect(1, "", full_sequence_set(3))
+        with pytest.raises(ValueError, match="spec horizon"):
+            rwls.StackedFit(identified, assemble("a", 2, identified.scope), wrong_horizon, "bogus")
+        with pytest.raises(ValueError, match="weights must be"):
+            rwls.StackedFit(identified, assemble("a", 2, identified.scope), spec, "bogus")
+        # the single fit builds its weights from the data before it solves
+        dataset = make_dataset(design, rng)
+        with pytest.raises(ValueError, match="weights must be"):
+            feasible_rwls(dataset, "a", weights="bogus")
+        with pytest.raises(DegenerateCovarianceError, match="sequence AB has 1 unit"):
+            feasible_rwls(dataset, "a")
 
     def test_failed_cholesky_raises_conditioning_error(self, rng):
         design = four_seq_design()
