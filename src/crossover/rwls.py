@@ -157,7 +157,9 @@ class ObservedDataset:
 def _sequence_moments(dataset: ObservedDataset) -> Moments:
     """One pass over the sequences: count, mean and centered R_z'R_z."""
     counts = np.array(list(dataset.design.counts.values()))
-    moments = grouped_moments(dataset.outcomes[np.concatenate(list(dataset._groups.values()))], counts)
+    # gathered period by period, so each unit axis is contiguous
+    periods = np.take(dataset.outcomes.T, np.concatenate(list(dataset._groups.values())), axis=1)
+    moments = grouped_moments(periods.T, counts)
     for array in moments:
         array.flags.writeable = False
     return moments
@@ -165,11 +167,16 @@ def _sequence_moments(dataset: ObservedDataset) -> Moments:
 
 def grouped_moments(grouped: np.ndarray, counts: np.ndarray) -> Moments:
     """Moments of (..., N, T) outcomes listed sequence by sequence: counts[0]
-    units of the first implemented sequence, then counts[1] of the next."""
-    ys = np.split(grouped, np.cumsum(counts)[:-1], axis=-2)
-    means = [y.mean(axis=-2) for y in ys]
-    centered = [y - mean[..., None, :] for y, mean in zip(ys, means)]
-    cross = [r.swapaxes(-1, -2) @ r for r in centered]
+    units of the first implemented sequence, then counts[1] of the next.
+    The sums run along the unit axis as contiguous memory, in one order
+    whatever the leading axes: a (..., N, T) view of a period-major array
+    is read in place, any other layout is copied once."""
+    units = grouped.swapaxes(-1, -2)
+    if units.strides[-1] != units.itemsize:
+        units = np.ascontiguousarray(units)
+    ys = np.split(units, np.cumsum(counts)[:-1], axis=-1)
+    means = [y.mean(axis=-1) for y in ys]
+    cross = [r @ r.swapaxes(-1, -2) for r in (y - mean[..., None] for y, mean in zip(ys, means))]
     return Moments(counts, np.stack(means, axis=-2), np.stack(cross, axis=-3))
 
 

@@ -210,28 +210,37 @@ def n_assignments(design: CrossoverDesign) -> int:
     return total
 
 
-def enumerate_codes(design: CrossoverDesign) -> np.ndarray:
-    """Every distinct assignment as one row of sequence codes, in
-    lexicographic order: an (A, N) array with A = ``n_assignments``.
-
-    Rows grow one unit at a time; each prefix is extended by every code
-    it still has units left for, in increasing code order, so row-major
-    order stays lexicographic.  Refuses designs whose assignment count
-    exceeds the enumeration cap.
-    """
+def enumeration_walk(design: CrossoverDesign) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The lexicographic walk over every distinct assignment, one (prefix,
+    code) step per unit: row j of the next level is row ``prefix[j]`` of the
+    last extended by ``code[j]``, each prefix by every code it has units left
+    for, in increasing order.  The cap is checked before the first step."""
     total = n_assignments(design)
     if total > MAX_ENUMERATED_ASSIGNMENTS:
         raise EnumerationSizeError(
             f"{total} assignments exceed the enumeration cap of {MAX_ENUMERATED_ASSIGNMENTS}"
         )
+    counts = list(design.counts.values())
+    return _walk(np.array([counts], dtype=np.min_scalar_type(max(counts))), design.n_units)
+
+
+def _walk(remaining: np.ndarray, n_units: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    for _ in range(n_units):
+        prefix, code = np.divmod(np.flatnonzero(remaining), remaining.shape[1])
+        yield prefix, code
+        remaining = np.take(remaining, prefix, axis=0)
+        remaining.reshape(-1)[np.arange(0, remaining.size, remaining.shape[1]) + code] -= 1
+
+
+def enumerate_codes(design: CrossoverDesign) -> np.ndarray:
+    """Every distinct assignment as one row of sequence codes, in
+    lexicographic order: the (A, N) array, A = ``n_assignments``, that
+    ``enumeration_walk`` builds column by column.  Refuses designs whose
+    assignment count exceeds the enumeration cap."""
     dtype = np.min_scalar_type(len(design.counts))
     rows = np.zeros((1, 0), dtype=dtype)
-    remaining = np.array([list(design.counts.values())])
-    for _ in range(design.n_units):
-        prefix, code = np.nonzero(remaining)
+    for prefix, code in enumeration_walk(design):
         rows = np.hstack([rows[prefix], code.astype(dtype)[:, None]])
-        remaining = remaining[prefix]
-        remaining[np.arange(prefix.size), code] -= 1
     return rows
 
 

@@ -8,8 +8,8 @@ The replications are fitted in chunks as stacked arrays
 alone gives; a chunk holds as many replications as fit MC_CHUNK_BYTES, so
 memory is bounded by one chunk whatever the design and replication count.
 Reports collect per-estimand bias samples, empirical and mean estimated
-variances, and confidence-interval coverage.  An exact audit enumerates
-every assignment of a small design instead of sampling.
+variances, and confidence-interval coverage.  An exact audit sums the
+estimates over every assignment of a small design as it enumerates them.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .sequences import (
     TreatmentSequence,
     as_sequence,
     code_template,
-    enumerate_codes,
+    enumeration_walk,
     full_sequence_set,
     sample_codes,
 )
@@ -355,8 +355,8 @@ def run_monte_carlo(
     template = code_template(design)
     # one-byte codes sort by radix and permute as the template does
     small = template.astype(np.min_scalar_type(template[-1]))
-    # row i of the flattened cube is unit i % N under sequence i // N
-    rows = _outcome_cube(table, design).reshape(-1, design.horizon)
+    # column i of period t is unit i % N's outcome under sequence i // N
+    periods = _outcome_cube(table, design).transpose(2, 0, 1).reshape(design.horizon, -1)
     firsts = template * design.n_units
     size = chunk_size(design, fit.classes)
     for start in range(0, replications, size):
@@ -365,7 +365,8 @@ def run_monte_carlo(
         # a stable sort lists each sequence's units in increasing order,
         # and the sorted codes are the template itself
         units = np.argsort(codes, axis=1, kind="stable")
-        point, est_vars[chunk] = fit(np.take(rows, firsts + units, axis=0))
+        # a (T, C, N) gather read as (C, N, T): the unit axis stays contiguous
+        point, est_vars[chunk] = fit(np.take(periods, firsts + units, axis=1).transpose(1, 2, 0))
         half_width = z_crit * np.sqrt(np.clip(est_vars[chunk], 0.0, None))
         bias[chunk] = point - truth
         covered[chunk] = (point - half_width <= truth) & (truth <= point + half_width)
@@ -433,19 +434,22 @@ def exact_randomization_audit(
     zero_means = {z: np.zeros(design.horizon) for z in design.observed}
     base = solve_restricted_wls(design, zero_means, weights, restriction)
     implied = implied_estimator_weights(base, stacked)
-    # contrib[z, i] = implied[z] @ Y_i(z) / N_z: unit i's share of the
+    # contrib[i, z] = implied[z] @ Y_i(z) / N_z: unit i's share of the
     # estimate when it is assigned to z
     cube = _outcome_cube(table, design)
     contrib = np.stack(
-        [y @ implied[z].T / n for y, (z, n) in zip(cube, design.counts.items())]
+        [y @ implied[z].T / n for y, (z, n) in zip(cube, design.counts.items())], axis=1
     )
-    codes = enumerate_codes(design)
-    points = np.zeros((codes.shape[0], stacked.dimension))
-    for i in range(design.n_units):
-        points += contrib[codes[:, i], i]
+    # each prefix's partial sum, in unit order; one-code levels add in place
+    points = np.zeros((1, stacked.dimension))
+    for shares, (prefix, code) in zip(contrib, enumeration_walk(design)):
+        if prefix.size > points.shape[0]:
+            points = np.take(points, prefix, axis=0)
+        for j, column in enumerate(shares.T):
+            points[:, j] += column[code]
     exact_mean = points.mean(axis=0)
-    centered = points - exact_mean
-    exact_cov = centered.T @ centered / points.shape[0]
+    points -= exact_mean
+    exact_cov = points.T @ points / points.shape[0]
     return AuditResult(
         labels=stacked.labels,
         exact_mean=exact_mean,

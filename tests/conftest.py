@@ -101,6 +101,18 @@ def score_meat(fit, dataset: ObservedDataset) -> np.ndarray:
     return scores.T @ scores
 
 
+def row_major_moments(grouped: np.ndarray, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sequence means and centered R_z'R_z of (..., N, T) outcomes
+    listed sequence by sequence, reduced over the unit axis of the
+    row-major stack as it is laid out (stride T): a reference for
+    ``rwls.grouped_moments``, which reduces along a contiguous unit axis."""
+    ys = np.split(grouped, np.cumsum(counts)[:-1], axis=-2)
+    means = [y.mean(axis=-2) for y in ys]
+    centered = [y - mean[..., None, :] for y, mean in zip(ys, means)]
+    cross = [r.swapaxes(-1, -2) @ r for r in centered]
+    return np.stack(means, axis=-2), np.stack(cross, axis=-3)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -43,7 +43,14 @@ from crossover import (
 from crossover import rwls, twoperiod
 from crossover.constraints import ClassMap, CoefficientLayout, RestrictionMatrix, restriction_from_rows
 from crossover.rwls import _chi2_sf, repair_positive_definite
-from conftest import dense_sandwich, make_dataset, nullspace_restricted_wls, score_meat, template_labels
+from conftest import (
+    dense_sandwich,
+    make_dataset,
+    nullspace_restricted_wls,
+    row_major_moments,
+    score_meat,
+    template_labels,
+)
 
 
 def four_seq_design(counts=(3, 4, 5, 3)):
@@ -153,6 +160,31 @@ class TestMoments:
             assert np.allclose(moments.cross[i], centered.T @ centered, atol=1e-12)
         for array in moments:
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize(
+        "shape,counts",
+        [
+            pytest.param((37, 3), (3, 17, 9, 8), id="unbalanced"),
+            pytest.param((12, 2), (1, 6, 5), id="one-unit-group"),
+            pytest.param((40, 4), (40,), id="single-sequence"),
+            pytest.param((30, 1), (12, 18), id="T1"),
+            pytest.param((6, 150, 2), (100, 1, 49), id="stack"),
+        ],
+    )
+    def test_contiguous_reduction_matches_the_row_major_reference(self, rng, shape, counts):
+        counts = np.array(counts)
+        # per-sequence locations, as outcomes under different sequences have
+        grouped = rng.normal(size=shape) + np.repeat(rng.normal(0.0, 3.0, size=counts.size), counts)[:, None]
+        for layout in (grouped, np.ascontiguousarray(grouped.swapaxes(-1, -2)).swapaxes(-1, -2)):
+            moments = rwls.grouped_moments(layout, counts)
+            for got, expected in zip(moments[1:], row_major_moments(grouped, counts)):
+                assert got.shape == expected.shape
+                assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+        # the sums run in one order whatever the layout and the leading axes
+        assert all(map(np.array_equal, moments[1:], rwls.grouped_moments(grouped, counts)[1:]))
+        if grouped.ndim == 3:
+            first = rwls.grouped_moments(grouped[0], counts)
+            assert np.array_equal(first.means, moments.means[0]) and np.array_equal(first.cross, moments.cross[0])
 
     @pytest.mark.parametrize("weights", ["sample", "pooled"])
     def test_one_moments_pass_per_dataset_in_a_fit(self, rng, monkeypatch, weights):

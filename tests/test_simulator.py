@@ -20,6 +20,7 @@ from crossover import (
     check_table_consistency,
     emit_bias_distribution,
     enumerate_assignments,
+    enumerate_codes,
     estimate,
     exact_randomization_audit,
     feasible_rwls,
@@ -38,7 +39,7 @@ from crossover import (
     standard_two_period_specs,
     true_value,
 )
-from crossover import simulator
+from crossover import sequences, simulator
 
 SCOPE2 = full_sequence_set(2)
 
@@ -253,6 +254,34 @@ class TestMemory:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
+    @staticmethod
+    def traced_peak(call) -> int:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_four_sequence_study_holds_one_chunk_without_a_stack_copy(self):
+        # one chunk's gather and its centred groups come to 2.4 x the chunk
+        # budget; another copy of the (C, N, T) stack would add about 1 x
+        design = CrossoverDesign(2, {z: 100 for z in ("AA", "AB", "BA", "BB")})
+        generator = ScenarioGenerator(scenario="b", seed=4)
+        specs = standard_two_period_specs(SCOPE2)
+        peak = self.traced_peak(lambda: run_monte_carlo(generator, design, specs, replications=300, seed=1))
+        assert peak <= 3.2 * simulator.MC_CHUNK_BYTES
+
+    def test_audit_holds_at_most_two_point_arrays(self):
+        # 25,200 assignments: the peak is one gather of the partial sums,
+        # the last level's (A, 5) floats beside the level before, 2.04 MiB
+        design = CrossoverDesign(2, {"AA": 3, "AB": 3, "BA": 2, "BB": 2})
+        table = random_consistent_table(2, "b", 1, design.n_units, seed=6)
+        specs = standard_two_period_specs(design.scope)
+        peak = self.traced_peak(lambda: exact_randomization_audit(table, design, specs, "oracle", "b", 1))
+        assert peak <= 1.1 * 2.24 * 2**20
+
 
 def reference_monte_carlo(table, design, specs, replications, weights, seed, scenario, order=1, level=0.95):
     """Per-replication Assignment path: sample, realize from the sequences,
@@ -373,6 +402,49 @@ class TestExactAudit:
             exact_randomization_audit(
                 table, design, [instantaneous_effect(1, "", design.scope)], "oracle", "b", 1
             )
+
+    def test_every_entry_point_refuses_the_cap_with_one_message(self):
+        design = CrossoverDesign(1, {"A": 15, "B": 15})
+        table = random_consistent_table(1, "b", 1, design.n_units, seed=1)
+        message = re.escape("155117520 assignments exceed the enumeration cap of 1000000")
+        # the walk checks the cap when called, before its first step
+        with pytest.raises(EnumerationSizeError, match=message):
+            sequences.enumeration_walk(design)
+        with pytest.raises(EnumerationSizeError, match=message):
+            enumerate_codes(design)
+        with pytest.raises(EnumerationSizeError, match=message):
+            enumerate_assignments(design)
+        with pytest.raises(EnumerationSizeError, match=message):
+            exact_randomization_audit(table, design, [instantaneous_effect(1, "", design.scope)], "oracle", "b", 1)
+
+    @pytest.mark.parametrize(
+        "horizon,scenario,counts",
+        [
+            pytest.param(2, "b", {"AA": 3, "AB": 3, "BA": 2, "BB": 2}, id="T2-b"),
+            pytest.param(3, "c", {"AAB": 3, "ABA": 3, "BAA": 3}, id="T3-c"),
+        ],
+    )
+    def test_points_are_summed_in_unit_order(self, horizon, scenario, counts):
+        # the sum over units, in unit order, of every row of the code matrix
+        design = CrossoverDesign(horizon, counts)
+        table = random_consistent_table(horizon, scenario, 1, design.n_units, seed=6)
+        specs = [instantaneous_effect(t, "A" * (t - 1), design.scope) for t in range(1, horizon + 1)]
+        if horizon == 2:
+            specs = standard_two_period_specs(design.scope)
+        result = exact_randomization_audit(table, design, specs, "oracle", scenario, 1)
+        weights = WeightModel({z: table.covariance(z) for z in design.observed}, "user")
+        zero_means = {z: np.zeros(horizon) for z in design.observed}
+        base = solve_restricted_wls(design, zero_means, weights, assemble(scenario, horizon, design.scope, 1))
+        implied = implied_estimator_weights(base, stack(specs))
+        contrib = np.stack([table.outcomes[z] @ implied[z].T / n for z, n in design.counts.items()])
+        codes = enumerate_codes(design)
+        points = np.zeros((codes.shape[0], len(stack(specs).labels)))
+        for i in range(design.n_units):
+            points += contrib[codes[:, i], i]
+        mean = points.mean(axis=0)
+        centered = points - mean
+        assert np.array_equal(result.exact_mean, mean)
+        assert np.array_equal(result.exact_covariance, centered.T @ centered / points.shape[0])
 
 
     def test_oracle_covariance_below_the_repair_floor_is_refused(self):
