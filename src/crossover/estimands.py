@@ -63,6 +63,8 @@ class EstimandSpec:
                 raise ValueError(
                     f"W({z}) has shape {w.shape}, expected {(k, self.horizon)}"
                 )
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"W({z}) has a non-finite entry")
             weights[z] = w
         if not any(np.any(w) for w in weights.values()):
             raise ValueError("all coefficient matrices are zero")

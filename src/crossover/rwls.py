@@ -10,17 +10,22 @@ of Q for the h classes the implemented sequences hit, E_z the T x h
 indicators of z's periods among them, W_z = N_z Omega_z^-1 and Ybar_z, R_z
 the mean and N_z x T residuals of z, summing over the implemented sequences,
 
-    A = sum_z E_z' W_z E_z,    M = Q_h' A Q_h = L L',
+    A = sum_z E_z' W_z E_z,    M = Q_h' A Q_h = V Lambda V',
+    M^-1 = H H',    H = V Lambda^-1/2,
     beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z,    gamma = E Q beta,
     R_z'R_z = cross_z + N_z delta_z delta_z',    delta_z = Ybar_z - gamma_z,
     meat = Q_h' (sum_z E_z' Omega_z^-1 R_z'R_z Omega_z^-1 E_z) Q_h,
     Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)',    BZ = (B E) Q.
 
 A and the class-width meat are each one ``bincount`` scatter over the class
-ids.  The meat reads the dataset's moments alone: no pass over the units.  One Cholesky
-factor L of the d x d matrix M serves the solve, the sandwich and every
-estimand; neither the p x d basis Z nor any p x p matrix is formed on that
-path.
+ids.  The meat reads the dataset's moments alone: no pass over the units.
+One symmetric eigendecomposition of the d x d matrix M checks that it is
+positive definite, gives cond(M) = lambda_max / lambda_min, and gives the
+whitener H, so every product with M^-1 (the solve, the sandwich and every
+estimand) is two matrix products; neither the p x d basis Z nor any p x p
+matrix is formed on that path.  The exact randomization variance of a
+fixed-weight fit is the same sandwich, its meat scattered from the table's
+covariances N_z S2(z) in place of R_z'R_z.
 
 Omega_z is built from the dataset's moments, computed once (per-sequence
 counts, means and R_z'R_z about the mean): sample covariances or entries
@@ -201,9 +206,12 @@ class WeightModel:
         matrices = dict(sorted(matrices.items(), key=lambda item: item[0].letters))
         if len({m.shape for m in matrices.values()}) > 1:
             raise ValueError(f"weight matrices must share one shape, got {[m.shape for m in matrices.values()]}")
+        stacked = np.stack(list(matrices.values())) if matrices else np.empty((0, 0, 0))
+        finite = np.isfinite(stacked).all(axis=(-2, -1))
+        if not finite.all():
+            raise ValueError(f"weight for {list(matrices)[finite.argmin()]} has a non-finite entry")
         repaired = set(map(as_sequence, self.repaired))
-        mask = np.array([z in repaired for z in matrices], dtype=bool)
-        inverses = _inverses(np.stack(list(matrices.values())), mask) if matrices else np.empty((0, 0, 0))
+        inverses = _inverses(stacked, np.array([z in repaired for z in matrices], dtype=bool))
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "inverses", dict(zip(matrices, inverses)))
 
@@ -230,7 +238,7 @@ def _inverses(matrices: np.ndarray, repaired: np.ndarray) -> np.ndarray:
     """Omega^-1 of a (..., k, T, T) stack.  The inverses of the matrices the
     (..., k) mask marks as repaired are symmetrized: at their condition (up
     to ~1e8) ``inv`` leaves them asymmetric by rounding, M inherits that,
-    and the Cholesky factorization reads one triangle only."""
+    and ``eigh`` reads one triangle of it only."""
     inverses = np.linalg.inv(matrices)
     fixed = inverses[repaired]
     inverses[repaired] = (fixed + fixed.swapaxes(-1, -2)) / 2.0
@@ -336,8 +344,9 @@ class RwlsFit:
     coordinates of the null-space basis Z = E Q (see the module docstring).
 
     ``gamma`` is the coefficient vector over the layout and ``beta`` its
-    reduced coordinates, gamma = Z beta; ``factor`` is the Cholesky factor
-    L of M and ``condition_number`` is cond(M), from its eigenvalues.
+    reduced coordinates, gamma = Z beta; ``whitener`` is H = V Lambda^-1/2
+    from the eigendecomposition M = V Lambda V', so M^-1 = H H', and
+    ``condition_number`` is cond(M) = lambda_max / lambda_min.
     ``reduced_meat`` (set once residual moments are available) is the d x d
     meat, so Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'.  The p x p
     ``u11`` = Z M^-1 Z' and ``ehw`` = Z M^-1 meat M^-1 Z', and the blocks
@@ -351,7 +360,7 @@ class RwlsFit:
     means: dict[TreatmentSequence, np.ndarray]
     gamma: np.ndarray
     beta: np.ndarray
-    factor: np.ndarray
+    whitener: np.ndarray
     condition_number: float
     warnings: tuple[str, ...] = ()
     reduced_meat: np.ndarray | None = None
@@ -383,37 +392,25 @@ class RwlsFit:
     @property
     def u11(self) -> np.ndarray:
         """Z M^-1 Z', the p x p map from the weighted mean stack to gamma."""
-        half = np.linalg.solve(self.factor, self.restriction.basis.T)
-        return half.T @ half
+        half = self.restriction.basis @ self.whitener
+        return half @ half.T
 
     @property
     def ehw(self) -> np.ndarray | None:
         """The p x p sandwich covariance of gamma, None before the meat is set."""
         if self.reduced_meat is None:
             return None
-        # with half = L^-1 Z', the sandwich is half' (L^-1 meat L^-T) half
-        half = np.linalg.solve(self.factor, self.restriction.basis.T)
-        inner = np.linalg.solve(self.factor, np.linalg.solve(self.factor, self.reduced_meat).T)
-        return half.T @ inner @ half
+        # with half = Z H, the sandwich is half (H' meat H) half'
+        half = self.restriction.basis @ self.whitener
+        return half @ (self.whitener.T @ self.reduced_meat @ self.whitener) @ half.T
 
     def coefficient(self, period: int, z: TreatmentSequence | str) -> float:
         return float(self.gamma[self.layout.column(period, z)])
 
 
-def _solve_reduced(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """M^-1 rhs from the Cholesky factor L of M; both may be stacks."""
-    return np.linalg.solve(factor.swapaxes(-1, -2), np.linalg.solve(factor, rhs))
-
-
 def _class_values(q: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Q beta, the (..., q) coefficient of each class."""
     return (q @ beta[..., None])[..., 0]
-
-
-def _condition(reduced: np.ndarray) -> float:
-    """cond(M) of the symmetric M, from its extreme eigenvalues."""
-    eigenvalues = np.linalg.eigvalsh(reduced)
-    return float(eigenvalues[-1] / eigenvalues[0]) if eigenvalues[0] > 0.0 else math.inf
 
 
 class _FitPlan:
@@ -473,17 +470,18 @@ class _FitPlan:
         return q.T @ _scatter(keys, blocks, size * size).reshape(blocks.shape[:-3] + (size, size)) @ q
 
     def solve(self, means: np.ndarray, inverses: np.ndarray):
-        """M, its Cholesky factor L and beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z
-        from (..., k, T) means and (..., k, T, T) inverses."""
+        """The ascending eigenvalues of M, its whitener H (M^-1 = H H') and
+        beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z from (..., k, T) means and
+        (..., k, T, T) inverses, M decomposed once by ``eigh``.  Raises
+        ConditioningError when an M is not positive definite."""
         q = self.hit_rows
         weighted = self.counts[:, None, None] * inverses
-        reduced = self._reduce(weighted)
         rhs = q.T @ _scatter(self.local, (weighted @ means[..., None])[..., 0], len(q))[..., None]
-        try:
-            factor = np.linalg.cholesky(reduced)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningError("reduced normal matrix is not positive definite") from exc
-        return reduced, factor, _solve_reduced(factor, rhs)[..., 0]
+        eigenvalues, vectors = np.linalg.eigh(self._reduce(weighted))
+        if not np.all(eigenvalues[..., 0] > 0.0):
+            raise ConditioningError("reduced normal matrix is not positive definite")
+        whitener = vectors / np.sqrt(eigenvalues)[..., None, :]
+        return eigenvalues, whitener, (whitener @ (whitener.swapaxes(-1, -2) @ rhs))[..., 0]
 
     def meat(self, moments: Moments, inverses: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """Q_h' (sum_z E_z' Omega_z^-1 R_z'R_z Omega_z^-1 E_z) Q_h with
@@ -506,7 +504,7 @@ def solve_restricted_wls(
     Raises NotIdentifiableError when X'X + C'C is rank deficient,
     MissingSequenceError when the weight model lacks an implemented
     sequence, ValueError for a weight or mean of the wrong shape, and
-    ConditioningError when the reduced matrix M has no Cholesky factor.
+    ConditioningError when the reduced matrix M is not positive definite.
     A condition number of M above 1e12 attaches a warning to the fit.
     """
     plan = _FitPlan(design, restriction, None, weights)
@@ -517,9 +515,9 @@ def solve_restricted_wls(
         if mean.shape != (horizon,):
             raise ValueError(f"mean for {z} must have shape ({horizon},)")
         fitted_means[z] = mean
-    reduced, factor, beta = plan.solve(np.stack(list(fitted_means.values())), plan.inverses)
+    eigenvalues, whitener, beta = plan.solve(np.stack(list(fitted_means.values())), plan.inverses)
     gamma = _class_values(plan.class_basis, beta)[restriction.class_ids]
-    condition = _condition(reduced)
+    condition = float(eigenvalues[-1] / eigenvalues[0])
     warnings: list[str] = []
     if condition > CONDITION_WARNING_THRESHOLD:
         warnings.append(
@@ -533,7 +531,7 @@ def solve_restricted_wls(
         means=fitted_means,
         gamma=gamma,
         beta=beta,
-        factor=factor,
+        whitener=whitener,
         condition_number=condition,
         warnings=tuple(warnings),
     )
@@ -555,7 +553,7 @@ def _reduced_meat(
     meat = plan.meat(dataset.moments, plan.inverses, fit.beta)
     if small_sample_scale:
         n = dataset.n_units
-        free = fit.layout.size - fit.restriction.n_rows
+        free = fit.restriction.dimension
         if n <= free:
             raise ValueError(f"small-sample scale needs N > {free}, got N = {n}")
         meat = meat * (n / (n - free))
@@ -624,12 +622,12 @@ def _estimand_rows(restriction: RestrictionMatrix, spec: EstimandSpec) -> tuple[
     return bz, np.abs(bz).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
 
 
-def _functional(bz, restricted, beta, factor) -> tuple[np.ndarray, np.ndarray]:
-    """B gamma-hat = (BZ) beta and (BZ) M^-1 over stacks of fits, snapped
-    rows zeroed."""
+def _functional(bz, restricted, beta, whitener) -> tuple[np.ndarray, np.ndarray]:
+    """B gamma-hat = (BZ) beta and (BZ) M^-1 = (BZ) H H' over stacks of
+    fits, snapped rows zeroed."""
     point = (bz @ beta[..., None])[..., 0]
     point[..., restricted] = 0.0
-    bm = _solve_reduced(factor, bz.T).swapaxes(-1, -2)
+    bm = bz @ whitener @ whitener.swapaxes(-1, -2)
     bm[..., restricted, :] = 0.0
     return point, bm
 
@@ -641,7 +639,7 @@ def _reduced_functional(fit: RwlsFit, spec: EstimandSpec) -> tuple[np.ndarray, n
     are exact zeroes of the restricted model, so their estimates and
     variances are snapped to exact zero.
     """
-    return _functional(*_estimand_rows(fit.restriction, spec), fit.beta, fit.factor)
+    return _functional(*_estimand_rows(fit.restriction, spec), fit.beta, fit.whitener)
 
 
 def point_estimate(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
@@ -741,15 +739,15 @@ def oracle_variance(
 
     Requires the full potential-outcome table:
     sum_z M(z) S2(z) M(z)' / N_z minus the (inestimable from data alone)
-    individual-effect covariance divided by N.
+    individual-effect covariance divided by N.  With M(z) = (BZ) M^-1 G_z',
+    the sum is the sandwich (BZ) M^-1 meat M^-1 (BZ)' whose meat scatters
+    Omega_z^-1 (N_z S2(z)) Omega_z^-1, as the EHW meat scatters R_z'R_z.
     """
-    implied = implied_estimator_weights(fit, spec)
-    total = np.zeros((spec.dimension, spec.dimension))
-    for z, n in fit.design.counts.items():
-        m = implied[z]
-        total += m @ table.covariance(z) @ m.T / n
-    total -= individual_effect_covariance(spec, table) / table.n_units
-    return total
+    plan = fit._plan
+    bm = _reduced_functional(fit, spec)[1]
+    spread = plan.counts[:, None, None] * np.stack([table.covariance(z) for z in fit.design.observed])
+    total = bm @ plan._reduce(plan.inverses @ spread @ plan.inverses) @ bm.T
+    return total - individual_effect_covariance(spec, table) / table.n_units
 
 
 class StackedFit(_FitPlan):
@@ -760,9 +758,11 @@ class StackedFit(_FitPlan):
     it on a (C, N, T) outcome stack, each row listing its units sequence
     by sequence in code order, returns the (C, K) point estimates and
     sandwich variances, each bitwise what the dataset's own
-    ``feasible_rwls`` and ``estimate`` give, and raises ConditioningError
-    when a reduced matrix has no Cholesky factor.  The condition number,
-    the restriction-residual warning and the Wald test are not computed.
+    ``feasible_rwls`` and ``estimate`` give: ``eigh`` and the matrix
+    products run item by item on the stack as on one fit.  It raises
+    ConditioningError when a reduced matrix is not positive definite.  The
+    condition number, the restriction-residual warning and the Wald test
+    are not computed.
     """
 
     @property
@@ -776,9 +776,9 @@ class StackedFit(_FitPlan):
         inverses = self.inverses
         if inverses is None:
             inverses = _inverses(*repair_positive_definite(self.covariances(moments.cross)))
-        _, factor, beta = self.solve(moments.means, inverses)
+        _, whitener, beta = self.solve(moments.means, inverses)
         meat = self.meat(moments, inverses, beta)
-        point, bm = _functional(*self.rows, beta, factor)
+        point, bm = _functional(*self.rows, beta, whitener)
         covariance = bm @ meat @ bm.swapaxes(-1, -2)
         # estimate symmetrizes the covariance, which leaves its diagonal as is
         return point, np.diagonal(covariance, axis1=-2, axis2=-1)

@@ -253,6 +253,13 @@ def enumerate_assignments(design: CrossoverDesign) -> Iterator[Assignment]:
     return (Assignment(design, _sequences_of(design, row)) for row in codes)
 
 
+def _line_integer(text: str, lineno: int, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {what} must be an integer, got {text!r}") from None
+
+
 def design_from_text(text: str) -> CrossoverDesign:
     """Parse a design description.
 
@@ -270,7 +277,7 @@ def design_from_text(text: str) -> CrossoverDesign:
         if fields[0].upper() == "T":
             if len(fields) != 2:
                 raise ValueError(f"line {lineno}: expected 'T <horizon>', got {raw!r}")
-            horizon = int(fields[1])
+            horizon = _line_integer(fields[1], lineno, "horizon")
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected '<sequence> <count>', got {raw!r}")
@@ -280,7 +287,7 @@ def design_from_text(text: str) -> CrossoverDesign:
             raise ValueError(f"line {lineno}: {exc}") from exc
         if z in counts:
             raise ValueError(f"line {lineno}: duplicate sequence {z}")
-        counts[z] = int(fields[1])
+        counts[z] = _line_integer(fields[1], lineno, f"count of {z}")
     if horizon is None:
         raise ValueError("design file is missing the 'T <horizon>' line")
     return CrossoverDesign(horizon, counts)

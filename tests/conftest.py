@@ -7,6 +7,8 @@ from crossover import (
     ObservedDataset,
     RestrictionMatrix,
     WeightModel,
+    implied_estimator_weights,
+    individual_effect_covariance,
 )
 
 
@@ -111,6 +113,19 @@ def row_major_moments(grouped: np.ndarray, counts) -> tuple[np.ndarray, np.ndarr
     centered = [y - mean[..., None, :] for y, mean in zip(ys, means)]
     cross = [r.swapaxes(-1, -2) @ r for r in centered]
     return np.stack(means, axis=-2), np.stack(cross, axis=-3)
+
+
+def per_sequence_oracle_variance(fit, spec, table) -> np.ndarray:
+    """The exact randomization covariance summed sequence by sequence,
+    sum_z M(z) S2(z) M(z)' / N_z from the implied weights M(z), less the
+    individual-effect covariance over N: a reference for
+    ``rwls.oracle_variance``, which forms the sum as one sandwich."""
+    implied = implied_estimator_weights(fit, spec)
+    total = np.zeros((spec.dimension, spec.dimension))
+    for z, n in fit.design.counts.items():
+        m = implied[z]
+        total += m @ table.covariance(z) @ m.T / n
+    return total - individual_effect_covariance(spec, table) / table.n_units
 
 
 @pytest.fixture

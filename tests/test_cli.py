@@ -150,6 +150,13 @@ class TestIdentifyCommand:
         assert code == EXIT_PARSE
         assert "carryover order" in capsys.readouterr().err
 
+    def test_non_integer_count_exits_two_naming_its_line(self, tmp_path, capsys):
+        design_file = tmp_path / "design.txt"
+        design_file.write_text("T 2\nAB x\nBA 4\n")
+        code = main(["identify", "--design", str(design_file), "--scenario", "b", "--k", "1"])
+        assert code == EXIT_PARSE
+        assert "error: line 2: count of AB must be an integer, got 'x'" in capsys.readouterr().err
+
     def test_scenario_c_builds_the_closure_once(self, tmp_path, capsys, monkeypatch):
         from crossover import cli, identification
 

@@ -12,6 +12,7 @@ from crossover import (
     ConditioningError,
     CrossoverDesign,
     DegenerateCovarianceError,
+    EstimandSpec,
     MissingSequenceError,
     NotIdentifiableError,
     ObservedDataset,
@@ -47,6 +48,7 @@ from conftest import (
     dense_sandwich,
     make_dataset,
     nullspace_restricted_wls,
+    per_sequence_oracle_variance,
     row_major_moments,
     score_meat,
     template_labels,
@@ -518,6 +520,13 @@ class TestSolveRestrictedWls:
         with pytest.raises(ValueError, match="shape"):
             solve_restricted_wls(design, means, weights, assemble("b", 2, design.scope, 1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_is_rejected_naming_its_sequence(self, rng, bad):
+        design = CrossoverDesign(2, {"AB": 4, "BA": 5})
+        dataset = make_dataset(design, rng)
+        with pytest.raises(ValueError, match="weight for BA has a non-finite entry"):
+            feasible_rwls(dataset, "b", 1, WeightModel({"AB": np.eye(2), "BA": [[1.0, bad], [bad, 1.0]]}))
+
     def test_indefinite_weights_raise_conditioning_error(self, rng):
         design = CrossoverDesign(2, {"AB": 4, "BA": 5})
         weights = WeightModel({z: np.array([[1.0, 2.0], [2.0, 1.0]]) for z in design.observed})
@@ -732,6 +741,13 @@ class TestEhwCovariance:
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_spec_row_is_rejected_naming_its_sequence(self, rng, bad):
+        design = four_seq_design()
+        fit = feasible_rwls(make_dataset(design, rng), "b", 1)
+        with pytest.raises(ValueError, match=re.escape("W(BA) has a non-finite entry")):
+            estimate(fit, EstimandSpec(2, design.scope, {"AB": [[1.0, 0.0]], "BA": [[0.0, bad]]}, ("x",)))
+
     def test_zero_spec_rows_are_exact_zeroes(self, rng):
         design = four_seq_design()
         dataset = make_dataset(design, rng)
@@ -847,6 +863,19 @@ def _implemented_scope_dataset(horizon, units, seed, scenario="a", order=None):
     return realize_dataset(table, sample_assignment(design, seed))
 
 
+def _dense_reduced_system(fit):
+    """M = sum_z N_z Z_z' Omega_z^-1 Z_z and Q' sum_z E_z' W_z Ybar_z from
+    the dense basis blocks Z_z."""
+    basis, layout = fit.restriction.basis, fit.layout
+    reduced = np.zeros((basis.shape[1], basis.shape[1]))
+    rhs = np.zeros(basis.shape[1])
+    for z, n in fit.design.counts.items():
+        block, inverse = basis[layout.block(z)], fit.weight_model.inverses[z]
+        reduced += n * block.T @ inverse @ block
+        rhs += n * block.T @ inverse @ fit.means[z]
+    return reduced, rhs
+
+
 class TestClassWidthFit:
     """M, the meat and BZ are formed at class width from the class ids and
     the moments record; the dense basis Z is built only when read."""
@@ -907,15 +936,7 @@ class TestClassWidthFit:
         fit = feasible_rwls(dataset, scenario, order)
         monkeypatch.undo()
         assert fit.weight_model.repaired == ()
-        # the reduced normal equations on the dense basis blocks
-        basis, layout = fit.restriction.basis, fit.layout
-        reduced = np.zeros((basis.shape[1], basis.shape[1]))
-        rhs = np.zeros(basis.shape[1])
-        for z, n in dataset.design.counts.items():
-            block, inverse = basis[layout.block(z)], fit.weight_model.inverses[z]
-            reduced += n * block.T @ inverse @ block
-            rhs += n * block.T @ inverse @ fit.means[z]
-        reference = basis @ np.linalg.solve(reduced, rhs)
+        reference = fit.restriction.basis @ np.linalg.solve(*_dense_reduced_system(fit))
         assert np.abs(fit.gamma - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
@@ -953,3 +974,81 @@ class TestSymmetricRepairedInverses:
         )
         assert np.array_equal(point[0], result.point)
         assert np.array_equal(variances[0], np.diag(result.covariance))
+
+
+class TestOneDecomposition:
+    """One ``eigh`` of M gives the positive-definiteness check, cond(M) and
+    the whitener H with M^-1 = H H' that every M^-1 product uses."""
+
+    @pytest.mark.parametrize(
+        "horizon,scenario,order,weights",
+        [(6, "a", None, "sample"), (6, "b", 1, "sample"), (6, "c", 1, "sample"), (6, "b", 2, "pooled"), (7, "b", 1, "sample")],
+    )
+    def test_whitener_inverts_the_reduced_matrix(self, horizon, scenario, order, weights):
+        # three units per sequence over the full 2^T scope
+        design = CrossoverDesign(horizon, {z: 3 for z in full_sequence_set(horizon)})
+        table = random_consistent_table(horizon, scenario, order or 1, design.n_units, seed=horizon)
+        fit = feasible_rwls(realize_dataset(table, sample_assignment(design, 5)), scenario, order, weights)
+        reduced = _dense_reduced_system(fit)[0]
+        identity = fit.whitener @ fit.whitener.T @ reduced
+        assert np.abs(identity - np.eye(len(reduced))).max() <= 1e-12 * fit.condition_number
+
+    def test_long_horizon_fit_and_estimate_match_a_cholesky_reference(self):
+        dataset = _implemented_scope_dataset(100, 30, seed=1, scenario="b", order=2)
+        scope = dataset.design.scope
+        fit = feasible_rwls(dataset, "b", 2)
+        # the period-1 effect and a dense row over every coefficient
+        draws = np.random.default_rng(2).normal(size=(len(scope), 1, 100))
+        dense = dict(zip(scope, draws))
+        spec = stack([instantaneous_effect(1, "", scope), EstimandSpec(100, scope, dense, ("dense",))])
+        result = estimate(fit, spec)
+        basis, layout = fit.restriction.basis, fit.layout
+        reduced, rhs = _dense_reduced_system(fit)
+        factor = scipy.linalg.cho_factor(reduced)
+        gamma = basis @ scipy.linalg.cho_solve(factor, rhs)
+        assert np.abs(fit.gamma - gamma).max() <= 1e-12 * np.abs(gamma).max()
+        meat = np.zeros_like(reduced)
+        for z, idx in dataset.group_indices().items():
+            block, inverse = basis[layout.block(z)], fit.weight_model.inverses[z]
+            residuals = dataset.outcomes[idx] - gamma[layout.block(z)]
+            half = residuals @ inverse @ block
+            meat += half.T @ half
+        functional = np.zeros((spec.dimension, layout.size))
+        for z, w in spec.weights.items():
+            functional[:, layout.block(z)] = w
+        bm = scipy.linalg.cho_solve(factor, (functional @ basis).T).T
+        std_errors = np.sqrt(np.diag(bm @ meat @ bm.T))
+        assert np.abs(result.std_errors - std_errors).max() <= 1e-12 * std_errors.max()
+
+    def test_indefinite_reduced_matrix_raises_one_message_from_fit_and_stack(self, rng):
+        design = CrossoverDesign(2, {"AB": 4, "BA": 5})
+        weights = WeightModel({z: [[1.0, 2.0], [2.0, 1.0]] for z in design.observed})
+        restriction = assemble("b", 2, design.scope, 1)
+        dataset = make_dataset(design, rng)
+        stacked = rwls.StackedFit(design, restriction, instantaneous_effect(1, "", design.scope), weights)
+        messages = []
+        for run in (lambda: feasible_rwls(dataset, "b", 1, weights, restriction), lambda: stacked(dataset.outcomes[None])):
+            with pytest.raises(ConditioningError) as info:
+                run()
+            messages.append(str(info.value))
+        assert messages == ["reduced normal matrix is not positive definite"] * 2
+
+    @pytest.mark.parametrize(
+        "horizon,scenario,counts,seed",
+        [
+            # the criterion c01 and c02 designs and tables
+            (2, "b", {"AB": 2, "BA": 2}, 101),
+            (2, "b", {"AB": 2, "BA": 2}, 102),
+            (2, "b", {"AA": 1, "AB": 1, "BA": 1, "BB": 1}, 103),
+            (3, "c", {"AAB": 3, "ABA": 3, "BAA": 3}, 7),
+        ],
+    )
+    def test_oracle_variance_matches_the_per_sequence_sum(self, horizon, scenario, counts, seed):
+        design = CrossoverDesign(horizon, counts)
+        table = random_consistent_table(horizon, scenario, 1, design.n_units, seed=seed)
+        weights = WeightModel({z: table.covariance(z) for z in design.observed}, "user")
+        zero_means = {z: np.zeros(horizon) for z in design.observed}
+        fit = solve_restricted_wls(design, zero_means, weights, assemble(scenario, horizon, design.scope, 1))
+        spec = stack([instantaneous_effect(t, "A" * (t - 1), design.scope) for t in range(1, horizon + 1)])
+        want = per_sequence_oracle_variance(fit, spec, table)
+        assert np.abs(oracle_variance(fit, spec, table) - want).max() <= 1e-13 * np.abs(want).max()

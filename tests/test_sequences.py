@@ -109,6 +109,19 @@ class TestCrossoverDesign:
         assert design.horizon == 2
         assert design.count("BA") == 4
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("T 2\nAB x\n", "line 2: count of AB must be an integer, got 'x'"),
+            ("# demo\nT two\nAB 3\n", "line 2: horizon must be an integer, got 'two'"),
+            ("T 2\nAB 3\n\nBA 1.5\n", "line 4: count of BA must be an integer, got '1.5'"),
+        ],
+    )
+    def test_non_integer_horizon_or_count_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as info:
+            design_from_text(text)
+        assert str(info.value) == message
+
 
 class TestSampleAssignment:
     def test_degenerate_design(self):
