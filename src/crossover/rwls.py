@@ -34,10 +34,13 @@ pooled by ClassMap class ids, each (k, T, T) stack repaired and inverted.
 One fit plan, built once per design, restriction and weight choice, holds
 what every fit of them shares: the identification verdict, the class index
 of the implemented sequences (the counts, Q_h and each entry's class) and
-the weight rule, which either inverts user weights once or builds sample
-or pooled covariances from the moments after count checks that read no
-data.  Its solve and meat accept leading axes.  A single fit is the plan
-applied to one dataset's moments, and ``RwlsFit`` keeps the plan for the
+the weight rule: user weights inverted once, or sample or pooled
+covariances built from the moments after count checks that read no data.
+Its solve and meat accept leading axes.  A single fit is the plan applied
+to one dataset's moments: a choice's covariance stack is repaired and
+inverted once, and the fit's weight model and means are read from the
+stacks.  Only user weights and ``solve_restricted_wls`` build a
+WeightModel from a dict and check it.  ``RwlsFit`` keeps the plan for the
 sandwich and G_z.  ``StackedFit`` is the plan applied to the moments of a
 (C, N, T) stack of datasets of one design, with the same per-item array
 operations, so each replication's results are bit-identical to its own fit.
@@ -250,10 +253,22 @@ def sequence_means(dataset: ObservedDataset) -> dict[TreatmentSequence, np.ndarr
     return dict(zip(dataset.design.observed, dataset.moments.means))
 
 
-def _weight_model(matrices: np.ndarray, observed, provenance: str) -> WeightModel:
+def _repaired_model(covariances: np.ndarray, observed, provenance: str) -> tuple[WeightModel, np.ndarray]:
+    """The weight model of an unrepaired (k, T, T) covariance stack in code
+    order and its inverses, repaired and inverted once and not checked again."""
+    matrices, fixed = repair_positive_definite(covariances)
+    inverses = _inverses(matrices, fixed)
+    model = object.__new__(WeightModel)
+    vars(model).update(
+        matrices=dict(zip(observed, matrices)), provenance=provenance,
+        repaired=tuple(compress(observed, fixed)), inverses=dict(zip(observed, inverses)),
+    )
+    return model, inverses
+
+
+def _weight_model(covariances: np.ndarray, observed, provenance: str) -> WeightModel:
     """The repaired (k, T, T) stack as a weight model over the sequences."""
-    repaired, fixed = repair_positive_definite(matrices)
-    return WeightModel(dict(zip(observed, repaired)), provenance, tuple(compress(observed, fixed)))
+    return _repaired_model(covariances, observed, provenance)[0]
 
 
 def sample_by_sequence(counts: np.ndarray, cross: np.ndarray, sequences) -> np.ndarray:
@@ -269,7 +284,7 @@ def sample_by_sequence(counts: np.ndarray, cross: np.ndarray, sequences) -> np.n
 
 def sample_covariances(dataset: ObservedDataset) -> WeightModel:
     """Per-sequence sample covariance (divisor N_z - 1), repaired to PD."""
-    return _weights_of(dataset, "sample")
+    return _weights_of(dataset, "sample")[0]
 
 
 def _scatter(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -314,7 +329,7 @@ def pooled_covariance_entries(
     ClassMap class ids (see ``pool_by_class``).  Scenario c pools with the
     scenario-b classes, since time invariance adds no equalities.
     """
-    return _weights_of(dataset, "pooled", scenario, carryover_order)
+    return _weights_of(dataset, "pooled", scenario, carryover_order)[0]
 
 
 def _covariance_rule(weights, design: CrossoverDesign, scenario, carryover_order):
@@ -332,10 +347,10 @@ def _covariance_rule(weights, design: CrossoverDesign, scenario, carryover_order
     raise ValueError(f"weights must be 'sample', 'pooled', or a WeightModel, got {weights!r}")
 
 
-def _weights_of(dataset: ObservedDataset, choice: str, scenario=None, carryover_order=None) -> WeightModel:
-    """The repaired weight model that the choice builds from the dataset's moments."""
+def _weights_of(dataset: ObservedDataset, choice: str, scenario=None, carryover_order=None):
+    """The choice's repaired weight model of the dataset's moments, and its inverses."""
     covariances = _covariance_rule(choice, dataset.design, scenario, carryover_order)
-    return _weight_model(covariances(dataset.moments.cross), dataset.design.observed, choice)
+    return _repaired_model(covariances(dataset.moments.cross), dataset.design.observed, choice)
 
 
 @dataclass
@@ -423,10 +438,10 @@ class _FitPlan:
     weight model that lacks an implemented sequence or is misshapen.
     ``hit_rows`` is Q_h, ``local`` the (k, T) index of each (sequence,
     period) entry into the classes hit and ``entry_classes`` its class.
-    ``inverses`` is the (k, T, T) stack of a user model's Omega_z^-1; for
-    "sample" and "pooled" it is None and ``covariances`` builds the
-    unrepaired stack from the cross-products.  ``rows`` holds BZ and the
-    snapped rows of the spec, None without one.
+    ``inverses`` is the (k, T, T) Omega_z^-1 of a user model, or of a single
+    fit's own data, given checked as ``weights``; for "sample" and "pooled"
+    it is None and ``covariances`` builds the unrepaired stack from the
+    cross-products.  ``rows`` holds BZ and the spec's snapped rows, or None.
     """
 
     def __init__(
@@ -434,7 +449,7 @@ class _FitPlan:
         design: CrossoverDesign,
         restriction: RestrictionMatrix,
         spec: EstimandSpec | None,
-        weights: str | WeightModel = "sample",
+        weights: str | WeightModel | np.ndarray = "sample",
         scenario: str | None = None,
         carryover_order: int | None = None,
     ):
@@ -447,20 +462,20 @@ class _FitPlan:
         hit, self.local = restriction.classes_of(observed)
         self.hit_rows, self.entry_classes = self.class_basis[hit], hit[self.local]
         self.rows = None if spec is None else _estimand_rows(restriction, spec)
-        self.covariances = self.inverses = None
+        self.covariances, self.inverses = None, weights
         shape = (design.horizon, design.horizon)
-        if not isinstance(weights, WeightModel):
-            self.covariances = _covariance_rule(weights, design, scenario, carryover_order)
+        if isinstance(weights, WeightModel):
+            missing = [z for z in observed if z not in weights.matrices]
+            if missing:
+                raise MissingSequenceError(f"weight model lacks a matrix for {missing[0]}")
+            self.inverses = np.stack([weights.inverses[z] for z in observed])
+            # the model's matrices share one shape
+            if self.inverses.shape[1:] != shape:
+                raise ValueError(f"weight for {observed[0]} has shape {self.inverses.shape[1:]}")
+        elif not isinstance(weights, np.ndarray):
+            self.covariances, self.inverses = _covariance_rule(weights, design, scenario, carryover_order), None
             # the count checks read no data: an empty stack raises them now
             self.covariances(np.empty((0, len(observed)) + shape))
-            return
-        missing = [z for z in observed if z not in weights.matrices]
-        if missing:
-            raise MissingSequenceError(f"weight model lacks a matrix for {missing[0]}")
-        self.inverses = np.stack([weights.inverses[z] for z in observed])
-        # the model's matrices share one shape
-        if self.inverses.shape[1:] != shape:
-            raise ValueError(f"weight for {observed[0]} has shape {self.inverses.shape[1:]}")
 
     def _reduce(self, blocks: np.ndarray) -> np.ndarray:
         """Q_h' (sum_z E_z' X_z E_z) Q_h: (..., k, T, T) blocks summed into
@@ -502,51 +517,43 @@ def solve_restricted_wls(
     """Solve for the coefficient vector in the null space of C.
 
     Raises NotIdentifiableError when X'X + C'C is rank deficient,
-    MissingSequenceError when the weight model lacks an implemented
-    sequence, ValueError for a weight or mean of the wrong shape, and
-    ConditioningError when the reduced matrix M is not positive definite.
+    MissingSequenceError when the weights or means lack an implemented
+    sequence, ValueError for a misshapen weight or a misshapen or
+    non-finite mean, and ConditioningError when M is not positive definite.
     A condition number of M above 1e12 attaches a warning to the fit.
     """
     plan = _FitPlan(design, restriction, None, weights)
-    horizon = design.horizon
-    fitted_means = {}
+    given = {as_sequence(z): np.asarray(m, dtype=float) for z, m in means.items()}
     for z in design.observed:
-        mean = np.asarray(means[z], dtype=float)
-        if mean.shape != (horizon,):
-            raise ValueError(f"mean for {z} must have shape ({horizon},)")
-        fitted_means[z] = mean
-    eigenvalues, whitener, beta = plan.solve(np.stack(list(fitted_means.values())), plan.inverses)
+        if z not in given:
+            raise MissingSequenceError(f"means lack a vector for {z}")
+        if given[z].shape != (design.horizon,):
+            raise ValueError(f"mean for {z} must have shape ({design.horizon},)")
+        if not np.isfinite(given[z]).all():
+            raise ValueError(f"mean for {z} has a non-finite entry")
+    return _solved(plan, design, restriction, weights, np.stack([given[z] for z in design.observed]))
+
+
+def _solved(plan, design, restriction, weights, means) -> RwlsFit:
+    """The plan solved on the (k, T) means, with its warnings; the fit keeps the plan."""
+    eigenvalues, whitener, beta = plan.solve(means, plan.inverses)
     gamma = _class_values(plan.class_basis, beta)[restriction.class_ids]
     condition = float(eigenvalues[-1] / eigenvalues[0])
-    warnings: list[str] = []
+    warnings = []
     if condition > CONDITION_WARNING_THRESHOLD:
         warnings.append(
-            f"reduced system condition number {condition:.3e} exceeds "
-            f"{CONDITION_WARNING_THRESHOLD:.0e}"
+            f"reduced system condition number {condition:.3e} exceeds {CONDITION_WARNING_THRESHOLD:.0e}"
         )
-    fit = RwlsFit(
-        design=design,
-        restriction=restriction,
-        weight_model=weights,
-        means=fitted_means,
-        gamma=gamma,
-        beta=beta,
-        whitener=whitener,
-        condition_number=condition,
-        warnings=tuple(warnings),
-    )
-    fit._plan = plan
-    residual = fit.restriction_residual
+    residual = restriction.residual(gamma)
     if residual > RESTRICTION_TOLERANCE * (1.0 + np.abs(gamma).max()):
-        fit.warnings = fit.warnings + (
-            f"restriction residual {residual:.3e} exceeds tolerance",
-        )
+        warnings.append(f"restriction residual {residual:.3e} exceeds tolerance")
+    by_sequence = dict(zip(design.observed, means))
+    fit = RwlsFit(design, restriction, weights, by_sequence, gamma, beta, whitener, condition, tuple(warnings))
+    fit._plan = plan
     return fit
 
 
-def _reduced_meat(
-    fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool
-) -> np.ndarray:
+def _reduced_meat(fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool) -> np.ndarray:
     """The d x d meat from the dataset's moments (see the module docstring),
     optionally scaled by N / (N - d)."""
     plan = fit._plan
@@ -560,9 +567,7 @@ def _reduced_meat(
     return meat
 
 
-def ehw_covariance(
-    fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool = False
-) -> np.ndarray:
+def ehw_covariance(fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool = False) -> np.ndarray:
     """Sandwich covariance of the coefficient vector from the residual
     moments.
 
@@ -589,14 +594,17 @@ def feasible_rwls(
     weighted least squares and attach the reduced sandwich meat.
 
     ``weights`` is "sample" for per-sequence sample covariances, "pooled"
-    for scenario-pooled entries, or an explicit WeightModel.
+    for scenario-pooled entries, or an explicit WeightModel.  An unknown
+    choice or too few units raise before NotIdentifiableError.
     """
     design = dataset.design
     if restriction is None:
         restriction = assemble(scenario, design.horizon, design.scope, carryover_order)
+    inverses = weights
     if not isinstance(weights, WeightModel):
-        weights = _weights_of(dataset, weights, scenario, carryover_order)
-    fit = solve_restricted_wls(design, sequence_means(dataset), weights, restriction)
+        weights, inverses = _weights_of(dataset, weights, scenario, carryover_order)
+    plan = _FitPlan(design, restriction, None, inverses)
+    fit = _solved(plan, design, restriction, weights, dataset.moments.means)
     fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
     return fit
 
@@ -721,9 +729,7 @@ def estimate(fit: RwlsFit, spec: EstimandSpec, level: float = 0.95) -> EstimandE
     )
 
 
-def implied_estimator_weights(
-    fit: RwlsFit, spec: EstimandSpec
-) -> dict[TreatmentSequence, np.ndarray]:
+def implied_estimator_weights(fit: RwlsFit, spec: EstimandSpec) -> dict[TreatmentSequence, np.ndarray]:
     """K x T weights on each observed group mean implied by the fit.
 
     The estimator equals sum_z M(z) Ybar_z with M(z) = (BZ) M^-1 G_z'.
@@ -732,9 +738,7 @@ def implied_estimator_weights(
     return {z: bm @ g.T for z, g in fit.weighted_basis.items()}
 
 
-def oracle_variance(
-    fit: RwlsFit, spec: EstimandSpec, table: PotentialOutcomeTable
-) -> np.ndarray:
+def oracle_variance(fit: RwlsFit, spec: EstimandSpec, table: PotentialOutcomeTable) -> np.ndarray:
     """Exact randomization covariance of the fixed-weight estimator.
 
     Requires the full potential-outcome table:

@@ -1052,3 +1052,110 @@ class TestOneDecomposition:
         spec = stack([instantaneous_effect(t, "A" * (t - 1), design.scope) for t in range(1, horizon + 1)])
         want = per_sequence_oracle_variance(fit, spec, table)
         assert np.abs(oracle_variance(fit, spec, table) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _full_scope_dataset(horizon, scenario, order, units, table_seed, assignment_seed):
+    """The full 2^T scope with ``units`` per sequence, observed from a table
+    consistent with the scenario."""
+    design = CrossoverDesign(horizon, {z: units for z in full_sequence_set(horizon)})
+    table = random_consistent_table(horizon, scenario, order or 1, design.n_units, seed=table_seed)
+    return realize_dataset(table, sample_assignment(design, assignment_seed))
+
+
+class TestSingleFitPlanPath:
+    """A weight choice fits on the plan's stack path, with no per-sequence
+    dicts between the moments and the solve: bitwise the fit under the
+    same weights given as a checked WeightModel."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[
+            # the fit-horizon benchmark designs: every covariance is repaired
+            # under "sample" (3 units, T >= 6), about half under "pooled"
+            pytest.param((6, "a", None, "sample", 3, 1, 1), id="T6-a-sample"),
+            pytest.param((6, "b", 1, "sample", 3, 2, 2), id="T6-b-k1-sample"),
+            pytest.param((6, "c", 1, "sample", 3, 3, 3), id="T6-c-k1-sample"),
+            pytest.param((6, "b", 2, "pooled", 3, 4, 4), id="T6-b-k2-pooled"),
+            pytest.param((7, "b", 1, "sample", 3, 5, 5), id="T7-b-k1-sample"),
+            # scenario a pools each entry over other sequences: one pooled
+            # block is indefinite and repaired
+            pytest.param((5, "a", None, "pooled", 12, 41, 7), id="T5-a-pooled-repaired"),
+        ],
+    )
+    def case(self, request):
+        horizon, scenario, order, choice, units, table_seed, assignment_seed = request.param
+        dataset = _full_scope_dataset(horizon, scenario, order, units, table_seed, assignment_seed)
+        if choice == "sample":
+            standalone = sample_covariances(dataset)
+        else:
+            standalone = pooled_covariance_entries(dataset, scenario, order)
+        checked = WeightModel(standalone.matrices, standalone.provenance, standalone.repaired)
+        fit = feasible_rwls(dataset, scenario, order, choice)
+        return dataset, scenario, order, choice, fit, standalone, checked
+
+    def test_choice_fit_is_bitwise_the_fit_under_its_weight_model(self, case):
+        dataset, scenario, order, choice, fit, standalone, checked = case
+        scope = dataset.design.scope
+        ones = "A" * (dataset.design.horizon - 2)
+        spec = stack(
+            [
+                instantaneous_effect(1, "", scope),
+                instantaneous_effect(dataset.design.horizon, ones + "A", scope),
+                carryover_effect(dataset.design.horizon, 1, ones, "B", scope),
+            ]
+        )
+        result = estimate(fit, spec)
+        for weights in (standalone, checked):
+            user = feasible_rwls(dataset, scenario, order, weights)
+            for name in ("gamma", "beta", "whitener", "reduced_meat", "condition_number", "warnings"):
+                assert np.array_equal(getattr(fit, name), getattr(user, name)), name
+            other = estimate(user, spec)
+            assert np.array_equal(result.point, other.point)
+            assert np.array_equal(result.std_errors, other.std_errors)
+
+    def test_weight_model_and_means_are_those_of_the_standalone_model(self, case):
+        dataset, _, _, choice, fit, standalone, checked = case
+        model = fit.weight_model
+        observed = dataset.design.observed
+        if choice == "pooled":
+            assert model.repaired
+        for other in (standalone, checked):
+            assert list(model.matrices) == list(other.matrices) == list(observed)
+            assert list(model.inverses) == list(other.inverses) == list(observed)
+            for z in observed:
+                assert np.array_equal(model.matrices[z], other.matrices[z])
+                assert np.array_equal(model.inverses[z], other.inverses[z])
+            assert model.repaired == other.repaired
+            assert model.provenance == other.provenance == choice
+        assert list(fit.means) == list(observed)
+        for z, mean in sequence_means(dataset).items():
+            assert np.array_equal(fit.means[z], mean)
+
+
+class TestSolveRestrictedWlsMeans:
+    """``solve_restricted_wls`` reads the means as ``WeightModel`` reads
+    its matrices: keys through ``as_sequence``, each entry finite."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_is_rejected_naming_its_sequence(self, bad):
+        design = CrossoverDesign(2, {"AB": 2, "BA": 2})
+        means = {as_sequence("AB"): np.array([bad, 1.0]), as_sequence("BA"): np.zeros(2)}
+        with pytest.raises(ValueError, match="mean for AB has a non-finite entry"):
+            solve_restricted_wls(design, means, diagonal_weights(design), assemble("b", 2, design.scope, 1))
+
+    def test_means_keyed_by_words_fit_as_by_sequences(self, rng):
+        design = four_seq_design()
+        means = sequence_means(make_dataset(design, rng))
+        restriction = assemble("b", 2, design.scope, 1)
+        by_sequence = solve_restricted_wls(design, means, diagonal_weights(design), restriction)
+        words = {str(z): mean.tolist() for z, mean in means.items()}
+        by_word = solve_restricted_wls(design, words, diagonal_weights(design), restriction)
+        assert np.array_equal(by_word.gamma, by_sequence.gamma)
+        assert list(by_word.means) == list(design.observed)
+
+    def test_missing_mean_is_rejected_naming_its_sequence(self, rng):
+        design = four_seq_design()
+        means = sequence_means(make_dataset(design, rng))
+        del means[as_sequence("BA")]
+        with pytest.raises(MissingSequenceError, match="means lack a vector for BA"):
+            solve_restricted_wls(design, means, diagonal_weights(design), assemble("b", 2, design.scope, 1))
