@@ -275,15 +275,13 @@ def _load_weight_model(spec: str, design: CrossoverDesign) -> str | WeightModel:
         return spec
     if spec.startswith("file:"):
         payload = _json_object(json.loads(Path(spec[5:]).read_text()), spec[5:])
-        matrices = {as_sequence(z): np.array(m, dtype=float) for z, m in payload.items()}
-        for z, m in matrices.items():
-            if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.allclose(m, m.T):
-                raise ValueError(f"weight for {z} must be a symmetric square matrix")
+        model = WeightModel(payload, "user")
+        for z, m in model.matrices.items():
             try:
                 np.linalg.cholesky(m)
             except np.linalg.LinAlgError:
                 raise ValueError(f"weight for {z} is not positive definite") from None
-        return WeightModel(matrices, "user")
+        return model
     raise ValueError(f"--weights must be sample, pooled, or file:PATH, got {spec!r}")
 
 

@@ -27,20 +27,18 @@ matrix is formed on that path.  The exact randomization variance of a
 fixed-weight fit is the same sandwich, its meat scattered from the table's
 covariances N_z S2(z) in place of R_z'R_z.
 
-Omega_z is built from the dataset's moments, computed once (per-sequence
-counts, means and R_z'R_z about the mean): sample covariances or entries
-pooled by ClassMap class ids, each (k, T, T) stack repaired and inverted.
+Omega_z is a WeightModel, a (k, T, T) stack with its inverses: a user's,
+or sample covariances or entries pooled by ClassMap class ids, built from
+the dataset's moments (per-sequence counts, means and R_z'R_z), repaired
+and inverted once and not checked again.
 
 One fit plan, built once per design, restriction and weight choice, holds
 what every fit of them shares: the identification verdict, the class index
 of the implemented sequences (the counts, Q_h and each entry's class) and
-the weight rule: user weights inverted once, or sample or pooled
-covariances built from the moments after count checks that read no data.
-Its solve and meat accept leading axes.  A single fit is the plan applied
-to one dataset's moments: a choice's covariance stack is repaired and
-inverted once, and the fit's weight model and means are read from the
-stacks.  Only user weights and ``solve_restricted_wls`` build a
-WeightModel from a dict and check it.  ``RwlsFit`` keeps the plan for the
+the weight rule, a model's inverses gathered from its stack or the rule
+building sample or pooled covariances after count checks that read no
+data.  Its solve and meat accept leading axes; a single fit is the plan
+applied to one dataset's moments.  ``RwlsFit`` keeps the plan for the
 sandwich and G_z.  ``StackedFit`` is the plan applied to the moments of a
 (C, N, T) stack of datasets of one design, with the same per-item array
 operations, so each replication's results are bit-identical to its own fit.
@@ -53,6 +51,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import compress
 from statistics import NormalDist
+from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -143,10 +142,7 @@ class ObservedDataset:
         order = np.argsort(codes, kind="stable")
         order.flags.writeable = False
         groups = dict(zip(observed, np.split(order, np.cumsum(counts)[:-1])))
-        object.__setattr__(self, "assignments", assignments)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "codes", codes)
-        object.__setattr__(self, "_groups", groups)
+        vars(self).update(assignments=assignments, outcomes=outcomes, codes=codes, _groups=groups)
 
     @property
     def n_units(self) -> int:
@@ -188,38 +184,72 @@ def grouped_moments(grouped: np.ndarray, counts: np.ndarray) -> Moments:
     return Moments(counts, np.stack(means, axis=-2), np.stack(cross, axis=-3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightModel:
-    """Per-sequence T x T weight matrices, positive definite after repair,
-    and their ``inverses``, computed once at construction."""
+    """Per-sequence T x T weight matrices, positive definite after repair:
+    a read-only (k, T, T) ``stack`` over the sorted ``sequences``, its
+    ``inverse_stack`` and the (k,) ``mask`` of the repaired matrices, with
+    ``matrices``, ``inverses`` and ``repaired`` read-only views of them.
+    The constructor checks a dict of matrices: square, of one shape, finite
+    and symmetric (``np.allclose``), ``repaired`` naming some of them."""
 
-    matrices: Mapping[TreatmentSequence, np.ndarray]
-    provenance: str = "user"
-    repaired: tuple[TreatmentSequence, ...] = ()
-    inverses: dict[TreatmentSequence, np.ndarray] = field(init=False, repr=False, compare=False)
+    sequences: tuple[TreatmentSequence, ...]
+    provenance: str
+    stack: np.ndarray = field(repr=False)
+    inverse_stack: np.ndarray = field(repr=False)
+    mask: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        matrices = {}
-        for z, m in self.matrices.items():
-            z = as_sequence(z)
-            m = np.asarray(m, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"weight for {z} must be square, got {m.shape}")
-            matrices[z] = m
-        matrices = dict(sorted(matrices.items(), key=lambda item: item[0].letters))
-        if len({m.shape for m in matrices.values()}) > 1:
-            raise ValueError(f"weight matrices must share one shape, got {[m.shape for m in matrices.values()]}")
-        stacked = np.stack(list(matrices.values())) if matrices else np.empty((0, 0, 0))
-        finite = np.isfinite(stacked).all(axis=(-2, -1))
-        if not finite.all():
-            raise ValueError(f"weight for {list(matrices)[finite.argmin()]} has a non-finite entry")
-        repaired = set(map(as_sequence, self.repaired))
-        inverses = _inverses(stacked, np.array([z in repaired for z in matrices], dtype=bool))
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "inverses", dict(zip(matrices, inverses)))
+    def __init__(self, matrices: Mapping[TreatmentSequence | str, np.ndarray], provenance: str = "user", repaired=()):
+        pairs = ((as_sequence(z), np.asarray(m, dtype=float)) for z, m in matrices.items())
+        given = dict(sorted(pairs, key=lambda item: item[0].letters))
+        sequences, shapes = tuple(given), [m.shape for m in given.values()]
+        for z, shape in zip(sequences, shapes):
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"weight for {z} must be square, got {shape}")
+        if len(set(shapes)) > 1:
+            raise ValueError(f"weight matrices must share one shape, got {shapes}")
+        stack = np.stack(list(given.values())) if given else np.empty((0, 0, 0))
+        finite = np.isfinite(stack).all(axis=(-2, -1))
+        symmetric = np.isclose(stack, stack.swapaxes(-1, -2)).all(axis=(-2, -1))
+        for ok, fault in ((finite, "has a non-finite entry"), (symmetric, "must be symmetric")):
+            if not ok.all():
+                raise ValueError(f"weight for {sequences[ok.argmin()]} {fault}")
+        named = set(map(as_sequence, repaired))
+        unknown = sorted(named.difference(sequences))
+        if unknown:
+            raise ValueError(f"repaired sequence {unknown[0]} has no weight matrix")
+        self._hold(sequences, provenance, stack, np.array([z in named for z in sequences], dtype=bool))
+
+    @classmethod
+    def _from_covariances(cls, covariances: np.ndarray, sequences, provenance: str) -> WeightModel:
+        """The model of an unrepaired (k, T, T) covariance stack in code order."""
+        model = cls.__new__(cls)
+        model._hold(tuple(sequences), provenance, *repair_positive_definite(covariances))
+        return model
+
+    def _hold(self, sequences, provenance, stack, mask):
+        inverse_stack = _inverses(stack, mask)
+        for array in (stack, inverse_stack, mask):
+            array.flags.writeable = False
+        vars(self).update(sequences=sequences, provenance=provenance, stack=stack, inverse_stack=inverse_stack, mask=mask)
+
+    @cached_property
+    def matrices(self) -> Mapping[TreatmentSequence, np.ndarray]:
+        return MappingProxyType(dict(zip(self.sequences, self.stack)))
+
+    @cached_property
+    def inverses(self) -> Mapping[TreatmentSequence, np.ndarray]:
+        return MappingProxyType(dict(zip(self.sequences, self.inverse_stack)))
+
+    @property
+    def repaired(self) -> tuple[TreatmentSequence, ...]:
+        return tuple(compress(self.sequences, self.mask))
 
     def matrix(self, z: TreatmentSequence | str) -> np.ndarray:
         return self.matrices[as_sequence(z)]
+
+    def __reduce__(self):
+        return type(self), (dict(self.matrices), self.provenance, self.repaired)
 
 
 def repair_positive_definite(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -253,24 +283,6 @@ def sequence_means(dataset: ObservedDataset) -> dict[TreatmentSequence, np.ndarr
     return dict(zip(dataset.design.observed, dataset.moments.means))
 
 
-def _repaired_model(covariances: np.ndarray, observed, provenance: str) -> tuple[WeightModel, np.ndarray]:
-    """The weight model of an unrepaired (k, T, T) covariance stack in code
-    order and its inverses, repaired and inverted once and not checked again."""
-    matrices, fixed = repair_positive_definite(covariances)
-    inverses = _inverses(matrices, fixed)
-    model = object.__new__(WeightModel)
-    vars(model).update(
-        matrices=dict(zip(observed, matrices)), provenance=provenance,
-        repaired=tuple(compress(observed, fixed)), inverses=dict(zip(observed, inverses)),
-    )
-    return model, inverses
-
-
-def _weight_model(covariances: np.ndarray, observed, provenance: str) -> WeightModel:
-    """The repaired (k, T, T) stack as a weight model over the sequences."""
-    return _repaired_model(covariances, observed, provenance)[0]
-
-
 def sample_by_sequence(counts: np.ndarray, cross: np.ndarray, sequences) -> np.ndarray:
     """The unrepaired (..., k, T, T) stack of sample covariances, divisor
     N_z - 1.  ``sequences`` name the rows in a too-few-units error."""
@@ -284,7 +296,7 @@ def sample_by_sequence(counts: np.ndarray, cross: np.ndarray, sequences) -> np.n
 
 def sample_covariances(dataset: ObservedDataset) -> WeightModel:
     """Per-sequence sample covariance (divisor N_z - 1), repaired to PD."""
-    return _weights_of(dataset, "sample")[0]
+    return _weights_of(dataset, "sample")
 
 
 def _scatter(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
@@ -322,14 +334,12 @@ def pool_by_class(counts: np.ndarray, cross: np.ndarray, ids: np.ndarray, sequen
     return pooled
 
 
-def pooled_covariance_entries(
-    dataset: ObservedDataset, scenario: str, carryover_order: int | None = None
-) -> WeightModel:
+def pooled_covariance_entries(dataset: ObservedDataset, scenario: str, carryover_order: int | None = None) -> WeightModel:
     """Entry-wise pooled covariance estimates, pooled by the scenario's
     ClassMap class ids (see ``pool_by_class``).  Scenario c pools with the
     scenario-b classes, since time invariance adds no equalities.
     """
-    return _weights_of(dataset, "pooled", scenario, carryover_order)[0]
+    return _weights_of(dataset, "pooled", scenario, carryover_order)
 
 
 def _covariance_rule(weights, design: CrossoverDesign, scenario, carryover_order):
@@ -347,10 +357,10 @@ def _covariance_rule(weights, design: CrossoverDesign, scenario, carryover_order
     raise ValueError(f"weights must be 'sample', 'pooled', or a WeightModel, got {weights!r}")
 
 
-def _weights_of(dataset: ObservedDataset, choice: str, scenario=None, carryover_order=None):
-    """The choice's repaired weight model of the dataset's moments, and its inverses."""
+def _weights_of(dataset: ObservedDataset, choice: str, scenario=None, carryover_order=None) -> WeightModel:
+    """The choice's repaired weight model of the dataset's moments."""
     covariances = _covariance_rule(choice, dataset.design, scenario, carryover_order)
-    return _repaired_model(covariances(dataset.moments.cross), dataset.design.observed, choice)
+    return WeightModel._from_covariances(covariances(dataset.moments.cross), dataset.design.observed, choice)
 
 
 @dataclass
@@ -438,18 +448,17 @@ class _FitPlan:
     weight model that lacks an implemented sequence or is misshapen.
     ``hit_rows`` is Q_h, ``local`` the (k, T) index of each (sequence,
     period) entry into the classes hit and ``entry_classes`` its class.
-    ``inverses`` is the (k, T, T) Omega_z^-1 of a user model, or of a single
-    fit's own data, given checked as ``weights``; for "sample" and "pooled"
-    it is None and ``covariances`` builds the unrepaired stack from the
-    cross-products.  ``rows`` holds BZ and the spec's snapped rows, or None.
-    """
+    ``inverses`` is the (k, T, T) Omega_z^-1 of a WeightModel ``weights``,
+    gathered from its stack; for "sample" and "pooled" it is None and
+    ``covariances`` builds the unrepaired stack from the cross-products.
+    ``rows`` holds BZ and the spec's snapped rows, or None."""
 
     def __init__(
         self,
         design: CrossoverDesign,
         restriction: RestrictionMatrix,
         spec: EstimandSpec | None,
-        weights: str | WeightModel | np.ndarray = "sample",
+        weights: str | WeightModel = "sample",
         scenario: str | None = None,
         carryover_order: int | None = None,
     ):
@@ -462,18 +471,21 @@ class _FitPlan:
         hit, self.local = restriction.classes_of(observed)
         self.hit_rows, self.entry_classes = self.class_basis[hit], hit[self.local]
         self.rows = None if spec is None else _estimand_rows(restriction, spec)
-        self.covariances, self.inverses = None, weights
+        self.covariances, self.inverses = None, None
         shape = (design.horizon, design.horizon)
         if isinstance(weights, WeightModel):
-            missing = [z for z in observed if z not in weights.matrices]
-            if missing:
-                raise MissingSequenceError(f"weight model lacks a matrix for {missing[0]}")
-            self.inverses = np.stack([weights.inverses[z] for z in observed])
-            # the model's matrices share one shape
+            self.inverses = weights.inverse_stack
+            # one positional gather, unless the model holds just these sequences
+            if weights.sequences != observed:
+                index = dict(zip(weights.sequences, range(len(weights.sequences))))
+                missing = [z for z in observed if z not in index]
+                if missing:
+                    raise MissingSequenceError(f"weight model lacks a matrix for {missing[0]}")
+                self.inverses = self.inverses[[index[z] for z in observed]]
             if self.inverses.shape[1:] != shape:
                 raise ValueError(f"weight for {observed[0]} has shape {self.inverses.shape[1:]}")
-        elif not isinstance(weights, np.ndarray):
-            self.covariances, self.inverses = _covariance_rule(weights, design, scenario, carryover_order), None
+        else:
+            self.covariances = _covariance_rule(weights, design, scenario, carryover_order)
             # the count checks read no data: an empty stack raises them now
             self.covariances(np.empty((0, len(observed)) + shape))
 
@@ -541,9 +553,7 @@ def _solved(plan, design, restriction, weights, means) -> RwlsFit:
     condition = float(eigenvalues[-1] / eigenvalues[0])
     warnings = []
     if condition > CONDITION_WARNING_THRESHOLD:
-        warnings.append(
-            f"reduced system condition number {condition:.3e} exceeds {CONDITION_WARNING_THRESHOLD:.0e}"
-        )
+        warnings.append(f"reduced system condition number {condition:.3e} exceeds {CONDITION_WARNING_THRESHOLD:.0e}")
     residual = restriction.residual(gamma)
     if residual > RESTRICTION_TOLERANCE * (1.0 + np.abs(gamma).max()):
         warnings.append(f"restriction residual {residual:.3e} exceeds tolerance")
@@ -559,8 +569,7 @@ def _reduced_meat(fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bo
     plan = fit._plan
     meat = plan.meat(dataset.moments, plan.inverses, fit.beta)
     if small_sample_scale:
-        n = dataset.n_units
-        free = fit.restriction.dimension
+        n, free = dataset.n_units, fit.restriction.dimension
         if n <= free:
             raise ValueError(f"small-sample scale needs N > {free}, got N = {n}")
         meat = meat * (n / (n - free))
@@ -569,15 +578,10 @@ def _reduced_meat(fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bo
 
 def ehw_covariance(fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool = False) -> np.ndarray:
     """Sandwich covariance of the coefficient vector from the residual
-    moments.
-
-    Stores the d x d reduced meat on the fit for estimand-level reuse and
-    returns the p x p matrix Z M^-1 meat M^-1 Z' (``fit.ehw``).
-
+    moments: stores the d x d reduced meat on the fit for estimand-level
+    reuse and returns the p x p matrix Z M^-1 meat M^-1 Z' (``fit.ehw``).
     ``small_sample_scale`` multiplies the meat by N / (N - d), d being the
-    number of free coefficients; the default (off) uses the plain per-unit
-    residual outer products.
-    """
+    number of free coefficients; off, the meat is the plain residual one."""
     fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
     return fit.ehw
 
@@ -600,10 +604,9 @@ def feasible_rwls(
     design = dataset.design
     if restriction is None:
         restriction = assemble(scenario, design.horizon, design.scope, carryover_order)
-    inverses = weights
     if not isinstance(weights, WeightModel):
-        weights, inverses = _weights_of(dataset, weights, scenario, carryover_order)
-    plan = _FitPlan(design, restriction, None, inverses)
+        weights = _weights_of(dataset, weights, scenario, carryover_order)
+    plan = _FitPlan(design, restriction, None, weights)
     fit = _solved(plan, design, restriction, weights, dataset.moments.means)
     fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
     return fit
@@ -641,12 +644,9 @@ def _functional(bz, restricted, beta, whitener) -> tuple[np.ndarray, np.ndarray]
 
 
 def _reduced_functional(fit: RwlsFit, spec: EstimandSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The point estimate B gamma-hat and (BZ) M^-1, with snapped rows zeroed.
-
-    Rows of B lying in the restriction row space, that is, with BZ = 0,
-    are exact zeroes of the restricted model, so their estimates and
-    variances are snapped to exact zero.
-    """
+    """The point estimate B gamma-hat and (BZ) M^-1.  Rows of B in the
+    restriction row space (BZ = 0) are exact zeroes of the restricted
+    model: their estimates and variances are snapped to exact zero."""
     return _functional(*_estimand_rows(fit.restriction, spec), fit.beta, fit.whitener)
 
 
@@ -771,8 +771,7 @@ class StackedFit(_FitPlan):
 
     @property
     def classes(self) -> int:
-        """h, the number of classes the design hits: M stacks are built at
-        (h, h) per dataset."""
+        """h, the number of classes the design hits: each M is h x h."""
         return len(self.hit_rows)
 
     def __call__(self, grouped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,6 @@ from .errors import ConditioningError, MissingSequenceError
 from .rwls import (
     ObservedDataset,
     WeightModel,
-    _weight_model,
     pool_by_class,
     repair_positive_definite,
     sample_covariances,
@@ -150,7 +149,7 @@ def working_weight_model(dataset: ObservedDataset, scenario: str) -> WeightModel
     pooled = pool_by_class(counts, cross, ClassMap(2, "b", 1).ids(observed)[1], observed)
     if scenario != "c":
         pooled[:, 0, 1] = pooled[:, 1, 0] = 0.0
-    return _weight_model(pooled, observed, "pooled")
+    return WeightModel._from_covariances(pooled, observed, "pooled")
 
 
 def _arm_mean(summary: TwoPeriodSummary, g: str, h: str, period: int) -> float:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import tracemalloc
 
@@ -304,6 +306,89 @@ class TestRepairPositiveDefinite:
     def test_weight_matrices_must_share_one_shape(self):
         with pytest.raises(ValueError, match="share one shape"):
             WeightModel({"AB": np.eye(2), "BA": np.eye(3)})
+
+
+class TestWeightModel:
+    def test_asymmetric_weight_is_rejected_naming_its_sequence(self, rng):
+        # eigh reads one triangle of the M such weights give: the fit was
+        # neither solve(M, rhs) nor the solve with M symmetrized
+        design = four_seq_design((5, 5, 5, 5))
+        dataset = make_dataset(design, rng)
+        lopsided = {z: [[2.0, 0.9], [0.1, 1.0]] for z in design.observed}
+        with pytest.raises(ValueError, match="weight for AA must be symmetric"):
+            feasible_rwls(dataset, "b", 1, WeightModel(lopsided))
+
+    def test_symmetry_is_checked_up_to_allclose(self):
+        near = np.array([[1.0, 0.3], [0.3 + 1e-12, 2.0]])
+        model = WeightModel({"AB": np.eye(2), "BA": near})
+        assert np.array_equal(model.matrix("BA"), near)
+        with pytest.raises(ValueError, match="weight for BA must be symmetric"):
+            WeightModel({"AB": np.eye(2), "BA": near + [[0.0, 0.0], [1e-3, 0.0]]})
+
+    def test_repaired_names_are_sequences_in_model_order(self):
+        model = WeightModel({"BA": np.eye(2), "AB": np.eye(2), "BB": np.eye(2)}, "user", ("BB", as_sequence("AB")))
+        assert model.repaired == (as_sequence("AB"), as_sequence("BB"))
+        assert model.mask.tolist() == [True, False, True]
+
+    def test_repaired_name_without_a_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match="repaired sequence AAA has no weight matrix"):
+            WeightModel({"AB": np.eye(2), "BA": np.eye(2)}, "user", ("AB", "AAA"))
+
+    @pytest.mark.parametrize("choice", ["user", "sample", "pooled"])
+    def test_matrices_and_inverses_are_read_only(self, rng, choice):
+        design = four_seq_design()
+        if choice == "user":
+            model = diagonal_weights(design, (1.0, 2.0))
+        else:
+            model = feasible_rwls(make_dataset(design, rng), "b", 1, choice).weight_model
+        z = design.observed[1]
+        for view in (model.matrices, model.inverses):
+            before = view[z].copy()
+            with pytest.raises(ValueError, match="read-only"):
+                view[z][0, 0] = 7.0
+            with pytest.raises(TypeError):
+                view[z] = np.eye(2)
+            assert np.array_equal(view[z], before)
+        for array in (model.stack, model.inverse_stack, model.mask):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("choice", ["user", "pooled"])
+    def test_model_copies_through_pickle_with_its_views_read(self, rng, choice):
+        design = four_seq_design()
+        if choice == "user":
+            model = diagonal_weights(design, (1.0, 2.0))
+        else:
+            model = feasible_rwls(make_dataset(design, rng), "a", None, choice).weight_model
+        assert model.matrices and model.inverses  # the views are cached once read
+        for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            assert copied.sequences == model.sequences and copied.provenance == model.provenance
+            assert copied.repaired == model.repaired
+            for name in ("stack", "inverse_stack", "mask"):
+                assert np.array_equal(getattr(copied, name), getattr(model, name))
+                assert not getattr(copied, name).flags.writeable
+
+    @pytest.mark.parametrize(
+        "observed,scenario,order",
+        [(("AB", "BA"), "b", 1), (HALF_T4_ALL_WINDOWS, "b", 2)],
+    )
+    def test_model_over_more_sequences_fits_as_the_model_cut_down(self, rng, observed, scenario, order):
+        horizon = len(observed[0])
+        design = CrossoverDesign(horizon, {z: 4 + i for i, z in enumerate(observed)})
+        dataset = make_dataset(design, rng)
+        matrices = {}
+        for z in full_sequence_set(horizon):
+            a = rng.normal(size=(horizon, horizon))
+            matrices[z] = a @ a.T + 0.5 * np.eye(horizon)
+        wide = WeightModel(matrices)
+        cut = WeightModel({z: matrices[z] for z in design.observed})
+        assert len(wide.sequences) > len(cut.sequences) == len(observed)
+        spec = instantaneous_effect(1, "", design.scope)
+        fits = [feasible_rwls(dataset, scenario, order, weights) for weights in (wide, cut)]
+        for name in ("gamma", "beta", "whitener", "reduced_meat", "condition_number"):
+            assert np.array_equal(getattr(fits[0], name), getattr(fits[1], name)), name
+        results = [estimate(fit, spec) for fit in fits]
+        assert np.array_equal(results[0].point, results[1].point)
+        assert np.array_equal(results[0].std_errors, results[1].std_errors)
 
 
 def _pooled_by_definition(dataset, scenario, order):
@@ -949,7 +1034,7 @@ class TestSymmetricRepairedInverses:
         stack = np.concatenate([singular, full])
         matrices, mask = repair_positive_definite(stack)
         assert mask.tolist() == [True] * 3 + [False] * 3
-        model = rwls._weight_model(stack, full_sequence_set(3)[:6], "sample")
+        model = WeightModel._from_covariances(stack, full_sequence_set(3)[:6], "sample")
         assert model.repaired == full_sequence_set(3)[:3]
         for (z, inverse), matrix, fixed in zip(model.inverses.items(), matrices, mask):
             if fixed:
