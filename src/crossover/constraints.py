@@ -11,13 +11,18 @@ the restriction C and the orthonormal basis Z of its null space from the
 classes; only rows supplied from outside the package are row-reduced and
 their null space computed numerically.  C is kept compact: the dense
 (m, p) array is built only when ``RestrictionMatrix.matrix`` is read.
+
+A restriction depends on the model alone, never on data: it is a read-only
+value, ``assemble`` shares one instance per model, and each keeps one
+record per implemented sequence set.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +31,9 @@ from .sequences import TreatmentSequence, as_sequence
 SCENARIOS = ("a", "b", "c")
 
 ROW_REDUCE_TOLERANCE = 1e-10
+RANK_TOLERANCE = 1e-8
+# models whose restriction is kept; each holds a q x d class basis
+RESTRICTION_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -80,11 +88,13 @@ class ClassMap:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        if self.scenario != "a":
-            if self.order is None:
-                raise ValueError(f"scenario {self.scenario!r} requires a carryover order")
-            if not 1 <= self.order <= self.horizon:
-                raise ValueError(f"carryover order {self.order} outside [1, {self.horizon}]")
+        if self.scenario == "a":
+            # no anticipation has no carryover order, whatever was passed
+            object.__setattr__(self, "order", None)
+        elif self.order is None:
+            raise ValueError(f"scenario {self.scenario!r} requires a carryover order")
+        elif not 1 <= self.order <= self.horizon:
+            raise ValueError(f"carryover order {self.order} outside [1, {self.horizon}]")
 
     def key(self, period: int, z: TreatmentSequence) -> str:
         """Class key of z's period-t coefficient: the length-t prefix under
@@ -117,13 +127,15 @@ class ClassMap:
             return (("level", period), ("effect", key))
         return (("class", period, key),)
 
+    @functools.lru_cache(maxsize=RESTRICTION_CACHE_SIZE)
     def restriction(self, layout: CoefficientLayout) -> RestrictionMatrix:
         """Full-row-rank restriction C over a layout, with the orthonormal
         basis Z of its null space.  C chains the members of each class, plus
         under scenario c the class-level cycle rows K on each class's first
         column.  With E the class indicators and D the class sizes,
         Z = E D^-1/2 null(K D^-1/2), null(.) being the identity under a, b;
-        the restriction keeps the class ids and Q = D^-1/2 null(K D^-1/2)."""
+        the restriction keeps the class ids and Q = D^-1/2 null(K D^-1/2).
+        One read-only instance is shared per (map, layout)."""
         classes, ids = self.ids(layout.scope)
         of_column = ids.ravel()
         sizes = np.bincount(of_column).astype(float)
@@ -150,6 +162,16 @@ def _null_space(matrix: np.ndarray) -> np.ndarray:
     _, singular, vh = np.linalg.svd(matrix)
     rank = int(np.sum(singular > singular.max() * max(matrix.shape) * np.finfo(float).eps))
     return vh[rank:].T
+
+
+def numerical_rank(matrix: np.ndarray) -> int:
+    if matrix.size == 0:
+        return 0
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    if singular.size == 0 or singular[0] == 0.0:
+        return 0
+    cutoff = RANK_TOLERANCE * singular[0] * max(matrix.shape)
+    return int(np.sum(singular > cutoff))
 
 
 def _cycle_rows(classes: list[tuple[int, str]], order: int) -> np.ndarray:
@@ -207,6 +229,10 @@ def row_reduce(rows: np.ndarray) -> np.ndarray:
     return rows[kept]
 
 
+ImplementedSet = NamedTuple("ImplementedSet", [("hit", np.ndarray), ("local", np.ndarray), ("rank", int)])
+
+
+@dataclass(frozen=True, eq=False, repr=False, init=False)
 class RestrictionMatrix:
     """A full-row-rank restriction C with C gamma = 0, plus its provenance.
 
@@ -221,12 +247,19 @@ class RestrictionMatrix:
     matrix Q: D^-1/2 under scenarios a and b, D^-1/2 null(K D^-1/2) under
     c (D the class sizes).  Given rows are their own classes, with
     Q = null(C).  ``basis`` builds the dense p x d array Z on each read.
-    ``verdicts`` holds the identification verdict for each implemented
-    sequence set, filled in by ``identification.is_identifiable``.
+    A restriction is a shared, read-only value: no array is writeable and
+    no attribute can be set.  It keeps one ``ImplementedSet`` record per
+    implemented sequence set (``implemented``).
     """
 
+    layout: CoefficientLayout
+    scenario: str | None
+    carryover_order: int | None
+    class_ids: np.ndarray
+    class_basis: np.ndarray
+
     def __init__(self, layout, matrix, scenario=None, carryover_order=None):
-        matrix = np.asarray(matrix, dtype=float)
+        matrix = np.array(matrix, dtype=float)
         p = layout.size
         if matrix.ndim != 2 or matrix.shape[1] != p:
             raise ValueError(f"restriction matrix must be (L, {p}), got {matrix.shape}")
@@ -236,10 +269,18 @@ class RestrictionMatrix:
         self._hold(layout, no_pairs, matrix, columns, scenario, carryover_order, columns, basis)
 
     def _hold(self, layout, pairs, rows, columns, scenario, carryover_order, class_ids, class_basis) -> RestrictionMatrix:
-        self.layout, self._pairs, self._rows, self._columns = layout, pairs, rows, columns
-        self.scenario, self.carryover_order, self.verdicts = scenario, carryover_order, {}
-        self.class_ids, self.class_basis, self._hits = class_ids, class_basis, {}
+        for array in (pairs, rows, columns, class_ids, class_basis):
+            array.flags.writeable = False
+        vars(self).update(layout=layout, scenario=scenario, carryover_order=carryover_order, class_ids=class_ids)
+        vars(self).update(class_basis=class_basis, _pairs=pairs, _rows=rows, _columns=columns, _sets={})
         return self
+
+    def __reduce__(self):
+        parts = (self.layout, self._pairs, self._rows, self._columns, self.scenario, self.carryover_order)
+        return object.__new__, (RestrictionMatrix,), (*parts, self.class_ids, self.class_basis)
+
+    def __setstate__(self, parts):
+        self._hold(*parts)
 
     @property
     def dimension(self) -> int:
@@ -251,17 +292,20 @@ class RestrictionMatrix:
         """The dense p x d basis Z = E Q, built on each read."""
         return self.class_basis[self.class_ids]
 
-    def classes_of(self, sequences: tuple[TreatmentSequence, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted ids of the classes the sequences' coefficients hit, and
-        the (len(sequences), T) index of each (sequence, period) entry into
-        them; read-only, computed once per sequence tuple."""
-        found = self._hits.get(sequences)
+    def implemented(self, sequences: tuple[TreatmentSequence, ...]) -> ImplementedSet:
+        """The read-only record of an implemented sequence set, built once per
+        sequence tuple: the sorted ids of the classes hit, the (k, T) index
+        of each (sequence, period) entry into them, and the rank of X'X + C'C,
+        p - d + rank(Q_h) since Z_obs repeats the rows of Q for the classes
+        hit, whatever the unit counts."""
+        found = self._sets.get(sequences)
         if found is None:
             ids = self.class_ids.reshape(len(self.layout.scope), -1)[self.layout.positions(sequences)]
             hit, local = np.unique(ids, return_inverse=True)
-            found = self._hits[sequences] = (hit, local.reshape(ids.shape))
-            for array in found:
-                array.flags.writeable = False
+            local = local.reshape(ids.shape)
+            hit.flags.writeable = local.flags.writeable = False
+            rank = self.layout.size - self.dimension + numerical_rank(self.class_basis[hit])
+            found = self._sets[sequences] = ImplementedSet(hit, local, rank)
         return found
 
     @property

@@ -5,10 +5,13 @@ diagonal with N_z I_T on the coefficient block of each implemented z and
 zero elsewhere.  All estimands are unbiasedly estimable when X'X + C'C is
 full rank, that is, when the rows Z_obs of the null-space basis Z of C in
 the implemented sequences' blocks have full column rank; unit counts play
-no part.  When it fails, per-mean checkers report which group means are
-still reachable: through an implemented sequence of the mean's class in
-``constraints.ClassMap`` (shared prefix or trailing window), or through a
-difference-in-differences closure (time-invariant effects).
+no part.  The verdict reads the rank from the restriction's record of the
+implemented set (``RestrictionMatrix.implemented``) and writes nothing
+onto the restriction.  When it fails, per-mean checkers report which
+group means are still reachable: through an implemented sequence of the
+mean's class in ``constraints.ClassMap`` (shared prefix or trailing
+window), or through a difference-in-differences closure (time-invariant
+effects).
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from typing import Union
 
 import numpy as np
 
-from .constraints import ClassMap, RestrictionMatrix
+# the rank rule is the restriction's; its names stay importable from here
+from .constraints import RANK_TOLERANCE, ClassMap, RestrictionMatrix, numerical_rank  # noqa: F401
 from .sequences import CrossoverDesign, TreatmentSequence, as_sequence
-
-RANK_TOLERANCE = 1e-8
 
 
 def gram_plus_restriction(design: CrossoverDesign, restriction: RestrictionMatrix) -> np.ndarray:
@@ -49,36 +51,20 @@ class IdentificationCheck:
         return f"{verdict} (rank {self.rank} of {self.dimension})"
 
 
-def numerical_rank(matrix: np.ndarray) -> int:
-    if matrix.size == 0:
-        return 0
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    if singular.size == 0 or singular[0] == 0.0:
-        return 0
-    cutoff = RANK_TOLERANCE * singular[0] * max(matrix.shape)
-    return int(np.sum(singular > cutoff))
-
-
 def is_identifiable(design: CrossoverDesign, restriction: RestrictionMatrix) -> IdentificationCheck:
     """Full rank of X'X + C'C, computed as p - d + rank(Z_obs), means every
     linear estimand of the scoped means admits an unbiased linear estimator.
     With Z = E Q, rank(Z_obs) is the rank of the rows of Q for the classes
     that the implemented sequences hit, at most q x d.
 
-    The verdict depends on the implemented sequences, not their counts, so
-    it is computed once per sequence set and kept on the restriction."""
+    The verdict depends on the implemented sequences, not their counts: it
+    is read from the restriction's record of the implemented set, whose
+    rank is computed once per set."""
     layout = restriction.layout
     if layout.horizon != design.horizon or layout.scope != design.scope:
         raise ValueError("restriction layout does not match the design")
-    check = restriction.verdicts.get(design.observed)
-    if check is None:
-        # Z_obs repeats the rows of Q for the classes the implemented
-        # sequences hit, so it has their rank
-        hit = restriction.classes_of(design.observed)[0]
-        p = layout.size
-        rank = p - restriction.dimension + numerical_rank(restriction.class_basis[hit])
-        check = restriction.verdicts[design.observed] = IdentificationCheck(rank == p, rank, p)
-    return check
+    rank = restriction.implemented(design.observed).rank
+    return IdentificationCheck(rank == layout.size, rank, layout.size)
 
 
 def _normalize_observed(observed) -> tuple[TreatmentSequence, ...]:

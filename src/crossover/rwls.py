@@ -191,7 +191,8 @@ class WeightModel:
     ``inverse_stack`` and the (k,) ``mask`` of the repaired matrices, with
     ``matrices``, ``inverses`` and ``repaired`` read-only views of them.
     The constructor checks a dict of matrices: square, of one shape, finite
-    and symmetric (``np.allclose``), ``repaired`` naming some of them."""
+    and symmetric (max|m - m'| <= 1e-5 max|m|, a scale-free rule),
+    ``repaired`` naming some of them."""
 
     sequences: tuple[TreatmentSequence, ...]
     provenance: str
@@ -210,7 +211,10 @@ class WeightModel:
             raise ValueError(f"weight matrices must share one shape, got {shapes}")
         stack = np.stack(list(given.values())) if given else np.empty((0, 0, 0))
         finite = np.isfinite(stack).all(axis=(-2, -1))
-        symmetric = np.isclose(stack, stack.swapaxes(-1, -2)).all(axis=(-2, -1))
+        # a non-finite matrix fails the first check; zeroed, it warns nothing here
+        m = np.where(finite[:, None, None], stack, 0.0)
+        asymmetry = np.abs(m - m.swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+        symmetric = asymmetry <= 1e-5 * np.abs(m).max(axis=(-2, -1), initial=0.0)
         for ok, fault in ((finite, "has a non-finite entry"), (symmetric, "must be symmetric")):
             if not ok.all():
                 raise ValueError(f"weight for {sequences[ok.argmin()]} {fault}")
@@ -468,7 +472,7 @@ class _FitPlan:
         observed = design.observed
         self.counts = np.array(list(design.counts.values()))
         self.class_basis = restriction.class_basis
-        hit, self.local = restriction.classes_of(observed)
+        hit, self.local, _ = restriction.implemented(observed)
         self.hit_rows, self.entry_classes = self.class_basis[hit], hit[self.local]
         self.rows = None if spec is None else _estimand_rows(restriction, spec)
         self.covariances, self.inverses = None, None
@@ -746,7 +750,10 @@ def oracle_variance(fit: RwlsFit, spec: EstimandSpec, table: PotentialOutcomeTab
     individual-effect covariance divided by N.  With M(z) = (BZ) M^-1 G_z',
     the sum is the sandwich (BZ) M^-1 meat M^-1 (BZ)' whose meat scatters
     Omega_z^-1 (N_z S2(z)) Omega_z^-1, as the EHW meat scatters R_z'R_z.
+    The table must cover the design's N units.
     """
+    if table.n_units != fit.design.n_units:
+        raise ValueError(f"table has {table.n_units} units, design has {fit.design.n_units}")
     plan = fit._plan
     bm = _reduced_functional(fit, spec)[1]
     spread = plan.counts[:, None, None] * np.stack([table.covariance(z) for z in fit.design.observed])

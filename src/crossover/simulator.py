@@ -333,8 +333,6 @@ def run_monte_carlo(
             scenario = generator.scenario
         if carryover_order is None:
             carryover_order = generator.carryover_order
-    if scenario == "a":
-        carryover_order = None
     restriction = assemble(scenario, design.horizon, design.scope, carryover_order)
     check = is_identifiable(design, restriction)
     if not check.identifiable:
@@ -372,7 +370,7 @@ def run_monte_carlo(
         covered[chunk] = (point - half_width <= truth) & (truth <= point + half_width)
     return McReport(
         scenario=scenario,
-        carryover_order=carryover_order,
+        carryover_order=restriction.carryover_order,
         labels=stacked.labels,
         truth=truth,
         bias=bias,

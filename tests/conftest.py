@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from crossover import (
+    ClassMap,
     CrossoverDesign,
     ObservedDataset,
     RestrictionMatrix,
@@ -10,6 +11,13 @@ from crossover import (
     implied_estimator_weights,
     individual_effect_covariance,
 )
+
+
+@pytest.fixture(autouse=True)
+def fresh_restrictions():
+    """Start each test with no shared restriction, so the rank checks and
+    implemented-set records a test counts are its own."""
+    ClassMap.restriction.cache_clear()
 
 
 def template_labels(design: CrossoverDesign):

@@ -248,11 +248,11 @@ class TestFitCommand:
             assert row["ci_lower"] <= row["point"] <= row["ci_upper"]
 
     def test_fit_checks_identification_once(self, tmp_path, monkeypatch):
-        from crossover import identification
+        from crossover import constraints
 
         ranks = []
-        rank = identification.numerical_rank
-        monkeypatch.setattr(identification, "numerical_rank", lambda m: ranks.append(m) or rank(m))
+        rank = constraints.numerical_rank
+        monkeypatch.setattr(constraints, "numerical_rank", lambda m: ranks.append(m) or rank(m))
         data_file = tmp_path / "data.csv"
         data_file.write_text(dataset_csv(simulated_dataset(seed=5)))
         argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1"]

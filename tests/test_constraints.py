@@ -1,5 +1,7 @@
 import ast
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +17,8 @@ from crossover import constraints
 from crossover.constraints import SCENARIOS, ClassMap, restriction_from_rows
 from crossover import (
     CoefficientLayout,
+    CrossoverDesign,
+    RestrictionMatrix,
     assemble,
     full_sequence_set,
     random_consistent_table,
@@ -364,6 +368,86 @@ class TestClassMap:
         for args in (("d", 3, None), ("b", 3, None), ("c", 3, 0), ("b", 3, 4)):
             with pytest.raises(ValueError):
                 assemble(args[0], args[1], full_sequence_set(args[1]), args[2])
+
+
+def _restrictions():
+    """A class-built restriction with chain and cycle rows, and a
+    restriction on given rows."""
+    layout = CoefficientLayout(3, full_sequence_set(3))
+    rows = np.random.default_rng(4).normal(size=(3, layout.size))
+    return [assemble("c", 3, layout.scope, 1), RestrictionMatrix(layout, rows), restriction_from_rows(layout, rows)]
+
+
+class TestSharedRestriction:
+    def test_assemble_shares_one_restriction_per_model(self):
+        scope = full_sequence_set(3)
+        shared = assemble("b", 3, scope, 1)
+        assert assemble("b", 3, [z.letters for z in scope], 1) is shared
+        assert assemble("b", 3, scope[::-1], 1) is shared
+        assert ClassMap(3, "b", 1).restriction(CoefficientLayout(3, scope[1:] + scope[:1])) is shared
+        assert assemble("b", 3, scope, 2) is not shared
+        assert assemble("c", 3, scope, 1) is not shared
+
+    def test_scenario_a_carries_no_carryover_order(self):
+        scope = full_sequence_set(2)
+        assert ClassMap(2, "a", 2) == ClassMap(2, "a") and ClassMap(2, "a", 2).order is None
+        restriction = assemble("a", 2, scope, 2)
+        assert restriction.carryover_order is None
+        assert assemble("a", 2, scope) is restriction
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_arrays_and_attributes_are_read_only(self, which):
+        restriction = _restrictions()[which]
+        record = restriction.implemented(full_sequence_set(3)[::2])
+        arrays = [restriction.class_ids, restriction.class_basis, restriction._pairs, restriction._rows]
+        for array in arrays + [restriction._columns, record.hit, record.local]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        for name in ("scenario", "class_basis", "layout", "verdicts"):
+            with pytest.raises(AttributeError):
+                setattr(restriction, name, None)
+        assert not hasattr(restriction, "verdicts")
+
+    def test_given_rows_are_copied_not_frozen(self):
+        layout = CoefficientLayout(2, full_sequence_set(2))
+        rows = np.ones((1, layout.size))
+        restriction = RestrictionMatrix(layout, rows)
+        rows[0, 0] = 2.0
+        assert restriction.matrix[0, 0] == 1.0
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_copies_through_pickle_and_deepcopy(self, which):
+        restriction = _restrictions()[which]
+        observed = full_sequence_set(3)[::2]
+        record = restriction.implemented(observed)
+        for copied in (pickle.loads(pickle.dumps(restriction)), copy.deepcopy(restriction)):
+            assert copied is not restriction
+            assert copied.layout == restriction.layout and copied.scenario == restriction.scenario
+            assert copied.carryover_order == restriction.carryover_order
+            for name in ("class_ids", "class_basis", "matrix", "_pairs", "_rows", "_columns"):
+                assert np.array_equal(getattr(copied, name), getattr(restriction, name)), name
+            for name in ("class_ids", "class_basis", "_pairs", "_rows", "_columns"):
+                assert not getattr(copied, name).flags.writeable, name
+            again = copied.implemented(observed)
+            assert again.rank == record.rank
+            assert np.array_equal(again.hit, record.hit) and np.array_equal(again.local, record.local)
+
+    def test_one_record_per_implemented_set(self):
+        restriction = assemble("b", 2, full_sequence_set(2), 1)
+        two = CrossoverDesign(2, {"AB": 4, "BA": 6}).observed
+        record = restriction.implemented(two)
+        assert restriction.implemented(CrossoverDesign(2, {"AB": 40, "BA": 1}).observed) is record
+        assert record.rank == restriction.layout.size
+        assert [restriction.class_ids[restriction.layout.block(z)].tolist() for z in two] == record.hit[record.local].tolist()
+
+    def test_the_cache_holds_at_most_its_bound(self):
+        bound = constraints.RESTRICTION_CACHE_SIZE
+        full = full_sequence_set(5)
+        first = assemble("b", 5, full[:1], 1)
+        for size in range(2, bound + 3):
+            assemble("b", 5, full[:size], 1)
+        assert ClassMap.restriction.cache_info().currsize == bound
+        assert assemble("b", 5, full[:1], 1) is not first
 
 
 def test_window_helpers_are_called_only_where_classes_are_defined():

@@ -111,7 +111,7 @@ class TestIsIdentifiable:
         assert not is_identifiable(two, restriction).identifiable
         assert is_identifiable(four, restriction).identifiable
         assert is_identifiable(CrossoverDesign(2, {"AB": 40, "BA": 1}), restriction).rank == 6
-        assert len(restriction.verdicts) == 2
+        assert len(restriction._sets) == 2
 
     @pytest.mark.parametrize(
         "sequences,order,per_sequence",
@@ -226,11 +226,11 @@ class TestGlobalLocalAgreement:
 class TestRankAtClassWidth:
     @pytest.mark.parametrize("scenario,order", [("a", None), ("b", 1), ("b", 2), ("c", 1), ("c", 2)])
     def test_rank_check_reads_the_rows_of_q_for_the_classes_hit(self, monkeypatch, scenario, order):
-        from crossover import identification
+        from crossover import constraints
 
         shapes = []
-        rank = identification.numerical_rank
-        monkeypatch.setattr(identification, "numerical_rank", lambda m: shapes.append(m.shape) or rank(m))
+        rank = constraints.numerical_rank
+        monkeypatch.setattr(constraints, "numerical_rank", lambda m: shapes.append(m.shape) or rank(m))
         scope = full_sequence_set(5)
         design = CrossoverDesign(5, {z: 2 for z in scope[::3]}, scope=scope)
         restriction = assemble(scenario, 5, scope, order)

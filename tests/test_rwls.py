@@ -318,6 +318,20 @@ class TestWeightModel:
         with pytest.raises(ValueError, match="weight for AA must be symmetric"):
             feasible_rwls(dataset, "b", 1, WeightModel(lopsided))
 
+    def test_symmetry_is_judged_against_each_matrix_scale(self, rng):
+        # the lopsided weights above, times 1e-9, once passed an absolute
+        # 1e-8 floor and gave a different fit with no warning
+        design = four_seq_design((5, 5, 5, 5))
+        dataset = make_dataset(design, rng)
+        lopsided = {z: 1e-9 * np.array([[2.0, 0.9], [0.1, 1.0]]) for z in design.observed}
+        with pytest.raises(ValueError, match="weight for AA must be symmetric"):
+            feasible_rwls(dataset, "b", 1, WeightModel(lopsided))
+        near = 1e-9 * np.array([[1.0, 0.3], [0.3 + 1e-12, 2.0]])
+        assert np.array_equal(WeightModel({"AB": np.eye(2), "BA": near}).matrix("BA"), near)
+        for scale in (1e-12, 1.0, 1e12):
+            with pytest.raises(ValueError, match="weight for BA must be symmetric"):
+                WeightModel({"AB": np.eye(2), "BA": scale * np.array([[1.0, 0.3], [0.3 + 1e-4, 2.0]])})
+
     def test_symmetry_is_checked_up_to_allclose(self):
         near = np.array([[1.0, 0.3], [0.3 + 1e-12, 2.0]])
         model = WeightModel({"AB": np.eye(2), "BA": near})
@@ -1138,6 +1152,15 @@ class TestOneDecomposition:
         want = per_sequence_oracle_variance(fit, spec, table)
         assert np.abs(oracle_variance(fit, spec, table) - want).max() <= 1e-13 * np.abs(want).max()
 
+    def test_oracle_variance_rejects_a_table_of_another_size(self):
+        design = CrossoverDesign(2, {"AB": 4, "BA": 4})
+        zero_means = {z: np.zeros(2) for z in design.observed}
+        fit = solve_restricted_wls(design, zero_means, diagonal_weights(design), assemble("b", 2, design.scope, 1))
+        spec = instantaneous_effect(1, "", design.scope)
+        assert np.isfinite(oracle_variance(fit, spec, random_consistent_table(2, "b", 1, 8, seed=3))).all()
+        with pytest.raises(ValueError, match="table has 30 units, design has 8"):
+            oracle_variance(fit, spec, random_consistent_table(2, "b", 1, 30, seed=3))
+
 
 def _full_scope_dataset(horizon, scenario, order, units, table_seed, assignment_seed):
     """The full 2^T scope with ``units`` per sequence, observed from a table
@@ -1215,6 +1238,58 @@ class TestSingleFitPlanPath:
         assert list(fit.means) == list(observed)
         for z, mean in sequence_means(dataset).items():
             assert np.array_equal(fit.means[z], mean)
+
+
+class TestFitOnTheSharedRestriction:
+    """``assemble`` shares one read-only restriction per model, so a fit that
+    assembles its own is bitwise the fit given one."""
+
+    @pytest.mark.parametrize(
+        "horizon,scenario,order,choice,seed",
+        [
+            (6, "a", None, "sample", 1),
+            (6, "b", 1, "sample", 2),
+            (6, "c", 1, "sample", 3),
+            (6, "b", 2, "pooled", 4),
+            (7, "b", 1, "sample", 5),
+        ],
+    )
+    def test_fit_assembling_its_restriction_is_bitwise_the_fit_given_it(self, horizon, scenario, order, choice, seed):
+        dataset = _full_scope_dataset(horizon, scenario, order, 3, seed, seed)
+        scope = dataset.design.scope
+        ones = "A" * (horizon - 2)
+        spec = stack([instantaneous_effect(1, "", scope), carryover_effect(horizon, 1, ones, "B", scope)])
+        first = feasible_rwls(dataset, scenario, order, choice)
+        ClassMap.restriction.cache_clear()
+        given = assemble(scenario, horizon, scope, order)
+        fits = [first, feasible_rwls(dataset, scenario, order, choice, given), feasible_rwls(dataset, scenario, order, choice)]
+        assert first.restriction is not given and fits[2].restriction is given
+        results = [estimate(fit, spec) for fit in fits]
+        for fit, result in zip(fits[1:], results[1:]):
+            for name in ("gamma", "beta", "whitener", "reduced_meat", "condition_number", "warnings"):
+                assert np.array_equal(getattr(fit, name), getattr(fits[0], name)), name
+            assert np.array_equal(result.point, results[0].point)
+            assert np.array_equal(result.std_errors, results[0].std_errors)
+
+    def test_scenario_a_fit_reports_no_carryover_order(self, rng):
+        dataset = make_dataset(four_seq_design(), rng)
+        fit = feasible_rwls(dataset, "a", 2)
+        assert fit.carryover_order is None
+        assert fit.restriction is assemble("a", 2, dataset.design.scope)
+
+    def test_fit_copies_through_pickle_and_deepcopy(self, rng):
+        dataset = make_dataset(four_seq_design(), rng)
+        fit = feasible_rwls(dataset, "c", 1)
+        spec = instantaneous_effect(2, "A", dataset.design.scope)
+        result = estimate(fit, spec)
+        for copied in (pickle.loads(pickle.dumps(fit)), copy.deepcopy(fit)):
+            assert copied.restriction is not fit.restriction
+            assert not copied.restriction.class_basis.flags.writeable
+            for name in ("gamma", "beta", "whitener", "reduced_meat"):
+                assert np.array_equal(getattr(copied, name), getattr(fit, name)), name
+            other = estimate(copied, spec)
+            assert np.array_equal(other.point, result.point)
+            assert np.array_equal(other.std_errors, result.std_errors)
 
 
 class TestSolveRestrictedWlsMeans:

@@ -159,11 +159,11 @@ class TestRunMonteCarlo:
         assert np.array_equal(first.estimated_variances, second.estimated_variances)
 
     def test_identification_is_checked_once_per_study(self, monkeypatch):
-        from crossover import identification
+        from crossover import constraints
 
         ranks = []
-        rank = identification.numerical_rank
-        monkeypatch.setattr(identification, "numerical_rank", lambda m: ranks.append(m) or rank(m))
+        rank = constraints.numerical_rank
+        monkeypatch.setattr(constraints, "numerical_rank", lambda m: ranks.append(m) or rank(m))
         design = CrossoverDesign(2, {"AA": 5, "AB": 5, "BA": 5, "BB": 5})
         generator = ScenarioGenerator(scenario="b", seed=4)
         run_monte_carlo(generator, design, standard_two_period_specs(SCOPE2), replications=8, seed=9)
