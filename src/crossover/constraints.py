@@ -11,10 +11,8 @@ the restriction C and the orthonormal basis Z of its null space from the
 classes; only rows supplied from outside the package are row-reduced and
 their null space computed numerically.  C is kept compact: the dense
 (m, p) array is built only when ``RestrictionMatrix.matrix`` is read.
-
-A restriction depends on the model alone, never on data: it is a read-only
-value, ``assemble`` shares one instance per model, and each keeps one
-record per implemented sequence set.
+A restriction depends on the model alone: ``assemble`` shares one
+read-only instance per model, holding one record per implemented set.
 """
 
 from __future__ import annotations
@@ -32,8 +30,9 @@ SCENARIOS = ("a", "b", "c")
 
 ROW_REDUCE_TOLERANCE = 1e-10
 RANK_TOLERANCE = 1e-8
-# models whose restriction is kept; each holds a q x d class basis
-RESTRICTION_CACHE_SIZE = 8
+RESTRICTION_CACHE_SIZE = 8  # models shared; fit-horizon cycles through 5
+SHARED_RESTRICTION_BYTES = 2**20  # the most a shared restriction may hold
+IMPLEMENTED_SETS_KEPT = 8  # records per restriction, the oldest dropped first
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,6 @@ class ClassMap:
             return (("level", period), ("effect", key))
         return (("class", period, key),)
 
-    @functools.lru_cache(maxsize=RESTRICTION_CACHE_SIZE)
     def restriction(self, layout: CoefficientLayout) -> RestrictionMatrix:
         """Full-row-rank restriction C over a layout, with the orthonormal
         basis Z of its null space.  C chains the members of each class, plus
@@ -135,7 +133,15 @@ class ClassMap:
         column.  With E the class indicators and D the class sizes,
         Z = E D^-1/2 null(K D^-1/2), null(.) being the identity under a, b;
         the restriction keeps the class ids and Q = D^-1/2 null(K D^-1/2).
-        One read-only instance is shared per (map, layout)."""
+        One read-only instance per (map, layout) is shared while it can hold
+        at most SHARED_RESTRICTION_BYTES; a larger one is built on each call."""
+        # Q's q^2 doubles (q at most the keys each period admits), O(p) others
+        widths = (t if self.scenario == "a" else min(t, self.order) for t in range(1, self.horizon + 1))
+        q = sum(min(len(layout.scope), 2**w) for w in widths)
+        held = 8 * (q * q + (3 + IMPLEMENTED_SETS_KEPT) * layout.size)
+        return (self._shared if held <= SHARED_RESTRICTION_BYTES else self._build)(layout)
+
+    def _build(self, layout: CoefficientLayout) -> RestrictionMatrix:
         classes, ids = self.ids(layout.scope)
         of_column = ids.ravel()
         sizes = np.bincount(of_column).astype(float)
@@ -153,6 +159,8 @@ class ClassMap:
             basis = free / np.sqrt(sizes)[:, None]
         restriction = RestrictionMatrix.__new__(RestrictionMatrix)
         return restriction._hold(layout, pairs, cycles, first, self.scenario, self.order, of_column, basis)
+
+    _shared = functools.lru_cache(maxsize=RESTRICTION_CACHE_SIZE)(_build)
 
 
 def _null_space(matrix: np.ndarray) -> np.ndarray:
@@ -232,7 +240,6 @@ def row_reduce(rows: np.ndarray) -> np.ndarray:
 ImplementedSet = NamedTuple("ImplementedSet", [("hit", np.ndarray), ("local", np.ndarray), ("rank", int)])
 
 
-@dataclass(frozen=True, eq=False, repr=False, init=False)
 class RestrictionMatrix:
     """A full-row-rank restriction C with C gamma = 0, plus its provenance.
 
@@ -247,16 +254,10 @@ class RestrictionMatrix:
     matrix Q: D^-1/2 under scenarios a and b, D^-1/2 null(K D^-1/2) under
     c (D the class sizes).  Given rows are their own classes, with
     Q = null(C).  ``basis`` builds the dense p x d array Z on each read.
-    A restriction is a shared, read-only value: no array is writeable and
-    no attribute can be set.  It keeps one ``ImplementedSet`` record per
-    implemented sequence set (``implemented``).
+    A restriction is a shared, read-only value: no array is writeable, no
+    attribute can be set, and it keeps the last IMPLEMENTED_SETS_KEPT
+    ``ImplementedSet`` records of implemented sequence sets.
     """
-
-    layout: CoefficientLayout
-    scenario: str | None
-    carryover_order: int | None
-    class_ids: np.ndarray
-    class_basis: np.ndarray
 
     def __init__(self, layout, matrix, scenario=None, carryover_order=None):
         matrix = np.array(matrix, dtype=float)
@@ -275,12 +276,10 @@ class RestrictionMatrix:
         vars(self).update(class_basis=class_basis, _pairs=pairs, _rows=rows, _columns=columns, _sets={})
         return self
 
-    def __reduce__(self):
-        parts = (self.layout, self._pairs, self._rows, self._columns, self.scenario, self.carryover_order)
-        return object.__new__, (RestrictionMatrix,), (*parts, self.class_ids, self.class_basis)
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a restriction is read-only; cannot set or delete {name!r}")
 
-    def __setstate__(self, parts):
-        self._hold(*parts)
+    __delattr__ = __setattr__
 
     @property
     def dimension(self) -> int:
@@ -293,11 +292,10 @@ class RestrictionMatrix:
         return self.class_basis[self.class_ids]
 
     def implemented(self, sequences: tuple[TreatmentSequence, ...]) -> ImplementedSet:
-        """The read-only record of an implemented sequence set, built once per
-        sequence tuple: the sorted ids of the classes hit, the (k, T) index
-        of each (sequence, period) entry into them, and the rank of X'X + C'C,
-        p - d + rank(Q_h) since Z_obs repeats the rows of Q for the classes
-        hit, whatever the unit counts."""
+        """The read-only record of an implemented sequence tuple: the sorted
+        ids of the classes hit, the (k, T) index of each (sequence, period)
+        entry into them, and rank(X'X + C'C) = p - d + rank(Q_hit), as Z_obs
+        repeats the rows of Q for the classes hit, whatever the counts."""
         found = self._sets.get(sequences)
         if found is None:
             ids = self.class_ids.reshape(len(self.layout.scope), -1)[self.layout.positions(sequences)]
@@ -305,6 +303,8 @@ class RestrictionMatrix:
             local = local.reshape(ids.shape)
             hit.flags.writeable = local.flags.writeable = False
             rank = self.layout.size - self.dimension + numerical_rank(self.class_basis[hit])
+            if len(self._sets) >= IMPLEMENTED_SETS_KEPT:
+                del self._sets[next(iter(self._sets))]
             found = self._sets[sequences] = ImplementedSet(hit, local, rank)
         return found
 

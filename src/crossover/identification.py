@@ -5,13 +5,11 @@ diagonal with N_z I_T on the coefficient block of each implemented z and
 zero elsewhere.  All estimands are unbiasedly estimable when X'X + C'C is
 full rank, that is, when the rows Z_obs of the null-space basis Z of C in
 the implemented sequences' blocks have full column rank; unit counts play
-no part.  The verdict reads the rank from the restriction's record of the
-implemented set (``RestrictionMatrix.implemented``) and writes nothing
-onto the restriction.  When it fails, per-mean checkers report which
-group means are still reachable: through an implemented sequence of the
-mean's class in ``constraints.ClassMap`` (shared prefix or trailing
-window), or through a difference-in-differences closure (time-invariant
-effects).
+no part; the rank is read from ``RestrictionMatrix.implemented``.  When
+it fails, per-mean checkers report which group means are still
+reachable: through an implemented sequence of the mean's class in
+``constraints.ClassMap`` (shared prefix or trailing window), or through
+a difference-in-differences closure (time-invariant effects).
 """
 
 from __future__ import annotations
@@ -22,8 +20,7 @@ from typing import Union
 
 import numpy as np
 
-# the rank rule is the restriction's; its names stay importable from here
-from .constraints import RANK_TOLERANCE, ClassMap, RestrictionMatrix, numerical_rank  # noqa: F401
+from .constraints import ClassMap, RestrictionMatrix
 from .sequences import CrossoverDesign, TreatmentSequence, as_sequence
 
 
@@ -58,8 +55,7 @@ def is_identifiable(design: CrossoverDesign, restriction: RestrictionMatrix) -> 
     that the implemented sequences hit, at most q x d.
 
     The verdict depends on the implemented sequences, not their counts: it
-    is read from the restriction's record of the implemented set, whose
-    rank is computed once per set."""
+    is read from the restriction's record of the implemented set."""
     layout = restriction.layout
     if layout.horizon != design.horizon or layout.scope != design.scope:
         raise ValueError("restriction layout does not match the design")

@@ -17,7 +17,7 @@ from crossover import (
 def fresh_restrictions():
     """Start each test with no shared restriction, so the rank checks and
     implemented-set records a test counts are its own."""
-    ClassMap.restriction.cache_clear()
+    ClassMap._shared.cache_clear()
 
 
 def template_labels(design: CrossoverDesign):

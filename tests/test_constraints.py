@@ -1,5 +1,6 @@
 import ast
 import copy
+import itertools
 import os
 import pickle
 import subprocess
@@ -426,8 +427,6 @@ class TestSharedRestriction:
             assert copied.carryover_order == restriction.carryover_order
             for name in ("class_ids", "class_basis", "matrix", "_pairs", "_rows", "_columns"):
                 assert np.array_equal(getattr(copied, name), getattr(restriction, name)), name
-            for name in ("class_ids", "class_basis", "_pairs", "_rows", "_columns"):
-                assert not getattr(copied, name).flags.writeable, name
             again = copied.implemented(observed)
             assert again.rank == record.rank
             assert np.array_equal(again.hit, record.hit) and np.array_equal(again.local, record.local)
@@ -446,8 +445,28 @@ class TestSharedRestriction:
         first = assemble("b", 5, full[:1], 1)
         for size in range(2, bound + 3):
             assemble("b", 5, full[:size], 1)
-        assert ClassMap.restriction.cache_info().currsize == bound
+        assert ClassMap._shared.cache_info().currsize == bound
         assert assemble("b", 5, full[:1], 1) is not first
+
+    def test_a_restriction_too_large_to_keep_is_built_on_each_call(self):
+        # T=200, 8 sequences, k=2: Q alone would hold about 5 MB
+        scope = ["".join(w) for w in np.random.default_rng(2).choice(list("AB"), size=(8, 200))]
+        large = assemble("b", 200, scope, 2)
+        assert large.class_basis.nbytes > constraints.SHARED_RESTRICTION_BYTES
+        assert assemble("b", 200, scope, 2) is not large
+        assert ClassMap._shared.cache_info().currsize == 0
+        small = assemble("b", 200, scope[:1], 2)
+        assert assemble("b", 200, scope[:1], 2) is small
+
+    def test_the_records_kept_are_at_most_their_bound(self):
+        restriction = assemble("b", 3, full_sequence_set(3), 1)
+        sets = [tuple(s) for s in itertools.combinations(full_sequence_set(3), 2)]
+        records = [restriction.implemented(s) for s in sets]
+        kept = constraints.IMPLEMENTED_SETS_KEPT
+        assert len(sets) > kept and list(restriction._sets) == sets[-kept:]
+        assert restriction.implemented(sets[-1]) is records[-1]
+        again = restriction.implemented(sets[0])
+        assert again is not records[0] and again.rank == records[0].rank
 
 
 def test_window_helpers_are_called_only_where_classes_are_defined():
