@@ -73,6 +73,7 @@ from .sequences import (
     full_sequence_set,
     n_assignments,
     sample_assignment,
+    sample_code_rows,
     sample_codes,
     subsequence,
     trailing_window,

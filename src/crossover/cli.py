@@ -346,7 +346,7 @@ def _cmd_fit(args) -> int:
         return EXIT_NOT_IDENTIFIABLE
     payload = {
         "scenario": args.scenario,
-        "carryover_order": args.k,
+        "carryover_order": restriction.carryover_order,
         "level": args.level,
         "design": {"horizon": design.horizon, "counts": {str(z): n for z, n in design.counts.items()}},
     }
@@ -494,7 +494,7 @@ def _cmd_audit(args) -> int:
     )
     payload = {
         "scenario": args.scenario,
-        "carryover_order": args.k,
+        "carryover_order": result.carryover_order,
         "n_assignments": result.n_assignments,
         "estimands": [
             {

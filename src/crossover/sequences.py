@@ -5,11 +5,18 @@ letter per period.  A crossover design fixes the set of sequences actually
 run (with per-sequence unit counts) together with a possibly larger scope
 of sequences that estimands may reference.  Complete randomization permutes
 a fixed multiset of sequence labels across units.
+
+A seeded draw is ``np.random.default_rng(seed).permutation``; replication
+r of a Monte Carlo study uses the stream ``[seed, r]``.  ``sample_code_rows``
+gives a range of those streams bitwise by recomputing numpy's
+``SeedSequence`` hash and PCG64 seeding on arrays, so it depends on both;
+a test and a CI step compare it with ``default_rng``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -184,8 +191,114 @@ def code_template(design: CrossoverDesign) -> np.ndarray:
 
 def sample_codes(template: np.ndarray, seed) -> np.ndarray:
     """One complete randomization as a code vector: a uniform permutation
-    of ``template`` drawn from ``np.random.default_rng(seed)``."""
+    of ``template`` drawn from ``np.random.default_rng(seed)``.  This is
+    the reference for the ``[seed, r]`` streams ``sample_code_rows``
+    draws a chunk at a time."""
     return template[np.random.default_rng(seed).permutation(template.size)]
+
+
+def seed_words(seed) -> list[int]:
+    """The 32-bit words numpy's ``SeedSequence`` reads from an integer
+    seed, least significant first, with its errors: ValueError for a
+    negative seed, TypeError for one that is not an integer."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise TypeError(f"seed must be integer, got {seed!r}") from None
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (O'Neill 2014)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_POOL = 4
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The running constant of ``calls`` successive hashmix steps: call i
+    xors in entry i and multiplies by entry i + 1."""
+    constants = [init]
+    for _ in range(calls):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, dtype=np.uint32)[:, None]
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``values`` under len(constants) - 1
+    successive steps, one per leading row of the result."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg_states(entropy: np.ndarray) -> tuple[list[int], list[int]]:
+    """(state, inc) of ``PCG64(SeedSequence(words))`` for each column of a
+    (W, C) uint32 array of entropy words: ``SeedSequence.mix_entropy`` into
+    a pool of 4, ``generate_state(4, uint64)`` = [s_hi, s_lo, i_hi, i_lo],
+    then ``pcg_setseq_128_srandom_r``.  Within one source word the mix
+    steps into the other pool words are independent, so each runs as one
+    array step."""
+    tail = max(0, len(entropy) - _POOL)
+    a = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * tail)
+    pool = np.zeros((_POOL, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL]
+    with np.errstate(over="ignore"):
+        pool = _hashmix(pool, a[: _POOL + 1])
+        step = _POOL
+        for src in range(_POOL):
+            others = [dst for dst in range(_POOL) if dst != src]
+            pool[others] = _mix(pool[others], _hashmix(pool[src], a[step : step + _POOL]))
+            step += _POOL - 1
+        for word in entropy[_POOL:]:
+            pool = _mix(pool, _hashmix(word, a[step : step + _POOL + 1]))
+            step += _POOL
+        halves = _hashmix(np.tile(pool, (2, 1)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    halves = halves.astype(np.uint64)
+    s_hi, s_lo, i_hi, i_lo = (halves[0::2] | halves[1::2] << np.uint64(32)).tolist()
+    incs = [((hi << 64 | lo) << 1 | 1) & _MASK128 for hi, lo in zip(i_hi, i_lo)]
+    states = [
+        ((inc + (hi << 64 | lo)) * _PCG_MULT + inc) & _MASK128
+        for inc, hi, lo in zip(incs, s_hi, s_lo)
+    ]
+    return states, incs
+
+
+def sample_code_rows(template: np.ndarray, seed, start: int, stop: int) -> np.ndarray:
+    """Rows ``sample_codes(template, [seed, r])`` for r in
+    ``range(start, stop)``, bitwise, in the template's dtype.  The
+    ``SeedSequence`` hash runs once over the range on arrays; each row's
+    PCG64 state is set on one reused generator, which shuffles ``arange(N)``
+    as ``permutation`` does.  r must lie below 2^32, in one entropy word."""
+    words = seed_words(seed)
+    if not 0 <= start <= stop <= 1 << 32:
+        raise ValueError(f"stream indices r in [{start}, {stop}) must lie in [0, 2**32]")
+    entropy = np.empty((len(words) + 1, stop - start), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(start, stop)
+    states, incs = _pcg_states(entropy)
+    bit_generator = np.random.PCG64(0)
+    shuffle = np.random.Generator(bit_generator).shuffle
+    pcg = {}
+    full_state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    perms = np.empty((stop - start, template.size), dtype=np.int64)
+    perms[:] = np.arange(template.size)
+    for row, pcg["state"], pcg["inc"] in zip(perms, states, incs):
+        bit_generator.state = full_state
+        shuffle(row)
+    return template[perms]
 
 
 def _sequences_of(design: CrossoverDesign, codes: np.ndarray) -> tuple[TreatmentSequence, ...]:

@@ -2,7 +2,10 @@
 
 The study design is design-based: one potential-outcome table is fixed per
 study, and only the treatment assignment is redrawn across replications.
-Replication r draws its assignment from the seed stream ``[seed, r]``.
+Replication r draws its assignment from the seed stream ``[seed, r]``,
+``np.random.default_rng([seed, r]).permutation``'s; a chunk's streams come
+from one ``sequences.sample_code_rows`` call, which recomputes numpy's
+``SeedSequence`` and PCG64 seeding for the whole chunk.
 The replications are fitted in chunks as stacked arrays
 (``rwls.StackedFit``), each result bitwise what a fit of that replication
 alone gives; a chunk holds as many replications as fit MC_CHUNK_BYTES, so
@@ -49,7 +52,8 @@ from .sequences import (
     code_template,
     enumeration_walk,
     full_sequence_set,
-    sample_codes,
+    sample_code_rows,
+    seed_words,
 )
 
 TWO_PERIOD_SEQUENCES = ("AA", "AB", "BA", "BB")
@@ -305,15 +309,17 @@ def run_monte_carlo(
 
     Each replication r draws a complete randomization as a code vector
     from the seed stream ``[seed, r]`` (the stream ``sample_assignment``
-    uses), gathers the observed outcomes from the table, runs the
-    feasible restricted fit, and records the bias, the estimated
-    variances, and whether each confidence interval covers the truth.
+    uses; ``sample_code_rows`` draws a chunk's at once), gathers the
+    observed outcomes from the table, runs the feasible restricted fit,
+    and records the bias, the estimated variances, and whether each
+    confidence interval covers the truth.
     The fits run ``chunk_size`` replications at a time on stacked arrays
     (``rwls.StackedFit``); every result is bitwise what the replication's
     own ``feasible_rwls`` and ``estimate`` give.  ``scenario`` and
     ``carryover_order`` default to the generator's; scenario a has no
     carryover order, and its report gives None.
     Refuses fewer than 2 replications (the empirical variance needs two),
+    a seed that is not a non-negative integer (before the table is drawn),
     scenario/design pairs that fail the rank condition, and tables
     inconsistent with the scenario; the errors a fit raises whatever the
     data (weight choice, confidence level, too few units) come before the
@@ -321,6 +327,7 @@ def run_monte_carlo(
     """
     if replications < 2:
         raise ValueError(f"need at least 2 replications, got {replications}")
+    seed_words(seed)
     if isinstance(generator, PotentialOutcomeTable):
         table = generator
         generator_seed = None
@@ -359,7 +366,7 @@ def run_monte_carlo(
     size = chunk_size(design, fit.classes)
     for start in range(0, replications, size):
         chunk = slice(start, min(start + size, replications))
-        codes = np.stack([sample_codes(small, [seed, r]) for r in range(chunk.start, chunk.stop)])
+        codes = sample_code_rows(small, seed, chunk.start, chunk.stop)
         # a stable sort lists each sequence's units in increasing order,
         # and the sorted codes are the template itself
         units = np.argsort(codes, axis=1, kind="stable")
@@ -394,7 +401,8 @@ def emit_bias_distribution(report: McReport) -> str:
 
 @dataclass(frozen=True)
 class AuditResult:
-    """Exact randomization distribution of the fixed-weight estimator."""
+    """Exact randomization distribution of the fixed-weight estimator;
+    ``carryover_order`` is the restriction's, None under scenario a."""
 
     labels: tuple[str, ...]
     exact_mean: np.ndarray
@@ -402,6 +410,7 @@ class AuditResult:
     formula_mean: np.ndarray
     formula_covariance: np.ndarray
     n_assignments: int
+    carryover_order: int | None
 
 
 def exact_randomization_audit(
@@ -455,4 +464,5 @@ def exact_randomization_audit(
         formula_mean=true_value(stacked, table),
         formula_covariance=oracle_variance(base, stacked, table),
         n_assignments=points.shape[0],
+        carryover_order=restriction.carryover_order,
     )

@@ -247,6 +247,25 @@ class TestFitCommand:
         for row in report["estimands"]:
             assert row["ci_lower"] <= row["point"] <= row["ci_upper"]
 
+    @pytest.mark.parametrize(
+        "engine,scenario,k,order",
+        [
+            ("rwls", "a", "2", None),
+            ("closed-form", "a", "2", None),
+            ("rwls", "b", "2", 2),
+            ("closed-form", "b", "1", 1),
+            ("rwls", "c", "1", 1),
+        ],
+    )
+    def test_carryover_order_is_the_fitted_restrictions(self, tmp_path, engine, scenario, k, order):
+        # scenario a has no carryover order, whatever --k says
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(simulated_dataset(seed=3)))
+        out_file = tmp_path / "report.json"
+        argv = ["fit", "--data", str(data_file), "--scenario", scenario, "--k", k, "--engine", engine]
+        assert main(argv + ["--out", str(out_file)]) == EXIT_OK
+        assert json.loads(out_file.read_text())["carryover_order"] == order
+
     def test_fit_checks_identification_once(self, tmp_path, monkeypatch):
         from crossover import constraints
 
@@ -497,6 +516,16 @@ class TestSimulateCommand:
         assert len(lines) == 1 + 12 * 5
 
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        config = {"design": {"T": 2, "counts": {"AB": 10, "BA": 10}}, "scenario": "b", "k": 1}
+        config_file = tmp_path / "study.json"
+        config_file.write_text(json.dumps(config))
+        out_file = tmp_path / "mc.json"
+        code = main(["simulate", "--config", str(config_file), "--seed", "-1", "--out", str(out_file)])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == "error: expected non-negative integer\n"
+        assert not out_file.exists()
+
     @pytest.mark.parametrize("reps", ["1", "0", "-3"])
     def test_fewer_than_two_replications_exit_two(self, tmp_path, capsys, reps):
         config = {"design": {"T": 2, "counts": {"AB": 10, "BA": 10}}, "scenario": "b", "k": 1}
@@ -619,6 +648,19 @@ class TestAuditCommand:
         for row in report["estimands"]:
             assert row["exact_mean"] == pytest.approx(row["formula_mean"], abs=1e-9)
             assert row["exact_variance"] == pytest.approx(row["formula_variance"], abs=1e-9)
+
+    @pytest.mark.parametrize("scenario,k,order", [("a", "2", None), ("b", "1", 1)])
+    def test_carryover_order_is_the_audited_restrictions(self, tmp_path, scenario, k, order):
+        # scenario a has no carryover order, whatever --k says
+        design = CrossoverDesign(2, {"AA": 2, "AB": 2, "BA": 2, "BB": 2})
+        design_file = tmp_path / "design.txt"
+        design_file.write_text(design_to_text(design))
+        table_file = tmp_path / "table.csv"
+        table_file.write_text(table_csv(random_consistent_table(2, "b", 1, 8, seed=17)))
+        out_file = tmp_path / "audit.json"
+        argv = ["audit", "--table", str(table_file), "--design", str(design_file), "--scenario", scenario]
+        assert main(argv + ["--k", k, "--out", str(out_file)]) == EXIT_OK
+        assert json.loads(out_file.read_text())["carryover_order"] == order
 
     @pytest.mark.parametrize(
         "text,message",

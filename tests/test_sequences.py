@@ -19,6 +19,7 @@ from crossover import (
     full_sequence_set,
     n_assignments,
     sample_assignment,
+    sample_code_rows,
     sample_codes,
     subsequence,
 )
@@ -165,6 +166,57 @@ class TestSampleAssignment:
         for seed in range(draws):
             hits += sample_assignment(design, seed).sequences[0] == ab
         assert abs(hits / draws - 0.5) < 0.02
+
+
+class TestChunkStreams:
+    """``sample_code_rows`` recomputes numpy's seeding for a chunk of
+    ``[seed, r]`` streams; each row must be the reference draw, bitwise."""
+
+    TEMPLATES = {
+        "uint8": np.repeat(np.arange(4), [3, 1, 4, 2]).astype(np.uint8),
+        "intp": np.repeat(np.arange(3), [7, 5, 9]).astype(np.intp),
+    }
+
+    @staticmethod
+    def reference(template, seed, start, stop):
+        return np.stack([sample_codes(template, [seed, r]) for r in range(start, stop)])
+
+    @pytest.mark.parametrize("dtype", ["uint8", "intp"])
+    @pytest.mark.parametrize("start,stop", [(0, 7), (5, 12), (9, 10), (2**32 - 3, 2**32)])
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, 2**100 + 3, np.int64(2**40 + 9), True, False],
+    )
+    def test_rows_are_the_reference_draws(self, seed, start, stop, dtype):
+        template = self.TEMPLATES[dtype]
+        rows = sample_code_rows(template, seed, start, stop)
+        expected = self.reference(template, seed, start, stop)
+        assert rows.dtype == expected.dtype == template.dtype
+        assert np.array_equal(rows, expected)
+
+    def test_many_seeds_against_default_rng(self):
+        template = np.arange(50)
+        for seed in np.random.default_rng(11).integers(0, 2**63 - 1, size=20).tolist():
+            expected = [np.random.default_rng([seed, r]).permutation(50) for r in range(3, 8)]
+            assert np.array_equal(sample_code_rows(template, seed, 3, 8), expected)
+
+    def test_empty_range(self):
+        rows = sample_code_rows(self.TEMPLATES["uint8"], 3, 4, 4)
+        assert rows.shape == (0, 10) and rows.dtype == np.uint8
+
+    @pytest.mark.parametrize("start,stop", [(2**32, 2**32 + 1), (2**32 - 1, 2**32 + 1), (-1, 2), (3, 2)])
+    def test_indices_outside_one_word_are_refused_by_name(self, start, stop):
+        with pytest.raises(ValueError, match=r"stream indices r in .* must lie in \[0, 2\*\*32\]"):
+            sample_code_rows(self.TEMPLATES["uint8"], 3, start, stop)
+
+    def test_seed_errors_are_numpys(self):
+        template = self.TEMPLATES["uint8"]
+        for seed, error in ((-1, ValueError), (2.5, TypeError)):
+            with pytest.raises(error) as ours:
+                sample_code_rows(template, seed, 0, 1)
+            with pytest.raises(error) as numpys:
+                np.random.default_rng([seed, 0])
+            assert str(numpys.value) in str(ours.value)
 
 
 class TestEnumerateAssignments:

@@ -207,7 +207,7 @@ class TestErrorsBeforeAnyDraw:
         def draw(*args):
             raise AssertionError("an assignment was drawn")
 
-        monkeypatch.setattr(simulator, "sample_codes", draw)
+        monkeypatch.setattr(simulator, "sample_code_rows", draw)
 
     def run(self, counts, **kwargs):
         design = CrossoverDesign(2, counts)
@@ -236,6 +236,28 @@ class TestErrorsBeforeAnyDraw:
         weights = WeightModel({"AB": np.eye(2)}, "user")
         with pytest.raises(MissingSequenceError, match="lacks a matrix for BA"):
             self.run({"AB": 4, "BA": 4}, weight_choice=weights)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="^expected non-negative integer$"):
+            self.run({"AB": 4, "BA": 4}, seed=-1)
+
+    @pytest.mark.parametrize("seed", [3.0, np.float64(3.0), "3", [3]])
+    def test_non_integer_seed(self, seed):
+        with pytest.raises(TypeError, match="seed must be integer"):
+            self.run({"AB": 4, "BA": 4}, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(9), True, False, 2**64 + 5])
+    def test_integer_like_and_wide_seeds_keep_their_streams(self, monkeypatch, seed):
+        monkeypatch.setattr(simulator, "sample_code_rows", sequences.sample_code_rows)
+        design = CrossoverDesign(2, {"AB": 4, "BA": 3, "BB": 5})
+        generator = ScenarioGenerator(scenario="b", seed=3)
+        table = generate_table(generator, design.n_units, design)
+        specs = standard_two_period_specs(SCOPE2)
+        report = run_monte_carlo(generator, design, specs, 6, seed=seed)
+        bias, variances, covered = reference_monte_carlo(table, design, specs, 6, "sample", seed, "b")
+        assert np.array_equal(report.bias, bias)
+        assert np.array_equal(report.estimated_variances, variances)
+        assert np.array_equal(report.covered, covered)
 
 
 class TestMemory:
