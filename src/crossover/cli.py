@@ -348,7 +348,7 @@ def _cmd_fit(args) -> int:
         "scenario": args.scenario,
         "carryover_order": restriction.carryover_order,
         "level": args.level,
-        "design": {"horizon": design.horizon, "counts": {str(z): n for z, n in design.counts.items()}},
+        "design": {"horizon": design.horizon, "counts": dict(design.counts)},
     }
     if args.engine == "closed-form":
         if design.horizon != 2 or (args.scenario != "a" and args.k != 1):
@@ -369,7 +369,7 @@ def _cmd_fit(args) -> int:
         "engine": "rwls",
         "rank": {"identifiable": check.identifiable, "rank": check.rank, "dimension": check.dimension},
         "coefficients": [
-            {"period": t, "sequence": str(z), "estimate": float(fit.gamma[layout.column(t, z)])}
+            {"period": t, "sequence": z, "estimate": float(fit.gamma[layout.column(t, z)])}
             for t, z in layout.labels()
         ],
         "estimands": _estimand_rows(
@@ -382,7 +382,7 @@ def _cmd_fit(args) -> int:
         },
         "weights": {
             "provenance": fit.weight_model.provenance,
-            "repaired": [str(z) for z in fit.weight_model.repaired],
+            "repaired": list(fit.weight_model.repaired),
         },
         "condition_number": fit.condition_number,
         "restriction_residual": fit.restriction_residual,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -43,7 +42,7 @@ class CoefficientLayout:
     scope: tuple[TreatmentSequence, ...]
 
     def __post_init__(self):
-        scope = tuple(sorted({as_sequence(z) for z in self.scope}, key=attrgetter("letters")))
+        scope = tuple(sorted({as_sequence(z) for z in self.scope}))
         if not scope:
             raise ValueError("scope must be nonempty")
         for z in scope:
@@ -99,14 +98,13 @@ class ClassMap:
         """Class key of z's period-t coefficient: the length-t prefix under
         scenario a, the trailing window of length k under b and c."""
         start = 0 if self.scenario == "a" else max(0, period - self.order)
-        return z.letters[start:period]
+        return z[start:period]
 
     def ids(self, sequences: Iterable[TreatmentSequence]) -> tuple[list[tuple[int, str]], np.ndarray]:
         """The (period, key) of every class the sequences meet, in sorted
         order, and the (len(sequences), T) class id of each (sequence,
         period) entry, an index into that list."""
-        words = [z.letters for z in sequences]
-        letters = np.array(words, dtype=f"S{self.horizon}").view("S1").reshape(len(words), self.horizon)
+        letters = np.array(list(sequences), dtype=f"S{self.horizon}").view("S1").reshape(-1, self.horizon)
         classes: list[tuple[int, str]] = []
         ids = np.empty(letters.shape, dtype=np.intp)
         for t in range(1, self.horizon + 1):

@@ -110,7 +110,7 @@ def _arm_contrast(
     weights: dict[TreatmentSequence, np.ndarray] = {}
     for letter, sign in (("A", 1.0), ("B", -1.0)):
         word = before + letter + after
-        matches = [z for z in scope if z.letters.startswith(word)]
+        matches = [z for z in scope if z.startswith(word)]
         if not matches:
             raise ValueError(f"scope has no completion of {word}")
         for z in matches:
@@ -141,7 +141,7 @@ def instantaneous_effect(
     if len(history) != period - 1:
         raise ValueError(f"history must have length {period - 1}, got {len(history)}")
     label = f"tau_{period}" if period == 1 else f"tau_{period}({history})"
-    return _arm_contrast(scope_t, period, history.letters, "", label)
+    return _arm_contrast(scope_t, period, history, "", label)
 
 
 def carryover_effect(
@@ -168,8 +168,8 @@ def carryover_effect(
         raise ValueError(f"prefix must have length {period - order - 1}, got {len(prefix)}")
     if len(suffix) != order:
         raise ValueError(f"suffix must have length {order}, got {len(suffix)}")
-    args = ",".join(s for s in (prefix.letters, suffix.letters) if s)
-    return _arm_contrast(scope_t, period, prefix.letters, suffix.letters, f"tau_{period}^{order}({args})")
+    args = ",".join(s for s in (prefix, suffix) if s)
+    return _arm_contrast(scope_t, period, prefix, suffix, f"tau_{period}^{order}({args})")
 
 
 def marginal_effect(

@@ -191,8 +191,8 @@ class WeightModel:
     ``inverse_stack`` and the (k,) ``mask`` of the repaired matrices, with
     ``matrices``, ``inverses`` and ``repaired`` read-only views of them.
     The constructor checks a dict of matrices: square, of one shape, finite
-    and symmetric (max|m - m'| <= 1e-5 max|m|, a scale-free rule),
-    ``repaired`` naming some of them."""
+    and symmetric (max|m - m'| <= 1e-5 max|m|, a scale-free rule), then
+    invertible, ``repaired`` naming some of them."""
 
     sequences: tuple[TreatmentSequence, ...]
     provenance: str
@@ -201,8 +201,8 @@ class WeightModel:
     mask: np.ndarray = field(repr=False)
 
     def __init__(self, matrices: Mapping[TreatmentSequence | str, np.ndarray], provenance: str = "user", repaired=()):
-        pairs = ((as_sequence(z), np.asarray(m, dtype=float)) for z, m in matrices.items())
-        given = dict(sorted(pairs, key=lambda item: item[0].letters))
+        given = {as_sequence(z): np.asarray(m, dtype=float) for z, m in matrices.items()}
+        given = dict(sorted(given.items()))
         sequences, shapes = tuple(given), [m.shape for m in given.values()]
         for z, shape in zip(sequences, shapes):
             if len(shape) != 2 or shape[0] != shape[1]:
@@ -222,7 +222,12 @@ class WeightModel:
         unknown = sorted(named.difference(sequences))
         if unknown:
             raise ValueError(f"repaired sequence {unknown[0]} has no weight matrix")
-        self._hold(sequences, provenance, stack, np.array([z in named for z in sequences], dtype=bool))
+        try:
+            self._hold(sequences, provenance, stack, np.array([z in named for z in sequences], dtype=bool))
+        except np.linalg.LinAlgError:
+            # inv and slogdet share one LU: a zero pivot is a zero sign
+            singular = next(compress(sequences, np.linalg.slogdet(stack).sign == 0))
+            raise ValueError(f"weight for {singular} is singular") from None
 
     @classmethod
     def _from_covariances(cls, covariances: np.ndarray, sequences, provenance: str) -> WeightModel:

@@ -1,9 +1,10 @@
 """Treatment sequences, crossover designs, and complete randomization.
 
 A treatment sequence is a word over the two treatment labels A and B, one
-letter per period.  A crossover design fixes the set of sequences actually
-run (with per-sequence unit counts) together with a possibly larger scope
-of sequences that estimands may reference.  Complete randomization permutes
+letter per period: a ``str`` with checked letters, one key with its word.
+A crossover design fixes the set of sequences actually run (with
+per-sequence unit counts) together with a possibly larger scope of
+sequences that estimands may reference.  Complete randomization permutes
 a fixed multiset of sequence labels across units.
 
 A seeded draw is ``np.random.default_rng(seed).permutation``; replication
@@ -16,6 +17,7 @@ a test and a CI step compare it with ``default_rng``.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterator, Mapping
@@ -29,9 +31,9 @@ MAX_ENUMERATED_HORIZON = 16
 MAX_ENUMERATED_ASSIGNMENTS = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
-class TreatmentSequence:
-    """A word over {A, B}; one letter per period.
+class TreatmentSequence(str):
+    """A word over {A, B}, one letter per period: a ``str`` with checked
+    letters that equals, hashes and sorts as its word.
 
     Ordering is lexicographic with A < B, which fixes the column layout of
     every matrix in the package.  The empty word is allowed so that
@@ -39,30 +41,30 @@ class TreatmentSequence:
     positive length where required.
     """
 
-    letters: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        bad = set(self.letters) - set(LETTERS)
+    def __new__(cls, letters: str) -> "TreatmentSequence":
+        bad = set(letters) - set(LETTERS)
         if bad:
-            raise ValueError(
-                f"sequence {self.letters!r} uses symbols outside {LETTERS}: {sorted(bad)}"
-            )
+            raise ValueError(f"sequence {letters!r} uses symbols outside {LETTERS}: {sorted(bad)}")
+        return super().__new__(cls, letters)
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    @property
+    def letters(self) -> str:
+        """The word as a plain string."""
+        return str(self)
 
-    def __str__(self) -> str:
-        return self.letters
+    def __repr__(self) -> str:
+        return f"TreatmentSequence(letters={str(self)!r})"
 
     def letter(self, period: int) -> str:
         """Treatment label at a 1-based period."""
-        if not 1 <= period <= len(self.letters):
-            raise IndexError(f"period {period} outside [1, {len(self.letters)}]")
-        return self.letters[period - 1]
+        if not 1 <= period <= len(self):
+            raise IndexError(f"period {period} outside [1, {len(self)}]")
+        return self[period - 1]
 
-    def __add__(self, other: "TreatmentSequence | str") -> "TreatmentSequence":
-        other_letters = other.letters if isinstance(other, TreatmentSequence) else other
-        return TreatmentSequence(self.letters + other_letters)
+    def __add__(self, other: str) -> "TreatmentSequence":
+        return TreatmentSequence(str(self) + other)
 
 
 def as_sequence(value: "TreatmentSequence | str") -> TreatmentSequence:
@@ -96,9 +98,7 @@ def subsequence(z: TreatmentSequence | str, t1: int, t2: int) -> TreatmentSequen
     for t in (t1, t2):
         if not 1 <= t <= horizon:
             raise IndexError(f"period {t} outside [1, {horizon}]")
-    if t1 > t2:
-        return TreatmentSequence("")
-    return TreatmentSequence(z.letters[t1 - 1 : t2])
+    return TreatmentSequence(z[t1 - 1 : t2])
 
 
 def trailing_window(z: TreatmentSequence | str, period: int, order: int) -> TreatmentSequence:
@@ -127,12 +127,14 @@ class CrossoverDesign:
     def __post_init__(self):
         if self.horizon < 1:
             raise HorizonError(f"horizon must be >= 1, got {self.horizon}")
-        counts = {as_sequence(z): int(n) for z, n in self.counts.items()}
+        counts = {as_sequence(z): n for z, n in self.counts.items()}
         if not counts:
             raise ValueError("design implements no sequences")
         for z, n in counts.items():
             if len(z) != self.horizon:
                 raise ValueError(f"sequence {z} has length {len(z)}, expected {self.horizon}")
+            if not isinstance(n, numbers.Integral) and not (isinstance(n, numbers.Real) and float(n).is_integer()):
+                raise ValueError(f"count for {z} must be a whole number, got {n!r}")
             if n < 1:
                 raise ValueError(f"count for {z} must be positive, got {n}")
         if self.scope:
@@ -145,7 +147,7 @@ class CrossoverDesign:
         missing = [z for z in counts if z not in set(scope)]
         if missing:
             raise ValueError(f"scope must contain implemented sequences; missing {missing}")
-        object.__setattr__(self, "counts", dict(sorted(counts.items())))
+        object.__setattr__(self, "counts", {z: int(n) for z, n in sorted(counts.items())})
         object.__setattr__(self, "scope", scope)
 
     @property

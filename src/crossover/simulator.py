@@ -105,17 +105,16 @@ def generate_table(
     if design is not None and design.horizon != 2:
         raise ValueError("the built-in generators are two-period")
     rng = np.random.default_rng(generator.seed)
-    seqs = [as_sequence(z) for z in TWO_PERIOD_SEQUENCES]
     if generator.kind == "gaussian_model":
         chol = np.array(
             [[1.0, 0.0], [generator.rho, np.sqrt(1.0 - generator.rho**2)]]
         )
         tables = {}
-        for z, b1, b2 in zip(seqs, generator.beta1, generator.beta2):
+        for z, b1, b2 in zip(TWO_PERIOD_SEQUENCES, generator.beta1, generator.beta2):
             noise = rng.standard_normal((n_units, 2)) @ chol.T
             tables[z] = noise + np.array([b1, b2])
-        y1 = {str(z): tables[z][:, 0].copy() for z in seqs}
-        y2 = {str(z): tables[z][:, 1].copy() for z in seqs}
+        y1 = {z: tables[z][:, 0].copy() for z in TWO_PERIOD_SEQUENCES}
+        y2 = {z: tables[z][:, 1].copy() for z in TWO_PERIOD_SEQUENCES}
         # no anticipation: period-1 outcomes ignore the period-2 treatment
         y1["AB"] = y1["AA"].copy()
         y1["BB"] = y1["BA"].copy()
@@ -128,7 +127,7 @@ def generate_table(
             shift = y1["AA"] - y1["BA"]
             y2["AA"] = shift + y2["AB"]
             y2["BA"] = shift + y2["BB"]
-        outcomes = {z: np.column_stack([y1[str(z)], y2[str(z)]]) for z in seqs}
+        outcomes = {z: np.column_stack([y1[z], y2[z]]) for z in TWO_PERIOD_SEQUENCES}
         return PotentialOutcomeTable(2, outcomes)
     base1 = rng.standard_normal(n_units)
     base2 = rng.standard_normal(n_units)
@@ -144,9 +143,7 @@ def generate_table(
         "BA": base2 + generator.tau2,
     }
     y2["AA"] = y2["BA"] + generator.carry_a
-    outcomes = {
-        z: np.column_stack([y1[str(z)], y2[str(z)]]) for z in seqs
-    }
+    outcomes = {z: np.column_stack([y1[z], y2[z]]) for z in TWO_PERIOD_SEQUENCES}
     return PotentialOutcomeTable(2, outcomes)
 
 

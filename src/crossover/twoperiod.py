@@ -114,12 +114,11 @@ class TwoPeriodEntries:
         counts = np.array(list(summary.counts.values()))
         cross = np.array([summary.cross[z] for z in sequences])
         pooled = pool_by_class(counts, cross, ClassMap(2, "b", 1).ids(sequences)[1], sequences)
-        words = [str(z) for z in sequences]
         # each sequence is its own (1, 2) class pair: s12 is its covariance
         return cls(
-            {z[0]: m[0, 0] for z, m in zip(words, pooled)},
-            {z[1]: m[1, 1] for z, m in zip(words, pooled)},
-            {z: float(m[0, 1]) for z, m in zip(words, pooled)},
+            {z[0]: m[0, 0] for z, m in zip(sequences, pooled)},
+            {z[1]: m[1, 1] for z, m in zip(sequences, pooled)},
+            {z: float(m[0, 1]) for z, m in zip(sequences, pooled)},
         )
 
     def block(self, z: str) -> np.ndarray:
@@ -196,7 +195,7 @@ def _blocks(summary: TwoPeriodSummary, blocks: Mapping | None, groups) -> dict[s
     if blocks is None:
         entries = TwoPeriodEntries.from_summary(summary)
         return {z: entries.block(z) for z in groups}
-    return {str(z): np.asarray(m, dtype=float) for z, m in blocks.items()}
+    return {z: np.asarray(m, dtype=float) for z, m in blocks.items()}
 
 
 def blue_4seq_scenario_c(
@@ -308,17 +307,16 @@ def closed_form(summary: TwoPeriodSummary, scenario: str) -> dict[str, tuple[flo
     """
     if scenario not in ("a", "b", "c"):
         raise ValueError(f"scenario must be a, b, or c, got {scenario!r}")
-    groups = {str(z) for z in summary.counts}
+    groups = set(summary.counts)
     four = groups == set(FOUR_SEQ)
     if not four and groups != set(TWO_SEQ):
         raise MissingSequenceError(
-            f"closed forms cover the AA/AB/BA/BB and AB/BA designs, got groups {sorted(groups)}"
+            f"closed forms cover the AA/AB/BA/BB and AB/BA designs, got groups {sorted(map(str, groups))}"
         )
     if scenario == "c":
         combined = (blue_4seq_scenario_c if four else blue_2seq_scenario_c)(summary)
         return {"tau": (combined.value, combined.objective)}
-    n = {z: summary.count(z) for z in groups}
-    var = {z: summary.covariances[as_sequence(z)] for z in groups}
+    n, var = summary.counts, summary.covariances
 
     def apart(t: int, g: str, h: str) -> float:
         """Per-group bound for the difference of two period-t group means."""
@@ -360,11 +358,9 @@ def paired_difference_estimate(dataset: ObservedDataset) -> float:
     if dataset.design.horizon != 2:
         raise ValueError("paired differences need a two-period design")
     groups = dataset.group_indices()
-    ab = as_sequence("AB")
-    ba = as_sequence("BA")
-    if ab not in groups or ba not in groups:
+    if "AB" not in groups or "BA" not in groups:
         raise MissingSequenceError("paired differences need AB and BA groups")
-    y = dataset.outcomes
-    ab_part = float(np.sum(y[groups[ab], 0] - y[groups[ab], 1])) / (2 * groups[ab].size)
-    ba_part = float(np.sum(y[groups[ba], 1] - y[groups[ba], 0])) / (2 * groups[ba].size)
+    y, ab, ba = dataset.outcomes, groups["AB"], groups["BA"]
+    ab_part = float(np.sum(y[ab, 0] - y[ab, 1])) / (2 * ab.size)
+    ba_part = float(np.sum(y[ba, 1] - y[ba, 0])) / (2 * ba.size)
     return ab_part + ba_part

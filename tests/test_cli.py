@@ -397,6 +397,15 @@ class TestFitCommand:
         assert code == EXIT_PARSE
         assert "weight for AB" in capsys.readouterr().err
 
+    def test_singular_weights_exit_two_naming_the_sequence(self, tmp_path, capsys):
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(simulated_dataset(seed=6)))
+        weights_file = tmp_path / "weights.json"
+        weights_file.write_text(json.dumps({"AA": [[1, 0], [0, 1]], "AB": [[1, 1], [1, 1]], "BA": [[1.5, -0.2], [-0.2, 1.0]], "BB": [[1, 0], [0, 1]]}))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1"]
+        assert main(argv + ["--weights", f"file:{weights_file}"]) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: weight for AB is singular\n"
+
 
     @pytest.mark.parametrize("engine", ["rwls", "closed-form"])
     @pytest.mark.parametrize("level", ["1.5", "0", "nan"])

@@ -309,6 +309,14 @@ class TestRepairPositiveDefinite:
 
 
 class TestWeightModel:
+    @pytest.mark.parametrize("singular", [[[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    def test_singular_weight_is_rejected_naming_its_sequence(self, singular):
+        matrices = {"BA": [[1.5, -0.2], [-0.2, 1.0]], "AB": singular, "BB": singular}
+        with pytest.raises(ValueError) as info:
+            WeightModel(matrices)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert str(info.value) == "weight for AB is singular"
+
     def test_asymmetric_weight_is_rejected_naming_its_sequence(self, rng):
         # eigh reads one triangle of the M such weights give: the fit was
         # neither solve(M, rhs) nor the solve with M symmetrized

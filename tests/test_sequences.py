@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -11,12 +13,15 @@ from crossover import (
     HorizonError,
     TreatmentSequence,
     as_sequence,
+    assemble,
     code_template,
     design_from_text,
     design_to_text,
     enumerate_assignments,
     enumerate_codes,
     full_sequence_set,
+    instantaneous_effect,
+    is_identifiable,
     n_assignments,
     sample_assignment,
     sample_code_rows,
@@ -41,6 +46,70 @@ class TestTreatmentSequence:
         assert z.letter(4) == "A"
         with pytest.raises(IndexError):
             z.letter(5)
+
+
+class TestSequenceIsItsWord:
+    def test_equals_hashes_and_sorts_as_the_word(self):
+        z = TreatmentSequence("AB")
+        assert isinstance(z, str)
+        assert z == "AB" and "AB" == z and z != "BA"
+        assert hash(z) == hash("AB")
+        assert len({z, "AB"}) == 1
+        assert {"AB": 3}[z] == 3 and {z: 3}["AB"] == 3
+        mixed = ["BA", TreatmentSequence("AA"), "BB", TreatmentSequence("AB")]
+        assert sorted(mixed) == sorted(map(str, mixed)) == ["AA", "AB", "BA", "BB"]
+
+    def test_repr_is_unchanged(self):
+        assert repr(TreatmentSequence("AB")) == "TreatmentSequence(letters='AB')"
+        assert repr([TreatmentSequence("")]) == "[TreatmentSequence(letters='')]"
+
+    def test_str_and_letters_are_plain_strings(self):
+        z = TreatmentSequence("ABA")
+        for word in (str(z), z.letters, f"{z}"):
+            assert type(word) is str and word == "ABA"
+
+    @pytest.mark.parametrize("bad", ["AC", "ab", "A B", "1"])
+    def test_constructor_and_concatenation_reject_foreign_letters(self, bad):
+        with pytest.raises(ValueError, match="uses symbols outside"):
+            TreatmentSequence(bad)
+        with pytest.raises(ValueError, match="uses symbols outside"):
+            TreatmentSequence("AB") + bad
+
+    def test_concatenation_is_a_checked_sequence(self):
+        for tail in ("BA", TreatmentSequence("BA"), ""):
+            joined = TreatmentSequence("AB") + tail
+            assert type(joined) is TreatmentSequence and joined == "AB" + tail
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        z = TreatmentSequence("ABB")
+        again = pickle.loads(pickle.dumps(z, protocol))
+        assert type(again) is TreatmentSequence and again == z
+
+    def test_copies_round_trip(self):
+        z = TreatmentSequence("BAB")
+        for again in (copy.copy(z), copy.deepcopy(z), copy.deepcopy([z])[0]):
+            assert type(again) is TreatmentSequence and again == z
+
+    def test_instances_accept_no_attributes(self):
+        z = TreatmentSequence("AB")
+        with pytest.raises(AttributeError):
+            z.extra = 1
+        with pytest.raises(AttributeError):
+            z.letters = "BA"
+        assert not hasattr(z, "__dict__")
+
+    def test_a_scope_spelling_one_sequence_both_ways_keeps_it_once(self):
+        scope = ("AB", TreatmentSequence("AB"), "BA")
+        design = CrossoverDesign(2, {"AB": 3, "BA": 3}, scope=scope)
+        assert design.scope == ("AB", "BA")
+        assert is_identifiable(design, assemble("b", 2, design.scope, 1)).identifiable
+
+    def test_an_estimand_over_that_scope_weighs_each_sequence_once(self):
+        spec = instantaneous_effect(1, "", ("AB", TreatmentSequence("AB"), "BA"))
+        assert spec.scope == ("AB", "BA")
+        assert spec.weight("AB").tolist() == [[1.0, 0.0]]
+        assert spec.weight("BA").tolist() == [[-1.0, 0.0]]
 
 
 class TestFullSequenceSet:
@@ -91,6 +160,17 @@ class TestCrossoverDesign:
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError):
             CrossoverDesign(2, {"AB": 0})
+
+    @pytest.mark.parametrize("count", [2.5, np.float64(3.7), float("nan"), float("inf"), "3", None])
+    def test_non_integer_count_is_refused_naming_its_sequence(self, count):
+        with pytest.raises(ValueError, match="count for AB must be a whole number"):
+            CrossoverDesign(2, {"BA": 3, "AB": count})
+
+    @pytest.mark.parametrize("count", [3, np.int64(3), np.uint8(3), 3.0, np.float64(3.0), np.float32(3.0)])
+    def test_integral_counts_are_kept(self, count):
+        design = CrossoverDesign(2, {"AB": count, "BA": 2})
+        assert list(design.counts.values()) == [3, 2]
+        assert all(type(n) is int for n in design.counts.values())
 
     def test_scope_contains_observed(self):
         with pytest.raises(ValueError):
