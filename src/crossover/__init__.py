@@ -75,6 +75,7 @@ from .sequences import (
     sample_assignment,
     sample_code_rows,
     sample_codes,
+    sequence_set,
     subsequence,
     trailing_window,
 )

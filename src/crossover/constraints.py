@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .sequences import TreatmentSequence, as_sequence
+from .sequences import TreatmentSequence, _check_lengths, as_sequence, sequence_set
 
 SCENARIOS = ("a", "b", "c")
 
@@ -42,12 +42,9 @@ class CoefficientLayout:
     scope: tuple[TreatmentSequence, ...]
 
     def __post_init__(self):
-        scope = tuple(sorted({as_sequence(z) for z in self.scope}))
+        scope = sequence_set(self.scope, self.horizon)
         if not scope:
             raise ValueError("scope must be nonempty")
-        for z in scope:
-            if len(z) != self.horizon:
-                raise ValueError(f"scope sequence {z} has length {len(z)}, expected {self.horizon}")
         object.__setattr__(self, "scope", scope)
         object.__setattr__(self, "_index", {z: i for i, z in enumerate(scope)})
 
@@ -103,8 +100,11 @@ class ClassMap:
     def ids(self, sequences: Iterable[TreatmentSequence]) -> tuple[list[tuple[int, str]], np.ndarray]:
         """The (period, key) of every class the sequences meet, in sorted
         order, and the (len(sequences), T) class id of each (sequence,
-        period) entry, an index into that list."""
-        letters = np.array(list(sequences), dtype=f"S{self.horizon}").view("S1").reshape(-1, self.horizon)
+        period) entry, an index into that list.  ValueError names a
+        sequence of another length than T."""
+        sequences = list(sequences)
+        _check_lengths(sequences, self.horizon)
+        letters = np.array(sequences, dtype=f"S{self.horizon}").view("S1").reshape(-1, self.horizon)
         classes: list[tuple[int, str]] = []
         ids = np.empty(letters.shape, dtype=np.intp)
         for t in range(1, self.horizon + 1):
@@ -263,6 +263,11 @@ class RestrictionMatrix:
         if matrix.ndim != 2 or matrix.shape[1] != p:
             raise ValueError(f"restriction matrix must be (L, {p}), got {matrix.shape}")
         basis = _null_space(matrix) if matrix.shape[0] else np.eye(p)
+        if p - basis.shape[1] < len(matrix):
+            raise ValueError(
+                f"restriction rows need full row rank, got rank {p - basis.shape[1]} for {len(matrix)} rows; "
+                "restriction_from_rows row-reduces them"
+            )
         no_pairs = np.zeros((0, 2), dtype=np.intp)
         columns = np.arange(p)
         self._hold(layout, no_pairs, matrix, columns, scenario, carryover_order, columns, basis)

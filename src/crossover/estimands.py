@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateCovarianceError
-from .sequences import TreatmentSequence, as_sequence
+from .sequences import TreatmentSequence, as_sequence, sequence_set
 
 __all__ = [
     "EstimandSpec",
@@ -28,10 +28,6 @@ __all__ = [
     "individual_effects",
     "individual_effect_covariance",
 ]
-
-
-def _normalize_scope(scope: Iterable[TreatmentSequence | str]) -> tuple[TreatmentSequence, ...]:
-    return tuple(sorted(as_sequence(z) for z in set(scope)))
 
 
 @dataclass(frozen=True)
@@ -48,17 +44,16 @@ class EstimandSpec:
     labels: tuple[str, ...]
 
     def __post_init__(self):
-        scope = _normalize_scope(self.scope)
+        scope = sequence_set(self.scope, self.horizon)
         k = len(self.labels)
         if k < 1:
             raise ValueError("estimand needs at least one row label")
         weights = {}
         scope_set = set(scope)
-        for z, w in self.weights.items():
-            z = as_sequence(z)
+        for z in sequence_set(self.weights, self.horizon):
             if z not in scope_set:
                 raise ValueError(f"weight given for {z} outside the scope")
-            w = np.asarray(w, dtype=float)
+            w = np.asarray(self.weights[z], dtype=float)
             if w.shape != (k, self.horizon):
                 raise ValueError(
                     f"W({z}) has shape {w.shape}, expected {(k, self.horizon)}"
@@ -69,7 +64,7 @@ class EstimandSpec:
         if not any(np.any(w) for w in weights.values()):
             raise ValueError("all coefficient matrices are zero")
         object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "weights", dict(sorted(weights.items())))
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "labels", tuple(self.labels))
 
     @property
@@ -131,7 +126,7 @@ def instantaneous_effect(
     uniformly over all scope sequences completing each arm, which
     canonicalizes the many equivalent weightings.
     """
-    scope_t = _normalize_scope(scope)
+    scope_t = sequence_set(scope)
     if not scope_t:
         raise ValueError("scope must be nonempty")
     horizon = len(scope_t[0])
@@ -156,7 +151,7 @@ def carryover_effect(
     fixed at ``prefix`` and ``suffix``."""
     if order == 0:
         return instantaneous_effect(period, prefix, scope)
-    scope_t = _normalize_scope(scope)
+    scope_t = sequence_set(scope)
     if not scope_t:
         raise ValueError("scope must be nonempty")
     horizon = len(scope_t[0])
@@ -219,7 +214,7 @@ def all_instantaneous_effects(
     period: int, scope: Iterable[TreatmentSequence | str]
 ) -> list[EstimandSpec]:
     """The 2^(t-1) conditional contrasts at a period, one per history."""
-    scope_t = _normalize_scope(scope)
+    scope_t = sequence_set(scope)
     histories = [""]
     for _ in range(period - 1):
         histories = [h + letter for h in histories for letter in ("A", "B")]
@@ -240,11 +235,8 @@ class PotentialOutcomeTable:
     def __post_init__(self):
         outcomes = {}
         n_units = None
-        for z, y in self.outcomes.items():
-            z = as_sequence(z)
-            if len(z) != self.horizon:
-                raise ValueError(f"sequence {z} has length {len(z)}, expected {self.horizon}")
-            y = np.asarray(y, dtype=float)
+        for z in sequence_set(self.outcomes, self.horizon):
+            y = np.asarray(self.outcomes[z], dtype=float)
             if y.ndim != 2 or y.shape[1] != self.horizon:
                 raise ValueError(f"outcomes for {z} must be (N, {self.horizon}), got {y.shape}")
             if not np.all(np.isfinite(y)):
@@ -256,7 +248,7 @@ class PotentialOutcomeTable:
             outcomes[z] = y
         if not outcomes:
             raise ValueError("table is empty")
-        object.__setattr__(self, "outcomes", dict(sorted(outcomes.items())))
+        object.__setattr__(self, "outcomes", outcomes)
 
     @property
     def scope(self) -> tuple[TreatmentSequence, ...]:

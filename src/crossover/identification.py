@@ -21,7 +21,7 @@ from typing import Union
 import numpy as np
 
 from .constraints import ClassMap, RestrictionMatrix
-from .sequences import CrossoverDesign, TreatmentSequence, as_sequence
+from .sequences import CrossoverDesign, TreatmentSequence, as_sequence, sequence_set
 
 
 def gram_plus_restriction(design: CrossoverDesign, restriction: RestrictionMatrix) -> np.ndarray:
@@ -63,10 +63,8 @@ def is_identifiable(design: CrossoverDesign, restriction: RestrictionMatrix) -> 
     return IdentificationCheck(rank == layout.size, rank, layout.size)
 
 
-def _normalize_observed(observed) -> tuple[TreatmentSequence, ...]:
-    if isinstance(observed, CrossoverDesign):
-        return observed.observed
-    return tuple(sorted(as_sequence(z) for z in set(observed)))
+def _normalize_observed(observed):
+    return observed.observed if isinstance(observed, CrossoverDesign) else observed
 
 
 def _witness(
@@ -77,7 +75,7 @@ def _witness(
     target = as_sequence(target)
     if not 1 <= period <= len(target):
         raise IndexError(f"period {period} outside [1, {len(target)}]")
-    observed = _normalize_observed(observed)
+    observed = sequence_set(_normalize_observed(observed), len(target))
     if target in observed:
         return target
     want = classes.key(period, target)
@@ -178,7 +176,7 @@ def time_invariant_closure(
     repeatedly applies the difference-in-differences step across period
     pairs t, t' >= k until nothing new is identified.
     """
-    sequences = _normalize_observed(observed)
+    sequences = sequence_set(_normalize_observed(observed), horizon)
     seeds, ids = ClassMap(horizon, "c", order).ids(sequences)
     # a class's first entry in row-major order lies in its first member's row
     first = np.unique(ids, return_index=True)[1] // horizon

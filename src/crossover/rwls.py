@@ -65,7 +65,7 @@ from .errors import (
 )
 from .estimands import EstimandSpec, PotentialOutcomeTable, individual_effect_covariance
 from .identification import is_identifiable
-from .sequences import CrossoverDesign, TreatmentSequence, as_sequence
+from .sequences import CrossoverDesign, TreatmentSequence, as_sequence, sequence_set
 
 CONDITION_WARNING_THRESHOLD = 1e12
 RESTRICTION_TOLERANCE = 1e-9
@@ -201,8 +201,7 @@ class WeightModel:
     mask: np.ndarray = field(repr=False)
 
     def __init__(self, matrices: Mapping[TreatmentSequence | str, np.ndarray], provenance: str = "user", repaired=()):
-        given = {as_sequence(z): np.asarray(m, dtype=float) for z, m in matrices.items()}
-        given = dict(sorted(given.items()))
+        given = {z: np.asarray(matrices[z], float) for z in sequence_set(matrices)}
         sequences, shapes = tuple(given), [m.shape for m in given.values()]
         for z, shape in zip(sequences, shapes):
             if len(shape) != 2 or shape[0] != shape[1]:

@@ -2,10 +2,13 @@
 
 A treatment sequence is a word over the two treatment labels A and B, one
 letter per period: a ``str`` with checked letters, one key with its word.
-A crossover design fixes the set of sequences actually run (with
-per-sequence unit counts) together with a possibly larger scope of
-sequences that estimands may reference.  Complete randomization permutes
-a fixed multiset of sequence labels across units.
+A set of sequences (a scope, an implemented set, the keys of a table by
+sequence) has one form, ``sequence_set``: checked words of one length,
+each once, in lexicographic order.  A crossover design fixes the set of
+sequences actually run (with per-sequence unit counts) together with a
+possibly larger scope of sequences that estimands may reference.
+Complete randomization permutes a fixed multiset of sequence labels
+across units.
 
 A seeded draw is ``np.random.default_rng(seed).permutation``; replication
 r of a Monte Carlo study uses the stream ``[seed, r]``.  ``sample_code_rows``
@@ -20,7 +23,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -87,6 +90,36 @@ def full_sequence_set(horizon: int) -> tuple[TreatmentSequence, ...]:
     return tuple(TreatmentSequence(w) for w in words)
 
 
+def sequence_set(
+    sequences: Iterable[TreatmentSequence | str], horizon: int | None = None
+) -> tuple[TreatmentSequence, ...]:
+    """The checked set of sequences, or of a mapping's keys: each word's
+    letters checked, each sequence once, in lexicographic order, every one
+    of length ``horizon``.  Without a horizon the set defines it, and all
+    sequences must share one length.  ValueError names a sequence of
+    another length."""
+    words = tuple(sorted(set(map(as_sequence, sequences))))
+    if words:
+        _check_lengths(words, len(words[0]) if horizon is None else horizon)
+    return words
+
+
+def _check_lengths(sequences: Iterable[str], horizon: int) -> None:
+    """ValueError naming the first sequence whose length is not ``horizon``."""
+    for z in sequences:
+        if len(z) != horizon:
+            raise ValueError(f"sequence {z} has length {len(z)}, expected {horizon}")
+
+
+def _unit_count(z: TreatmentSequence, n) -> int:
+    """A sequence's unit count as an int: a whole number, at least 1."""
+    if not isinstance(n, numbers.Integral) and not (isinstance(n, numbers.Real) and float(n).is_integer()):
+        raise ValueError(f"count for {z} must be a whole number, got {n!r}")
+    if n < 1:
+        raise ValueError(f"count for {z} must be positive, got {n}")
+    return int(n)
+
+
 def subsequence(z: TreatmentSequence | str, t1: int, t2: int) -> TreatmentSequence:
     """Letters of ``z`` from period ``t1`` to ``t2`` inclusive (1-based).
 
@@ -127,27 +160,14 @@ class CrossoverDesign:
     def __post_init__(self):
         if self.horizon < 1:
             raise HorizonError(f"horizon must be >= 1, got {self.horizon}")
-        counts = {as_sequence(z): n for z, n in self.counts.items()}
+        counts = {z: _unit_count(z, self.counts[z]) for z in sequence_set(self.counts, self.horizon)}
         if not counts:
             raise ValueError("design implements no sequences")
-        for z, n in counts.items():
-            if len(z) != self.horizon:
-                raise ValueError(f"sequence {z} has length {len(z)}, expected {self.horizon}")
-            if not isinstance(n, numbers.Integral) and not (isinstance(n, numbers.Real) and float(n).is_integer()):
-                raise ValueError(f"count for {z} must be a whole number, got {n!r}")
-            if n < 1:
-                raise ValueError(f"count for {z} must be positive, got {n}")
-        if self.scope:
-            scope = tuple(sorted(as_sequence(z) for z in set(self.scope)))
-            for z in scope:
-                if len(z) != self.horizon:
-                    raise ValueError(f"scope sequence {z} has length {len(z)}, expected {self.horizon}")
-        else:
-            scope = full_sequence_set(self.horizon)
+        scope = sequence_set(self.scope, self.horizon) if self.scope else full_sequence_set(self.horizon)
         missing = [z for z in counts if z not in set(scope)]
         if missing:
             raise ValueError(f"scope must contain implemented sequences; missing {missing}")
-        object.__setattr__(self, "counts", {z: int(n) for z, n in sorted(counts.items())})
+        object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "scope", scope)
 
     @property

@@ -48,12 +48,12 @@ from .sequences import (
     Assignment,
     CrossoverDesign,
     TreatmentSequence,
-    as_sequence,
     code_template,
     enumeration_walk,
     full_sequence_set,
     sample_code_rows,
     seed_words,
+    sequence_set,
 )
 
 TWO_PERIOD_SEQUENCES = ("AA", "AB", "BA", "BB")
@@ -165,7 +165,7 @@ def random_consistent_table(
     """
     classes = ClassMap(horizon, scenario, carryover_order)
     rng = np.random.default_rng(seed)
-    scope_t = tuple(sorted(as_sequence(z) for z in scope)) if scope else full_sequence_set(horizon)
+    scope_t = sequence_set(scope, horizon) if scope else full_sequence_set(horizon)
     values: dict[tuple, np.ndarray] = {}
 
     def draw(key: tuple) -> np.ndarray:

@@ -36,7 +36,7 @@ from .rwls import (
     sample_covariances,
     sequence_means,
 )
-from .sequences import TreatmentSequence, as_sequence
+from .sequences import TreatmentSequence, _unit_count, as_sequence, sequence_set
 
 FOUR_SEQ = ("AA", "AB", "BA", "BB")
 TWO_SEQ = ("AB", "BA")
@@ -57,20 +57,14 @@ class TwoPeriodSummary:
     cross: Mapping[TreatmentSequence, np.ndarray] | None = None
 
     def __post_init__(self):
-        counts = {as_sequence(z): int(n) for z, n in self.counts.items()}
-        means = {as_sequence(z): np.asarray(m, dtype=float) for z, m in self.means.items()}
-        covs = {as_sequence(z): np.asarray(c, dtype=float) for z, c in self.covariances.items()}
-        for z in counts:
-            if len(z) != 2:
-                raise ValueError(f"two-period summary got sequence {z}")
-        object.__setattr__(self, "counts", dict(sorted(counts.items())))
-        object.__setattr__(self, "means", dict(sorted(means.items())))
-        object.__setattr__(self, "covariances", dict(sorted(covs.items())))
+        counts = {z: _unit_count(z, self.counts[z]) for z in sequence_set(self.counts, 2)}
+        means = {z: np.asarray(self.means[z], float) for z in sequence_set(self.means, 2)}
+        covs = {z: np.asarray(self.covariances[z], float) for z in sequence_set(self.covariances, 2)}
         if self.cross is None:
             cross = {z: (n - 1) * covs[z] for z, n in counts.items() if z in covs}
         else:
-            cross = {as_sequence(z): np.asarray(c, dtype=float) for z, c in self.cross.items()}
-        object.__setattr__(self, "cross", dict(sorted(cross.items())))
+            cross = {z: np.asarray(self.cross[z], float) for z in sequence_set(self.cross, 2)}
+        vars(self).update(counts=counts, means=means, covariances=covs, cross=cross)
 
     @classmethod
     def from_dataset(cls, dataset: ObservedDataset) -> "TwoPeriodSummary":

@@ -365,6 +365,18 @@ class TestClassMap:
                 assert got == expected
                 assert ids.tolist() == [[expected.index(key) for key in row] for row in keys]
 
+    @pytest.mark.parametrize("sequences", [["ABA", "B"], ["AB", "B"], ["AB", "BAA"]])
+    def test_ids_refuse_a_sequence_of_another_length(self, sequences):
+        # ABA was truncated to AB, and B given the period-2 class (2, "")
+        wrong = next(z for z in sequences if len(z) != 2)
+        with pytest.raises(ValueError, match=f"^sequence {wrong} has length {len(wrong)}, expected 2$"):
+            ClassMap(2, "b", 1).ids(sequences)
+
+    def test_ids_keep_input_order_and_repeated_rows(self):
+        keys, ids = ClassMap(2, "b", 1).ids(["BA", "AB", "BA"])
+        assert keys == [(1, "A"), (1, "B"), (2, "A"), (2, "B")]
+        assert ids.tolist() == [[1, 2], [0, 3], [1, 2]]
+
     def test_unknown_scenario_and_bad_orders_rejected(self):
         for args in (("d", 3, None), ("b", 3, None), ("c", 3, 0), ("b", 3, 4)):
             with pytest.raises(ValueError):
@@ -408,6 +420,18 @@ class TestSharedRestriction:
             with pytest.raises(AttributeError):
                 setattr(restriction, name, None)
         assert not hasattr(restriction, "verdicts")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[1, -1, 0, 0], [2, -2, 0, 0]], [[0, 0, 0, 0]], np.eye(4).tolist() + [[1, 1, 0, 0]]],
+        ids=["repeated-row", "zero-row", "more-rows-than-columns"],
+    )
+    def test_rows_without_full_row_rank_are_refused(self, rows):
+        layout = CoefficientLayout(2, ("AB", "BA"))
+        with pytest.raises(ValueError, match="full row rank.*restriction_from_rows"):
+            RestrictionMatrix(layout, rows)
+        reduced = restriction_from_rows(layout, rows)
+        assert reduced.dimension == layout.size - reduced.n_rows
 
     def test_given_rows_are_copied_not_frozen(self):
         layout = CoefficientLayout(2, full_sequence_set(2))

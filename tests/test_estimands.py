@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossover import (
+    EstimandSpec,
     PotentialOutcomeTable,
     all_instantaneous_effects,
     carryover_effect,
@@ -249,3 +250,28 @@ class TestIndividualEffectCovariance:
         table = PotentialOutcomeTable(2, {z: np.zeros((1, 2)) for z in SCOPE2})
         with pytest.raises(DegenerateCovarianceError):
             individual_effect_covariance(instantaneous_effect(1, "", SCOPE2), table)
+
+
+class TestScopesOfAnotherLength:
+    """A scope mixing sequence lengths is refused, not read as a shorter
+    horizon."""
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: carryover_effect(2, 1, "", "A", ("AA", "AB", "BA", "BAA")), "BAA has length 3, expected 2"),
+            (lambda: instantaneous_effect(1, "", ("AA", "BA", "BAA")), "BAA has length 3, expected 2"),
+            (lambda: all_instantaneous_effects(2, ("AA", "AB", "BAA")), "BAA has length 3, expected 2"),
+            (lambda: EstimandSpec(3, ("AB", "BA"), {"AB": [[1, 0, 0]]}, ("x",)), "AB has length 2, expected 3"),
+        ],
+        ids=["carryover", "instantaneous", "all-instantaneous", "spec-scope"],
+    )
+    def test_refused_with_one_message(self, build, message):
+        with pytest.raises(ValueError, match=f"^sequence {message}$"):
+            build()
+
+    def test_spec_weights_are_ordered_by_sequence(self):
+        weights = {"BA": [[-1.0, 0.0]], "AB": [[1.0, 0.0]]}
+        spec = EstimandSpec(2, ("BA", "AB"), weights, ("x",))
+        assert list(spec.weights) == ["AB", "BA"]
+        assert spec.scope == ("AB", "BA")

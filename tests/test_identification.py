@@ -195,6 +195,30 @@ class TestTimeInvariantClosure:
         assert smaller <= larger
 
 
+class TestObservedSetsOfAnotherLength:
+    """Implemented sequences of another length than the target or the
+    horizon are refused, not truncated or matched on a prefix."""
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: mean_witness_no_anticipation("AB", 1, ["ABBB"]), "ABBB has length 4, expected 2"),
+            (lambda: mean_witness_carryover("AA", 2, 1, ["BAB"]), "BAB has length 3, expected 2"),
+            (lambda: time_invariant_closure(2, 1, ["ABA", "BB"]), "ABA has length 3, expected 2"),
+            (lambda: mean_derivation_time_invariant("AB", 1, 1, ["ABA", "BB"]), "ABA has length 3, expected 2"),
+        ],
+        ids=["prefix-witness", "window-witness", "closure", "derivation"],
+    )
+    def test_refused_with_one_message(self, call, message):
+        with pytest.raises(ValueError, match=f"^sequence {message}$"):
+            call()
+
+    def test_a_design_of_another_horizon_is_refused(self):
+        design = CrossoverDesign(3, {"AAB": 2, "BAA": 2})
+        with pytest.raises(ValueError, match="^sequence AAB has length 3, expected 2$"):
+            mean_witness_no_anticipation("AB", 1, design)
+
+
 class TestGlobalLocalAgreement:
     @pytest.mark.parametrize(
         "counts,scenario,order",

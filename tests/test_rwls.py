@@ -357,6 +357,11 @@ class TestWeightModel:
         assert model.repaired == (as_sequence("AB"), as_sequence("BB"))
         assert model.mask.tolist() == [True, False, True]
 
+    def test_keys_of_mixed_lengths_are_refused(self):
+        # the ABA matrix has the shape of the others: only its key is wrong
+        with pytest.raises(ValueError, match="^sequence ABA has length 3, expected 2$"):
+            WeightModel({"AB": np.eye(2), "ABA": np.eye(2), "BA": np.eye(2)})
+
     def test_repaired_name_without_a_matrix_is_rejected(self):
         with pytest.raises(ValueError, match="repaired sequence AAA has no weight matrix"):
             WeightModel({"AB": np.eye(2), "BA": np.eye(2)}, "user", ("AB", "AAA"))

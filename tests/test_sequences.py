@@ -26,6 +26,7 @@ from crossover import (
     sample_assignment,
     sample_code_rows,
     sample_codes,
+    sequence_set,
     subsequence,
 )
 
@@ -130,6 +131,47 @@ class TestFullSequenceSet:
             full_sequence_set(horizon)
 
 
+class TestSequenceSet:
+    def test_orders_lexicographically(self):
+        got = sequence_set(["BB", "AB", "BA"])
+        assert got == ("AB", "BA", "BB")
+        assert all(type(z) is TreatmentSequence for z in got)
+
+    def test_drops_repeated_and_mixed_spellings(self):
+        assert sequence_set(["BA", "AB", TreatmentSequence("AB"), "BA"], 2) == ("AB", "BA")
+
+    @pytest.mark.parametrize("bad", ["AC", "ab"])
+    def test_checks_letters(self, bad):
+        with pytest.raises(ValueError, match="uses symbols outside"):
+            sequence_set(["AA", bad])
+
+    def test_takes_a_mappings_keys(self):
+        assert sequence_set({"BA": 1, TreatmentSequence("AB"): 2}) == ("AB", "BA")
+
+    @pytest.mark.parametrize("horizon", [None, 3])
+    def test_empty_input_is_the_empty_set(self, horizon):
+        assert sequence_set([], horizon) == ()
+
+    @pytest.mark.parametrize(
+        "sequences,horizon,message",
+        [
+            (["AB", "ABA"], 2, "sequence ABA has length 3, expected 2"),
+            (["ABA", "BAB"], 2, "sequence ABA has length 3, expected 2"),
+            (["AA", "AB", "BA", "BAA"], None, "sequence BAA has length 3, expected 2"),
+            (["B", "AA"], None, "sequence B has length 1, expected 2"),
+        ],
+    )
+    def test_a_sequence_of_another_length_is_refused(self, sequences, horizon, message):
+        with pytest.raises(ValueError) as info:
+            sequence_set(sequences, horizon)
+        assert str(info.value) == message
+
+    def test_the_horizon_is_checked_even_when_the_set_agrees_with_itself(self):
+        assert sequence_set(("ABA", "BAB"), 3) == ("ABA", "BAB")
+        with pytest.raises(ValueError, match="expected 4"):
+            sequence_set(("ABA", "BAB"), 4)
+
+
 class TestSubsequence:
     def test_interior_window(self):
         assert str(subsequence("ABBA", 1, 3)) == "ABB"
@@ -171,6 +213,18 @@ class TestCrossoverDesign:
         design = CrossoverDesign(2, {"AB": count, "BA": 2})
         assert list(design.counts.values()) == [3, 2]
         assert all(type(n) is int for n in design.counts.values())
+
+    @pytest.mark.parametrize(
+        "counts,scope,message",
+        [
+            ({"AB": 2, "ABA": 2}, (), "sequence ABA has length 3, expected 2"),
+            ({"AB": 2}, ("AB", "BAB"), "sequence BAB has length 3, expected 2"),
+        ],
+    )
+    def test_sequences_of_another_length_share_one_message(self, counts, scope, message):
+        with pytest.raises(ValueError) as info:
+            CrossoverDesign(2, counts, scope=scope)
+        assert str(info.value) == message
 
     def test_scope_contains_observed(self):
         with pytest.raises(ValueError):

@@ -374,3 +374,32 @@ class TestClosedForm:
         summary = summary_from_means({"AB": 3, "BA": 3}, {"AB": [0, 0], "BA": [0, 0]})
         with pytest.raises(ValueError, match="scenario must be"):
             closed_form(summary, "d")
+
+
+class TestSummaryInput:
+    @pytest.mark.parametrize("field", ["counts", "means", "covariances", "cross"])
+    def test_a_key_of_another_length_is_refused(self, field):
+        parts = {
+            "counts": {"AB": 3, "BA": 3},
+            "means": {"AB": [0.0, 1.0], "BA": [1.0, 0.0]},
+            "covariances": {"AB": np.eye(2), "BA": np.eye(2)},
+            "cross": {"AB": 2 * np.eye(2), "BA": 2 * np.eye(2)},
+        }
+        parts[field]["ABA"] = parts[field]["AB"]
+        with pytest.raises(ValueError, match="^sequence ABA has length 3, expected 2$"):
+            TwoPeriodSummary(**parts)
+
+    @pytest.mark.parametrize("count", [2.5, np.float64(3.7), float("nan"), float("inf"), "3", None])
+    def test_non_integer_count_is_refused_naming_its_sequence(self, count):
+        with pytest.raises(ValueError, match="^count for AB must be a whole number"):
+            summary_from_means({"AB": count, "BA": 3}, {"AB": [0, 0], "BA": [0, 0]})
+
+    def test_a_count_below_one_is_refused(self):
+        with pytest.raises(ValueError, match="^count for BA must be positive, got 0$"):
+            summary_from_means({"AB": 3, "BA": 0}, {"AB": [0, 0], "BA": [0, 0]})
+
+    @pytest.mark.parametrize("count", [3, np.int64(3), 3.0, np.float64(3.0)])
+    def test_integral_counts_are_kept_as_int(self, count):
+        summary = summary_from_means({"BA": 2, "AB": count}, {"AB": [0, 0], "BA": [0, 0]})
+        assert list(summary.counts.items()) == [("AB", 3), ("BA", 2)]
+        assert all(type(n) is int for n in summary.counts.values())
