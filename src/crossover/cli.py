@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
+from itertools import islice
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -62,6 +63,7 @@ from .rwls import (
 )
 from .sequences import (
     CrossoverDesign,
+    _check_lengths,
     as_sequence,
     design_from_text,
 )
@@ -77,6 +79,9 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_IDENTIFIABLE = 3
 EXIT_CONDITIONING = 4
+# nonblank CSV rows read and checked at a time; memory holds one block of
+# row strings on top of the outcome floats
+_BLOCK_ROWS = 2048
 
 
 def _read_header(reader, design: CrossoverDesign | None) -> list[str]:
@@ -95,71 +100,93 @@ def _read_header(reader, design: CrossoverDesign | None) -> list[str]:
     return header
 
 
-def _read_columns(text: str, design: CrossoverDesign | None, table: bool = False):
-    """Checked columns of a dataset or table CSV: the unit labels, the
-    distinct sequences, each row's index into them, and the outcomes.
+def _text_lines(text: str):
+    """The lines of a text, each with its ending, split after each line feed
+    only, as ``io.StringIO`` iterates it."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
-    The columns are checked as a whole, each distinct label once; every
-    check records the first row it rejects, and the earliest is named, as a
-    row-by-row reader would name it (header is row 1).  A table's rows must
-    name sequences of the design scope, each (unit, sequence) pair once.
+
+def _read_columns(source, design: CrossoverDesign | None, table: bool = False):
+    """Checked columns of a dataset or table CSV: the unit labels (of a
+    table only), the distinct sequences, each row's index into them, and the
+    outcomes.  ``source`` is the text or an iterable of its lines, such as an
+    open file.
+
+    The nonblank rows are read and checked in blocks of _BLOCK_ROWS, each
+    distinct label once, when first seen; every check records the first row
+    it rejects, and the earliest is named, as a row-by-row reader would name
+    it (header is row 1).  Every check looks back only, so the first block
+    with an error holds the row that reader names.  A table's rows must name
+    sequences of the design scope, each (unit, sequence) pair once.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(_text_lines(source) if isinstance(source, str) else source)
     header = _read_header(reader, design)
     horizon = len(header) - 2
-    records = [
-        (rownum, row) for rownum, row in enumerate(reader, start=2) if any(map(str.strip, row))
-    ]
-    if not records:
-        raise ValueError("row 2: no data rows")
-    numbers = [rownum for rownum, _ in records]
-    rows = [row for _, row in records]
-    errors = []
-    ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
-    if ragged is not None:
-        errors.append((ragged, f"expected {len(header)} fields, got {len(rows[ragged])}"))
-        rows = rows[:ragged]
-    units = [row[0].strip() for row in rows]
-    labels = [row[1].strip() for row in rows]
-    distinct = list(dict.fromkeys(labels))
+    records = ((rownum, row) for rownum, row in enumerate(reader, start=2) if any(map(str.strip, row)))
+    codes: dict[str, int] = {}
     sequences = []
-    for label in distinct:
-        try:
-            z = as_sequence(label)
-            if len(z) != horizon:
-                raise ValueError(f"sequence {z} has length {len(z)}, expected {horizon}")
-            if table and z not in design.scope:
-                raise ValueError(f"sequence {z} outside the design scope")
-        except ValueError as exc:
-            errors.append((labels.index(label), str(exc)))
-            break
-        sequences.append(z)
-    position = {label: i for i, label in enumerate(distinct)}
-    label_codes = np.array([position[label] for label in labels], dtype=np.intp)
-    if table:
-        first: dict[tuple[str, str], int] = {}
-        repeated = next((i for i, pair in enumerate(zip(units, labels)) if first.setdefault(pair, i) != i), None)
-        if repeated is not None:
-            unit, label = units[repeated], labels[repeated]
-            errors.append((repeated, f"unit {unit} and sequence {label} repeat row {numbers[first[unit, label]]}"))
-    try:
-        outcomes = np.array([row[2:] for row in rows], dtype=float)
-    except ValueError:
-        for i, row in enumerate(rows):
+    first: dict[tuple[str, str], int] = {}
+    units = [] if table else None
+    code_blocks, outcome_blocks = [], []
+    while block := list(islice(records, _BLOCK_ROWS)):
+        numbers, rows = zip(*block)
+        errors = []
+        ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
+        if ragged is not None:
+            errors.append((ragged, f"expected {len(header)} fields, got {len(rows[ragged])}"))
+            rows = rows[:ragged]
+        labels = [row[1].strip() for row in rows]
+        for label in dict.fromkeys(labels):
+            if label in codes:
+                continue
             try:
-                np.array(row[2:], dtype=float)
-            except ValueError:
-                errors.append((i, f"non-numeric outcome in {row[2:]}"))
+                z = as_sequence(label)
+                _check_lengths((z,), horizon)
+                if table and z not in design.scope:
+                    raise ValueError(f"sequence {z} outside the design scope")
+            except ValueError as exc:
+                errors.append((labels.index(label), str(exc)))
                 break
-    if errors:
-        # a tie goes to the check made first on a row, which was recorded first
-        i, message = min(errors, key=lambda error: error[0])
-        raise ValueError(f"row {numbers[i]}: {message}")
-    return units, sequences, label_codes, outcomes
+            codes[label] = len(sequences)
+            sequences.append(z)
+        if table:
+            block_units = [row[0].strip() for row in rows]
+            repeated = next(
+                (i for i, pair in enumerate(zip(block_units, labels)) if first.setdefault(pair, numbers[i]) != numbers[i]),
+                None,
+            )
+            if repeated is not None:
+                unit, label = block_units[repeated], labels[repeated]
+                errors.append((repeated, f"unit {unit} and sequence {label} repeat row {first[unit, label]}"))
+        try:
+            outcomes = np.array([row[2:] for row in rows], dtype=float)
+        except ValueError:
+            for i, row in enumerate(rows):
+                try:
+                    np.array(row[2:], dtype=float)
+                except ValueError:
+                    errors.append((i, f"non-numeric outcome in {row[2:]}"))
+                    break
+        if errors:
+            # a tie goes to the check made first on a row, which was recorded first
+            i, message = min(errors, key=lambda error: error[0])
+            raise ValueError(f"row {numbers[i]}: {message}")
+        if table:
+            units.extend(block_units)
+        code_blocks.append(np.fromiter(map(codes.__getitem__, labels), dtype=np.intp, count=len(labels)))
+        outcome_blocks.append(outcomes)
+    if not code_blocks:
+        raise ValueError("row 2: no data rows")
+    return units, sequences, np.concatenate(code_blocks), np.concatenate(outcome_blocks)
 
 
-def parse_dataset(text: str, design: CrossoverDesign | None = None):
-    """Parse a dataset CSV; returns (dataset, design).
+def parse_dataset(text: str | Iterable[str], design: CrossoverDesign | None = None):
+    """Parse a dataset CSV, given as its text or an iterable of its lines
+    (such as an open file); returns (dataset, design).
 
     When no design is given, the counts are tallied from the data and the
     horizon from the header.  Malformed rows raise ValueError naming the
@@ -179,9 +206,10 @@ def parse_dataset(text: str, design: CrossoverDesign | None = None):
     return ObservedDataset(design, codes, outcomes), design
 
 
-def parse_table(text: str, design: CrossoverDesign) -> PotentialOutcomeTable:
-    """Parse a potential-outcome table CSV covering the design scope: one
-    row per (unit, sequence) pair, units ordered by (length, label)."""
+def parse_table(text: str | Iterable[str], design: CrossoverDesign) -> PotentialOutcomeTable:
+    """Parse a potential-outcome table CSV, given as its text or an iterable
+    of its lines, covering the design scope: one row per (unit, sequence)
+    pair, units ordered by (length, label)."""
     units, sequences, label_codes, outcomes = _read_columns(text, design, table=True)
     index = {u: i for i, u in enumerate(sorted(set(units), key=lambda u: (len(u), u)))}
     unit_codes = np.array([index[u] for u in units], dtype=np.intp)
@@ -338,7 +366,8 @@ def _cmd_fit(args) -> int:
     design = None
     if args.design:
         design = design_from_text(Path(args.design).read_text())
-    dataset, design = parse_dataset(Path(args.data).read_text(), design)
+    with open(args.data) as lines:
+        dataset, design = parse_dataset(lines, design)
     restriction = assemble(args.scenario, design.horizon, design.scope, args.k)
     check = is_identifiable(design, restriction)
     if not check.identifiable:
@@ -484,7 +513,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_audit(args) -> int:
     design = design_from_text(Path(args.design).read_text())
-    table = parse_table(Path(args.table).read_text(), design)
+    with open(args.table) as lines:
+        table = parse_table(lines, design)
     specs = _requested_specs(args.estimand, design)
     weights: str | WeightModel = "oracle"
     if args.weights and args.weights != "oracle":

@@ -101,10 +101,17 @@ class ClassMap:
         """The (period, key) of every class the sequences meet, in sorted
         order, and the (len(sequences), T) class id of each (sequence,
         period) entry, an index into that list.  ValueError names a
-        sequence of another length than T."""
+        sequence of another length than T or with a letter other than A
+        and B."""
         sequences = list(sequences)
         _check_lengths(sequences, self.horizon)
-        letters = np.array(sequences, dtype=f"S{self.horizon}").view("S1").reshape(-1, self.horizon)
+        try:
+            letters = np.array(sequences, dtype=f"S{self.horizon}").view("S1").reshape(-1, self.horizon)
+        except UnicodeEncodeError:  # a letter outside ASCII
+            letters = np.array([[b""]])
+        if not ((letters == b"A") | (letters == b"B")).all():
+            for z in sequences:  # the first with another letter raises
+                as_sequence(z)
         classes: list[tuple[int, str]] = []
         ids = np.empty(letters.shape, dtype=np.intp)
         for t in range(1, self.horizon + 1):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from crossover import (
     realize_dataset,
     sample_assignment,
 )
-from crossover import twoperiod
+from crossover import cli, twoperiod
 from crossover.cli import (
     EXIT_CONDITIONING,
     EXIT_NOT_IDENTIFIABLE,
@@ -27,6 +28,7 @@ from crossover.cli import (
     main,
     parse_dataset,
     parse_estimand_request,
+    parse_table,
 )
 
 SCOPE2 = full_sequence_set(2)
@@ -87,6 +89,125 @@ class TestParseDataset:
         text = "unit,sequence,y1,y2\n1,AB,0,1\n2,BA,1,0\n"
         dataset, _ = parse_dataset(text)
         assert set(np.unique(dataset.outcomes)) <= {0.0, 1.0}
+
+
+def _with_rows(text: str, changes: dict[int, str]) -> str:
+    """The CSV text with the given 1-based rows replaced."""
+    lines = text.splitlines()
+    for row, line in changes.items():
+        lines[row - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+def _parsed(text_or_lines, table_design=None):
+    """The parse of a dataset (or, given a design, a table) as plain values,
+    or the message of the ValueError it raises."""
+    try:
+        if table_design is None:
+            dataset, design = parse_dataset(text_or_lines)
+            return dict(design.counts), dataset.codes, dataset.outcomes
+        table = parse_table(text_or_lines, table_design)
+        return {z: y for z, y in table.outcomes.items()}
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(np.array_equal(a[z], b[z]) for z in a)
+    return a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+
+
+DATASET = dataset_csv(simulated_dataset(seed=4, counts=(3, 2, 2, 3)))
+TABLE = table_csv(random_consistent_table(2, "b", 1, 3, seed=5))
+TABLE_DESIGN = CrossoverDesign(2, {"AB": 1, "BA": 2})
+HEADER = "unit,sequence,y1,y2\n"
+# (text, None for a dataset or the design of a table, the message or None)
+BLOCK_CASES = {
+    "dataset": (DATASET, None, None),
+    "table": (TABLE, TABLE_DESIGN, None),
+    "bad label first seen in block 2": (_with_rows(DATASET, {5: "u3,AC,0,1"}), None, "row 5: sequence 'AC' uses"),
+    "label of another length": (_with_rows(DATASET, {6: "u4,ABA,0,1"}), None, "row 6: sequence ABA has length 3, expected 2"),
+    "ragged row in block 3": (_with_rows(DATASET, {8: "u6,AB,0"}), None, "row 8: expected 4 fields, got 3"),
+    "ragged row before a bad label": (_with_rows(DATASET, {7: "u5,AB", 9: "u7,AC,0,1"}), None, "row 7: expected 4"),
+    "non-numeric row in a later block": (_with_rows(DATASET, {10: "u8,BA,1,x"}), None, "row 10: non-numeric outcome"),
+    "table label of another length": (_with_rows(TABLE, {11: "u001,BBB,0,1"}), TABLE_DESIGN, "row 11: sequence BBB has"),
+    "table label outside the scope": (
+        TABLE,
+        CrossoverDesign(2, {"AB": 1, "BA": 1}, ("AB", "BA")),
+        "row 2: sequence AA outside the design scope",
+    ),
+    "table repeat of an earlier block": (TABLE + "u000,AB,5.0,9.0\n", TABLE_DESIGN, "row 14: unit u000 and sequence AB repeat row 5"),
+    "table repeat within a block": (_with_rows(TABLE, {3: "u000,AA,1,2"}), TABLE_DESIGN, "row 3: unit u000 and sequence AA repeat row 2"),
+    "blank rows at a block boundary": (_with_rows(DATASET, {4: DATASET.splitlines()[3] + "\n\n  ,  \n \t"}), None, None),
+    "blank rows before a bad row": (_with_rows(DATASET, {3: "\n , \n", 4: "u2,AB,1,y"}), None, "row 6: non-numeric outcome"),
+    "crlf endings and quoted fields": (
+        _with_rows(DATASET, {2: 'u0,"AB"," 0.5",1', 6: '"u,4",BA,1,2'}).replace("\n", "\r\n"),
+        None,
+        None,
+    ),
+    "header only": (HEADER, None, "row 2: no data rows"),
+    "header plus blank rows": (HEADER + "\n , \n\n", None, "row 2: no data rows"),
+    "table header only": (HEADER, TABLE_DESIGN, "row 2: no data rows"),
+}
+
+
+class TestBlockReader:
+    """The CSV reader checks rows in fixed blocks; the block size must
+    change no result and no message."""
+
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_block_size_changes_nothing(self, monkeypatch, tmp_path, case):
+        text, design, message = BLOCK_CASES[case]
+        path = tmp_path / "input.csv"
+        path.write_bytes(text.encode())
+        results = []
+        for size in (1, 2, 3, cli._BLOCK_ROWS):
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", size)
+            results.append(_parsed(text, design))
+            with open(path) as lines:
+                results.append(_parsed(lines, design))
+        if message is None:
+            assert not isinstance(results[0], str), results[0]
+        else:
+            assert results[0].startswith(message), results[0]
+        assert all(_same(results[0], result) for result in results[1:])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_rows_parse_alike_at_every_block_size(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        rows = DATASET.splitlines()[1:] + TABLE.splitlines()[1:]
+        noise = ["u9,AC,0,1", "u9,AB,0", "u9,BA,1,z", "", " , ", "u9,ABA,0,1", "u000,AB,1,2", "u1,AA,0,1,2"]
+        for _ in range(40):
+            picked = [rows[i] for i in rng.integers(len(rows), size=rng.integers(0, 12))]
+            for i in rng.integers(len(picked) + 1, size=rng.integers(0, 3)):
+                picked.insert(i, noise[rng.integers(len(noise))])
+            text = HEADER + "".join(row + "\n" for row in picked)
+            for design in (None, TABLE_DESIGN):
+                results = []
+                for size in (1, 2, 3, cli._BLOCK_ROWS):
+                    monkeypatch.setattr(cli, "_BLOCK_ROWS", size)
+                    results.append(_parsed(text, design))
+                assert all(_same(results[0], result) for result in results[1:]), text
+
+    def test_parsing_20000_rows_peaks_below_8_mb(self):
+        # 20,000 rows at T=6: the rows as Python lists took 28 MB, the outcomes are 0.96 MB
+        rng = np.random.default_rng(0)
+        labels = rng.choice(["AAAABA", "AABBAB", "BABABB", "BBAABB"], 20_000)
+        outcomes = rng.standard_normal((20_000, 6)).tolist()
+        text = "unit,sequence,y1,y2,y3,y4,y5,y6\n" + "".join(
+            f"u{i},{z}," + ",".join(map(repr, row)) + "\n" for i, (z, row) in enumerate(zip(labels, outcomes))
+        )
+        tracemalloc.start()
+        try:
+            dataset, _ = parse_dataset(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dataset.outcomes.shape == (20_000, 6)
+        assert peak <= 8_000_000
 
 
 class TestEstimandGrammar:

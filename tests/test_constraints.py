@@ -3,6 +3,7 @@ import copy
 import itertools
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -370,6 +371,13 @@ class TestClassMap:
         # ABA was truncated to AB, and B given the period-2 class (2, "")
         wrong = next(z for z in sequences if len(z) != 2)
         with pytest.raises(ValueError, match=f"^sequence {wrong} has length {len(wrong)}, expected 2$"):
+            ClassMap(2, "b", 1).ids(sequences)
+
+    @pytest.mark.parametrize("sequences", [["AC", "AB"], ["AB", "B\u00e9"], ["AB", "A\x00"]])
+    def test_ids_refuse_a_sequence_with_other_letters(self, sequences):
+        # AC was given the period-2 class (2, "C")
+        wrong = next(z for z in sequences if set(z) - {"A", "B"})
+        with pytest.raises(ValueError, match="^" + re.escape(f"sequence {wrong!r} uses symbols outside ('A', 'B')")):
             ClassMap(2, "b", 1).ids(sequences)
 
     def test_ids_keep_input_order_and_repeated_rows(self):
