@@ -37,7 +37,6 @@ from .estimands import (
 )
 from .identification import (
     IdentificationCheck,
-    gram_plus_restriction,
     is_identifiable,
     mean_derivation_time_invariant,
     mean_witness_carryover,
@@ -49,7 +48,6 @@ from .rwls import (
     ObservedDataset,
     RwlsFit,
     WeightModel,
-    ehw_covariance,
     estimate,
     feasible_rwls,
     implied_estimator_weights,

@@ -84,11 +84,26 @@ EXIT_CONDITIONING = 4
 _BLOCK_ROWS = 2048
 
 
-def _read_header(reader, design: CrossoverDesign | None) -> list[str]:
+def _records(reader):
+    """(row number, row) for the header, row 1, and each nonblank row after
+    it; a row the csv reader cannot read, such as one with a field over the
+    csv module's field size limit, ends them as (row number, its csv.Error)."""
+    number = 0
+    try:
+        for number, row in enumerate(reader, start=1):
+            if number == 1 or any(map(str.strip, row)):
+                yield number, row
+    except csv.Error as exc:
+        yield number + 1, exc
+
+
+def _read_header(records, design: CrossoverDesign | None) -> list[str]:
     """The checked header row unit,sequence,y1,...,yT of a dataset or table CSV."""
-    header = next(reader, None)
+    header = next(records, (1, None))[1]
     if header is None:
         raise ValueError("row 1: empty file")
+    if isinstance(header, csv.Error):
+        raise ValueError(f"row 1: {header}")
     header = [h.strip() for h in header]
     if len(header) < 3 or header[0] != "unit" or header[1] != "sequence":
         raise ValueError(f"row 1: header must be unit,sequence,y1,...,yT, got {header}")
@@ -120,13 +135,14 @@ def _read_columns(source, design: CrossoverDesign | None, table: bool = False):
     distinct label once, when first seen; every check records the first row
     it rejects, and the earliest is named, as a row-by-row reader would name
     it (header is row 1).  Every check looks back only, so the first block
-    with an error holds the row that reader names.  A table's rows must name
-    sequences of the design scope, each (unit, sequence) pair once.
+    with an error holds the row that reader names.  A row the csv module
+    cannot read ends the reading and is named with the module's message.  A
+    table's rows must name sequences of the design scope, each (unit,
+    sequence) pair once.
     """
-    reader = csv.reader(_text_lines(source) if isinstance(source, str) else source)
-    header = _read_header(reader, design)
+    records = _records(csv.reader(_text_lines(source) if isinstance(source, str) else source))
+    header = _read_header(records, design)
     horizon = len(header) - 2
-    records = ((rownum, row) for rownum, row in enumerate(reader, start=2) if any(map(str.strip, row)))
     codes: dict[str, int] = {}
     sequences = []
     first: dict[tuple[str, str], int] = {}
@@ -135,6 +151,10 @@ def _read_columns(source, design: CrossoverDesign | None, table: bool = False):
     while block := list(islice(records, _BLOCK_ROWS)):
         numbers, rows = zip(*block)
         errors = []
+        if isinstance(rows[-1], csv.Error):
+            # a row the reader cannot read is the last it yields
+            errors.append((len(rows) - 1, str(rows[-1])))
+            rows = rows[:-1]
         ragged = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
         if ragged is not None:
             errors.append((ragged, f"expected {len(header)} fields, got {len(rows[ragged])}"))

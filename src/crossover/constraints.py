@@ -258,7 +258,7 @@ class RestrictionMatrix:
     the p columns (E its indicators) and ``class_basis`` is the (q, d)
     matrix Q: D^-1/2 under scenarios a and b, D^-1/2 null(K D^-1/2) under
     c (D the class sizes).  Given rows are their own classes, with
-    Q = null(C).  ``basis`` builds the dense p x d array Z on each read.
+    Q = null(C).  The package never forms the dense p x d array Z.
     A restriction is a shared, read-only value: no array is writeable, no
     attribute can be set, and it keeps the last IMPLEMENTED_SETS_KEPT
     ``ImplementedSet`` records of implemented sequence sets.
@@ -295,11 +295,6 @@ class RestrictionMatrix:
     def dimension(self) -> int:
         """d, the number of free coefficients."""
         return self.class_basis.shape[1]
-
-    @property
-    def basis(self) -> np.ndarray:
-        """The dense p x d basis Z = E Q, built on each read."""
-        return self.class_basis[self.class_ids]
 
     def implemented(self, sequences: tuple[TreatmentSequence, ...]) -> ImplementedSet:
         """The read-only record of an implemented sequence tuple: the sorted

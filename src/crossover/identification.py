@@ -24,19 +24,6 @@ from .constraints import ClassMap, RestrictionMatrix
 from .sequences import CrossoverDesign, TreatmentSequence, as_sequence, sequence_set
 
 
-def gram_plus_restriction(design: CrossoverDesign, restriction: RestrictionMatrix) -> np.ndarray:
-    """X'X + C'C, using the block structure sum_z N_z X_z'X_z + C'C."""
-    layout = restriction.layout
-    if layout.horizon != design.horizon or layout.scope != design.scope:
-        raise ValueError("restriction layout does not match the design")
-    c = restriction.matrix
-    gram = c.T @ c
-    for z, n in design.counts.items():
-        sl = layout.block(z)
-        gram[sl, sl] += n * np.eye(layout.horizon)
-    return gram
-
-
 @dataclass(frozen=True)
 class IdentificationCheck:
     identifiable: bool

@@ -22,8 +22,8 @@ ids.  The meat reads the dataset's moments alone: no pass over the units.
 One symmetric eigendecomposition of the d x d matrix M checks that it is
 positive definite, gives cond(M) = lambda_max / lambda_min, and gives the
 whitener H, so every product with M^-1 (the solve, the sandwich and every
-estimand) is two matrix products; neither the p x d basis Z nor any p x p
-matrix is formed on that path.  The exact randomization variance of a
+estimand) is two matrix products; the module forms neither the p x d
+basis Z nor any p x p matrix.  The exact randomization variance of a
 fixed-weight fit is the same sandwich, its meat scattered from the table's
 covariances N_z S2(z) in place of R_z'R_z.
 
@@ -381,10 +381,10 @@ class RwlsFit:
     from the eigendecomposition M = V Lambda V', so M^-1 = H H', and
     ``condition_number`` is cond(M) = lambda_max / lambda_min.
     ``reduced_meat`` (set once residual moments are available) is the d x d
-    meat, so Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'.  The p x p
-    ``u11`` = Z M^-1 Z' and ``ehw`` = Z M^-1 meat M^-1 Z', and the blocks
-    ``weighted_basis`` G_z = N_z Omega_z^-1 Z_z, are formed only when read.
-    The fit keeps the plan it was solved with, for the meat and G_z.
+    meat, so Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'; no p x p matrix
+    is kept or formed.  The T x d blocks ``weighted_basis``
+    G_z = N_z Omega_z^-1 Z_z are formed only when read.  The fit keeps the
+    plan it was solved with, for the meat and G_z.
     """
 
     design: CrossoverDesign
@@ -421,21 +421,6 @@ class RwlsFit:
         plan = self._plan
         weighted = plan.counts[:, None, None] * plan.inverses
         return dict(zip(self.design.observed, weighted @ plan.class_basis[plan.entry_classes]))
-
-    @property
-    def u11(self) -> np.ndarray:
-        """Z M^-1 Z', the p x p map from the weighted mean stack to gamma."""
-        half = self.restriction.basis @ self.whitener
-        return half @ half.T
-
-    @property
-    def ehw(self) -> np.ndarray | None:
-        """The p x p sandwich covariance of gamma, None before the meat is set."""
-        if self.reduced_meat is None:
-            return None
-        # with half = Z H, the sandwich is half (H' meat H) half'
-        half = self.restriction.basis @ self.whitener
-        return half @ (self.whitener.T @ self.reduced_meat @ self.whitener) @ half.T
 
     def coefficient(self, period: int, z: TreatmentSequence | str) -> float:
         return float(self.gamma[self.layout.column(period, z)])
@@ -571,29 +556,6 @@ def _solved(plan, design, restriction, weights, means) -> RwlsFit:
     return fit
 
 
-def _reduced_meat(fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool) -> np.ndarray:
-    """The d x d meat from the dataset's moments (see the module docstring),
-    optionally scaled by N / (N - d)."""
-    plan = fit._plan
-    meat = plan.meat(dataset.moments, plan.inverses, fit.beta)
-    if small_sample_scale:
-        n, free = dataset.n_units, fit.restriction.dimension
-        if n <= free:
-            raise ValueError(f"small-sample scale needs N > {free}, got N = {n}")
-        meat = meat * (n / (n - free))
-    return meat
-
-
-def ehw_covariance(fit: RwlsFit, dataset: ObservedDataset, small_sample_scale: bool = False) -> np.ndarray:
-    """Sandwich covariance of the coefficient vector from the residual
-    moments: stores the d x d reduced meat on the fit for estimand-level
-    reuse and returns the p x p matrix Z M^-1 meat M^-1 Z' (``fit.ehw``).
-    ``small_sample_scale`` multiplies the meat by N / (N - d), d being the
-    number of free coefficients; off, the meat is the plain residual one."""
-    fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
-    return fit.ehw
-
-
 def feasible_rwls(
     dataset: ObservedDataset,
     scenario: str,
@@ -603,11 +565,15 @@ def feasible_rwls(
     small_sample_scale: bool = False,
 ) -> RwlsFit:
     """Two-step pipeline: estimate the weights, then solve the restricted
-    weighted least squares and attach the reduced sandwich meat.
+    weighted least squares and attach the d x d sandwich meat from the
+    dataset's moments (see the module docstring).
 
     ``weights`` is "sample" for per-sequence sample covariances, "pooled"
     for scenario-pooled entries, or an explicit WeightModel.  An unknown
     choice or too few units raise before NotIdentifiableError.
+    ``small_sample_scale`` multiplies the meat by N / (N - d), d being the
+    number of free coefficients, and needs N > d; off, the meat is the
+    plain residual one.
     """
     design = dataset.design
     if restriction is None:
@@ -616,7 +582,13 @@ def feasible_rwls(
         weights = _weights_of(dataset, weights, scenario, carryover_order)
     plan = _FitPlan(design, restriction, None, weights)
     fit = _solved(plan, design, restriction, weights, dataset.moments.means)
-    fit.reduced_meat = _reduced_meat(fit, dataset, small_sample_scale)
+    meat = plan.meat(dataset.moments, plan.inverses, fit.beta)
+    if small_sample_scale:
+        n, free = dataset.n_units, restriction.dimension
+        if n <= free:
+            raise ValueError(f"small-sample scale needs N > {free}, got N = {n}")
+        meat = meat * (n / (n - free))
+    fit.reduced_meat = meat
     return fit
 
 
@@ -713,7 +685,7 @@ def estimate(fit: RwlsFit, spec: EstimandSpec, level: float = 0.95) -> EstimandE
     intervals, and the Wald statistic against zero for one estimand."""
     z_crit = critical_value(level)
     if fit.reduced_meat is None:
-        raise ValueError("fit has no sandwich pieces; run feasible_rwls or ehw_covariance first")
+        raise ValueError("fit has no sandwich pieces; run feasible_rwls first")
     point, bm = _reduced_functional(fit, spec)
     covariance = bm @ fit.reduced_meat @ bm.T
     covariance = (covariance + covariance.T) / 2.0

@@ -38,11 +38,12 @@ from .rwls import (
     ObservedDataset,
     StackedFit,
     WeightModel,
+    _FitPlan,
+    _solved,
     critical_value,
     implied_estimator_weights,
     oracle_variance,
     repair_positive_definite,
-    solve_restricted_wls,
 )
 from .sequences import (
     Assignment,
@@ -435,8 +436,9 @@ def exact_randomization_audit(
             raise ConditioningError(f"oracle covariance of {singular} falls below the repair floor")
         weights = WeightModel(dict(zip(design.observed, covariances)), "user")
     stacked = stack(list(specs))
-    zero_means = {z: np.zeros(design.horizon) for z in design.observed}
-    base = solve_restricted_wls(design, zero_means, weights, restriction)
+    # the implied weights and the oracle sandwich do not depend on the means
+    plan = _FitPlan(design, restriction, None, weights)
+    base = _solved(plan, design, restriction, weights, np.zeros((len(design.observed), design.horizon)))
     implied = implied_estimator_weights(base, stacked)
     # contrib[i, z] = implied[z] @ Y_i(z) / N_z: unit i's share of the
     # estimate when it is assigned to z

@@ -63,6 +63,39 @@ def dense_omega_inverse(design: CrossoverDesign, dataset: ObservedDataset, weigh
     return omega_inv
 
 
+def dense_basis(restriction: RestrictionMatrix) -> np.ndarray:
+    """The dense p x d null-space basis Z = E Q of a restriction."""
+    return restriction.class_basis[restriction.class_ids]
+
+
+def dense_u11(fit) -> np.ndarray:
+    """Z M^-1 Z', the p x p map from the weighted mean stack to gamma."""
+    half = dense_basis(fit.restriction) @ fit.whitener
+    return half @ half.T
+
+
+def dense_ehw(fit) -> np.ndarray | None:
+    """The p x p sandwich covariance of gamma, None before the meat is set."""
+    if fit.reduced_meat is None:
+        return None
+    # with half = Z H, the sandwich is half (H' meat H) half'
+    half = dense_basis(fit.restriction) @ fit.whitener
+    return half @ (fit.whitener.T @ fit.reduced_meat @ fit.whitener) @ half.T
+
+
+def gram_plus_restriction(design: CrossoverDesign, restriction: RestrictionMatrix) -> np.ndarray:
+    """X'X + C'C, using the block structure sum_z N_z X_z'X_z + C'C."""
+    layout = restriction.layout
+    if layout.horizon != design.horizon or layout.scope != design.scope:
+        raise ValueError("restriction layout does not match the design")
+    c = restriction.matrix
+    gram = c.T @ c
+    for z, n in design.counts.items():
+        sl = layout.block(z)
+        gram[sl, sl] += n * np.eye(layout.horizon)
+    return gram
+
+
 def nullspace_restricted_wls(
     dataset: ObservedDataset, weights: WeightModel, restriction: RestrictionMatrix
 ) -> np.ndarray:
@@ -95,7 +128,8 @@ def dense_sandwich(dataset: ObservedDataset, fit) -> np.ndarray:
         rows = slice(i * horizon, (i + 1) * horizon)
         r = dataset.outcomes[i] - fit.gamma[layout.block(z)]
         sigma[rows, rows] = np.outer(r, r)
-    return fit.u11 @ x.T @ omega_inv @ sigma @ omega_inv @ x @ fit.u11
+    u11 = dense_u11(fit)
+    return u11 @ x.T @ omega_inv @ sigma @ omega_inv @ x @ u11
 
 
 def score_meat(fit, dataset: ObservedDataset) -> np.ndarray:

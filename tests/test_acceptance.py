@@ -18,7 +18,6 @@ from crossover import (
     estimate,
     feasible_rwls,
     full_sequence_set,
-    gram_plus_restriction,
     instantaneous_effect,
     is_identifiable,
     mean_derivation_time_invariant,
@@ -46,7 +45,7 @@ from crossover.twoperiod import (
     paired_difference_estimate,
     working_weight_model,
 )
-from conftest import make_dataset, nullspace_restricted_wls
+from conftest import gram_plus_restriction, make_dataset, nullspace_restricted_wls
 
 SCOPE2 = full_sequence_set(2)
 FOUR = ("AA", "AB", "BA", "BB")

@@ -85,6 +85,11 @@ class TestParseDataset:
         with pytest.raises(ValueError, match="counts"):
             parse_dataset(text, design)
 
+    def test_a_row_the_csv_module_cannot_read_is_named(self):
+        # a lone carriage return inside an unquoted field
+        with pytest.raises(ValueError, match="^row 3: new-line character seen in unquoted field"):
+            parse_dataset("unit,sequence,y1,y2\n1,AB,0,1\n2,B\rA,0,1\n")
+
     def test_binary_outcomes_accepted(self):
         text = "unit,sequence,y1,y2\n1,AB,0,1\n2,BA,1,0\n"
         dataset, _ = parse_dataset(text)
@@ -124,6 +129,8 @@ DATASET = dataset_csv(simulated_dataset(seed=4, counts=(3, 2, 2, 3)))
 TABLE = table_csv(random_consistent_table(2, "b", 1, 3, seed=5))
 TABLE_DESIGN = CrossoverDesign(2, {"AB": 1, "BA": 2})
 HEADER = "unit,sequence,y1,y2\n"
+# the csv module refuses a field over 131,072 characters
+LONG = "9" * 200_000
 # (text, None for a dataset or the design of a table, the message or None)
 BLOCK_CASES = {
     "dataset": (DATASET, None, None),
@@ -148,6 +155,13 @@ BLOCK_CASES = {
         None,
         None,
     ),
+    "field over the csv limit": (_with_rows(DATASET, {7: f"u5,AB,{LONG},1"}), None, "row 7: field larger than field limit"),
+    "bad row before a field over the csv limit": (
+        _with_rows(DATASET, {6: "u4,AB,x,1", 7: f"u5,AB,{LONG},1"}),
+        None,
+        "row 6: non-numeric outcome",
+    ),
+    "table field over the csv limit": (_with_rows(TABLE, {4: f"u002,AA,{LONG},1"}), TABLE_DESIGN, "row 4: field larger than"),
     "header only": (HEADER, None, "row 2: no data rows"),
     "header plus blank rows": (HEADER + "\n , \n\n", None, "row 2: no data rows"),
     "table header only": (HEADER, TABLE_DESIGN, "row 2: no data rows"),
@@ -504,6 +518,15 @@ class TestFitCommand:
         code = main(["fit", "--data", str(data_file), "--scenario", "b", "--k", "1"])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("row", [1, 3])
+    def test_a_field_over_the_csv_limit_exits_two_naming_its_row(self, tmp_path, capsys, row):
+        lines = ["unit,sequence,y1,y2", "1,AB,0,1", "2,BA,1,0"]
+        lines[row - 1] += LONG
+        data_file = tmp_path / "data.csv"
+        data_file.write_text("\n".join(lines) + "\n")
+        assert main(["fit", "--data", str(data_file), "--scenario", "b", "--k", "1"]) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith(f"error: row {row}: field larger than field limit")
+
     @pytest.mark.parametrize("matrix", [[[1, 2], [2, 1]], [[1, 0.5], [0, 1]]])
     def test_weights_that_are_not_positive_definite_exit_two(self, tmp_path, capsys, matrix):
         design = CrossoverDesign(2, {"AB": 5, "BA": 5})
@@ -822,6 +845,16 @@ class TestAuditCommand:
         argv = ["audit", "--table", str(table_file), "--design", str(design_file), "--scenario", "b", "--k", "1"]
         assert main(argv) == EXIT_PARSE
         assert message in capsys.readouterr().err
+
+    def test_a_table_field_over_the_csv_limit_exits_two_naming_its_row(self, tmp_path, capsys):
+        design_file = tmp_path / "design.txt"
+        design_file.write_text("T 2\nAB 1\nBA 1\n")
+        text = table_csv(random_consistent_table(2, "b", 1, 2, seed=3))
+        table_file = tmp_path / "table.csv"
+        table_file.write_text(_with_rows(text, {4: f"u000,AB,1,{LONG}"}))
+        argv = ["audit", "--table", str(table_file), "--design", str(design_file), "--scenario", "b", "--k", "1"]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("error: row 4: field larger than field limit")
 
     def test_singular_oracle_covariance_exits_four_naming_the_sequence(self, tmp_path, capsys):
         # two units give each sequence a rank-one covariance

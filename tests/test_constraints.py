@@ -27,6 +27,8 @@ from crossover import (
     row_reduce,
 )
 
+from conftest import dense_basis, gram_plus_restriction
+
 LAYOUT2 = CoefficientLayout(2, full_sequence_set(2))
 
 # column order: (1,AA),(2,AA),(1,AB),(2,AB),(1,BA),(2,BA),(1,BB),(2,BB)
@@ -222,8 +224,6 @@ class TestAssemble:
 
     def test_two_sequence_scenario_b_gram_determinant(self):
         # the assembled restriction reproduces det(X'X + C'C) = NAB^2 * NBA^2
-        from crossover import CrossoverDesign, gram_plus_restriction
-
         restriction = assemble("b", 2, full_sequence_set(2), 1)
         for n_ab, n_ba in [(1, 1), (2, 3), (5, 4), (7, 2), (10, 10)]:
             design = CrossoverDesign(2, {"AB": n_ab, "BA": n_ba})
@@ -306,7 +306,7 @@ class TestClassMap:
     @pytest.mark.parametrize("scenario,horizon,order", FULL_SCOPE_CASES)
     def test_full_scope_basis_and_rows(self, scenario, horizon, order):
         restriction = assemble(scenario, horizon, full_sequence_set(horizon), order)
-        basis, rows = restriction.basis, restriction.matrix
+        basis, rows = dense_basis(restriction), restriction.matrix
         p, d = basis.shape
         assert d == closed_form_dimension(scenario, horizon, order)
         assert np.abs(basis.T @ basis - np.eye(d)).max() < 1e-12
@@ -322,9 +322,9 @@ class TestClassMap:
         order = None if scenario == "a" else data.draw(st.integers(1, horizon))
         full = full_sequence_set(horizon)
         picked = sorted(data.draw(st.sets(st.integers(0, len(full) - 1), min_size=1)))
-        restricted = assemble(scenario, horizon, [full[i] for i in picked], order).basis
+        restricted = dense_basis(assemble(scenario, horizon, [full[i] for i in picked], order))
         columns = np.concatenate([np.arange(i * horizon, (i + 1) * horizon) for i in picked])
-        projected = assemble(scenario, horizon, full, order).basis[columns]
+        projected = dense_basis(assemble(scenario, horizon, full, order))[columns]
         assert rank(restricted) == restricted.shape[1] == rank(projected)
         assert rank(np.hstack([restricted, projected])) == rank(projected)
 
@@ -334,7 +334,7 @@ class TestClassMap:
         # the six classes together
         scope = ("ABAB", "BAAA")
         restriction = assemble("c", 4, scope, 2)
-        assert restriction.basis.shape[1] == 7
+        assert dense_basis(restriction).shape[1] == 7
         assert restriction.n_rows == 1
         assert cycle_rows(restriction.layout, 2).shape[0] == 1
         table = random_consistent_table(4, "c", 2, 16, scope=scope, seed=5)
@@ -501,18 +501,40 @@ class TestSharedRestriction:
         assert again is not records[0] and again.rank == records[0].rank
 
 
+def _package_nodes(skip=()):
+    """(file name, node) for every AST node of the package's modules."""
+    for path in sorted(Path(crossover.__file__).parent.glob("*.py")):
+        if path.name not in skip:
+            for node in ast.walk(ast.parse(path.read_text())):
+                yield path.name, node
+
+
 def test_window_helpers_are_called_only_where_classes_are_defined():
     # a (period, sequence) pair is mapped to its assumption class in one
     # place, the class map; other modules ask the map
-    allowed = {"sequences.py", "constraints.py"}
     offenders = []
-    for path in sorted(Path(crossover.__file__).parent.glob("*.py")):
-        if path.name in allowed:
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in ("subsequence", "trailing_window"):
-                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    for path, node in _package_nodes(skip={"sequences.py", "constraints.py"}):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name in ("subsequence", "trailing_window"):
+                offenders.append(f"{path}:{node.lineno} {name}")
+    assert offenders == []
+
+
+def test_no_module_reads_a_p_wide_view():
+    # the package keeps Z = E Q and the sandwich at class width: the dense
+    # p x d basis, the p x p maps Z M^-1 Z' and Z M^-1 meat M^-1 Z', and
+    # X'X + C'C are test references only (see conftest)
+    names = {"gram_plus_restriction", "ehw_covariance"}
+    attributes = names | {"u11", "ehw", "basis"}
+    offenders = []
+    for path, node in _package_nodes():
+        if isinstance(node, ast.Attribute):
+            name, banned = node.attr, attributes
+        else:
+            # a name, a def or an imported alias
+            name, banned = getattr(node, "id", None) or getattr(node, "name", None), names
+        if name in banned:
+            offenders.append(f"{path}:{node.lineno} {name}")
     assert offenders == []

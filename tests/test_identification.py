@@ -6,7 +6,6 @@ from crossover import (
     CrossoverDesign,
     assemble,
     full_sequence_set,
-    gram_plus_restriction,
     is_identifiable,
     mean_derivation_time_invariant,
     mean_witness_carryover,
@@ -15,6 +14,8 @@ from crossover import (
 )
 from crossover.constraints import RestrictionMatrix
 from crossover.identification import DifferencedMean, MeanTarget, WitnessedMean
+
+from conftest import dense_basis, gram_plus_restriction
 
 
 def empty_restriction(horizon, scope):
@@ -261,7 +262,7 @@ class TestRankAtClassWidth:
         check = is_identifiable(design, restriction)
         hit = np.unique(restriction.class_ids.reshape(len(scope), 5)[::3])
         assert shapes == [(len(hit), restriction.dimension)]
-        basis = restriction.basis
+        basis = dense_basis(restriction)
         dense = np.vstack([basis[restriction.layout.block(z)] for z in design.observed])
         expected = restriction.layout.size - restriction.dimension + np.linalg.matrix_rank(dense)
         assert check.rank == expected

@@ -23,7 +23,6 @@ from crossover import (
     as_sequence,
     assemble,
     carryover_effect,
-    ehw_covariance,
     enumerate_assignments,
     estimate,
     feasible_rwls,
@@ -44,10 +43,13 @@ from crossover import (
     true_value,
 )
 from crossover import rwls, twoperiod
-from crossover.constraints import ClassMap, CoefficientLayout, RestrictionMatrix, restriction_from_rows
+from crossover.constraints import ClassMap, CoefficientLayout, restriction_from_rows
 from crossover.rwls import _chi2_sf, repair_positive_definite
 from conftest import (
+    dense_basis,
+    dense_ehw,
     dense_sandwich,
+    dense_u11,
     make_dataset,
     nullspace_restricted_wls,
     per_sequence_oracle_variance,
@@ -673,7 +675,7 @@ class TestSolveRestrictedWls:
         fit = solve_restricted_wls(design, means, weights, restriction)
         big = solve_restricted_wls(scaled, means, weights, restriction)
         assert np.allclose(big.gamma, fit.gamma, rtol=1e-9, atol=1e-12)
-        assert np.allclose(big.u11 * 10**power, fit.u11, rtol=1e-9, atol=1e-12)
+        assert np.allclose(dense_u11(big) * 10**power, dense_u11(fit), rtol=1e-9, atol=1e-12)
 
 
 class TestFeasibleRwls:
@@ -772,7 +774,7 @@ class TestFeasibleRwls:
         for z, n in design.counts.items():
             sl = fit.layout.block(z)
             gram[sl, sl] = n * np.linalg.inv(fit.weight_model.matrix(z))
-        basis = fit.restriction.basis
+        basis = dense_basis(fit.restriction)
         expected = np.linalg.cond(basis.T @ gram @ basis)
         assert fit.condition_number == pytest.approx(expected, rel=1e-6)
         assert fit.condition_number < 1e4
@@ -785,7 +787,7 @@ class TestFeasibleRwls:
         table = random_consistent_table(5, scenario, 1, design.n_units, seed=11)
         dataset = realize_dataset(table, sample_assignment(design, 3))
         fit = feasible_rwls(dataset, scenario, None if scenario == "a" else 1)
-        layout, basis = fit.layout, fit.restriction.basis
+        layout, basis = fit.layout, dense_basis(fit.restriction)
         reduced = np.zeros((basis.shape[1], basis.shape[1]))
         xty = np.zeros(layout.size)
         for z, n in design.counts.items():
@@ -793,7 +795,7 @@ class TestFeasibleRwls:
             reduced += n * basis[sl].T @ inverse @ basis[sl]
             xty[sl] = n * inverse @ fit.means[z]
         half = scipy.linalg.solve_triangular(np.linalg.cholesky(reduced), basis.T, lower=True)
-        for got, want in ((fit.gamma, half.T @ (half @ xty)), (fit.u11, half.T @ half)):
+        for got, want in ((fit.gamma, half.T @ (half @ xty)), (dense_u11(fit), half.T @ half)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -803,14 +805,14 @@ class TestEhwCovariance:
         outcomes = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 1.0], [3.0, 1.0]])
         dataset = ObservedDataset(design, template_labels(design), outcomes)
         fit = feasible_rwls(dataset, "b", 1, diagonal_weights(design))
-        assert np.allclose(fit.ehw, 0.0, atol=1e-18)
+        assert np.allclose(dense_ehw(fit), 0.0, atol=1e-18)
 
     def test_matches_dense_assembly(self, rng):
         design = four_seq_design((2, 2, 2, 2))
         dataset = make_dataset(design, rng)
         fit = feasible_rwls(dataset, "b", 1)
         dense = dense_sandwich(dataset, fit)
-        assert np.allclose(fit.ehw, dense, atol=1e-10)
+        assert np.allclose(dense_ehw(fit), dense, atol=1e-10)
 
     @pytest.mark.parametrize("scenario,order", [("a", None), ("b", 1), ("b", 2), ("c", 1), ("c", 2)])
     def test_matches_dense_assembly_on_the_full_scope(self, rng, scenario, order):
@@ -820,7 +822,7 @@ class TestEhwCovariance:
         fit = feasible_rwls(dataset, scenario, order)
         assert fit.weight_model.repaired == ()
         dense = dense_sandwich(dataset, fit)
-        assert np.abs(fit.ehw - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
+        assert np.abs(dense_ehw(fit) - dense).max() <= 1e-10 * max(1.0, np.abs(dense).max())
         spec = stack(
             [s for t in range(1, 5) for s in all_instantaneous_effects(t, scope)]
             + [carryover_effect(2, 1, "", "A", scope)]
@@ -836,16 +838,9 @@ class TestEhwCovariance:
         design = four_seq_design()
         dataset = make_dataset(design, rng)
         fit = feasible_rwls(dataset, "c", 1)
-        ehw = fit.ehw
+        ehw = dense_ehw(fit)
         assert np.allclose(ehw, ehw.T, atol=1e-12)
         assert np.linalg.eigvalsh(ehw).min() >= -1e-12
-
-    def test_public_wrapper_recomputes(self, rng):
-        design = four_seq_design()
-        dataset = make_dataset(design, rng)
-        fit = feasible_rwls(dataset, "b", 1)
-        again = ehw_covariance(fit, dataset)
-        assert np.allclose(again, fit.ehw, atol=1e-15)
 
     def test_small_sample_scale_inflates_by_dof_ratio(self, rng):
         design = four_seq_design()
@@ -854,10 +849,18 @@ class TestEhwCovariance:
         scaled = feasible_rwls(dataset, "b", 1, small_sample_scale=True)
         n = dataset.n_units
         free = plain.layout.size - plain.restriction.n_rows
-        assert np.allclose(scaled.ehw, plain.ehw * n / (n - free), atol=1e-12)
+        assert np.allclose(dense_ehw(scaled), dense_ehw(plain) * n / (n - free), atol=1e-12)
 
 
 class TestEstimate:
+    def test_a_fit_without_a_meat_is_refused(self, rng):
+        design = four_seq_design()
+        means = {z: rng.normal(size=2) for z in design.observed}
+        fit = solve_restricted_wls(design, means, diagonal_weights(design), assemble("b", 2, design.scope, 1))
+        assert fit.reduced_meat is None
+        with pytest.raises(ValueError, match="^fit has no sandwich pieces; run feasible_rwls first$"):
+            estimate(fit, instantaneous_effect(1, "", design.scope))
+
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_spec_row_is_rejected_naming_its_sequence(self, rng, bad):
         design = four_seq_design()
@@ -983,7 +986,7 @@ def _implemented_scope_dataset(horizon, units, seed, scenario="a", order=None):
 def _dense_reduced_system(fit):
     """M = sum_z N_z Z_z' Omega_z^-1 Z_z and Q' sum_z E_z' W_z Ybar_z from
     the dense basis blocks Z_z."""
-    basis, layout = fit.restriction.basis, fit.layout
+    basis, layout = dense_basis(fit.restriction), fit.layout
     reduced = np.zeros((basis.shape[1], basis.shape[1]))
     rhs = np.zeros(basis.shape[1])
     for z, n in fit.design.counts.items():
@@ -995,7 +998,8 @@ def _dense_reduced_system(fit):
 
 class TestClassWidthFit:
     """M, the meat and BZ are formed at class width from the class ids and
-    the moments record; the dense basis Z is built only when read."""
+    the moments record; the p x d basis Z is formed only by the dense
+    references here."""
 
     CASES = [("a", None, "sample"), ("b", 1, "sample"), ("b", 2, "pooled"), ("c", 1, "sample"), ("c", 2, "pooled")]
 
@@ -1023,37 +1027,17 @@ class TestClassWidthFit:
     def test_weighted_basis_is_n_omega_inverse_times_the_basis_block(self, rng):
         design = CrossoverDesign(3, {z: 5 for z in full_sequence_set(3)[::2]})
         fit = feasible_rwls(make_dataset(design, rng), "c", 1)
-        basis = fit.restriction.basis
+        basis = dense_basis(fit.restriction)
         for z, g in fit.weighted_basis.items():
             expected = design.counts[z] * fit.weight_model.inverses[z] @ basis[fit.layout.block(z)]
             assert np.abs(g - expected).max() <= 1e-13 * np.abs(expected).max()
 
-    @pytest.mark.parametrize("scenario,order,weights", CASES + [("rows", None, "sample")])
-    def test_fit_and_estimate_never_build_the_dense_basis(self, rng, monkeypatch, scenario, order, weights):
-        design = CrossoverDesign(3, {z: 6 for z in full_sequence_set(3)})
-        dataset = make_dataset(design, rng)
-        restriction = None
-        if scenario == "rows":
-            layout = CoefficientLayout(3, design.scope)
-            restriction = restriction_from_rows(layout, assemble("b", 3, design.scope, 1).matrix)
-            scenario, order = "b", 1
-        spec = stack([instantaneous_effect(1, "", design.scope), carryover_effect(3, 1, "A", "B", design.scope)])
-        built = []
-        dense = RestrictionMatrix.basis
-        monkeypatch.setattr(RestrictionMatrix, "basis", property(lambda self: built.append(self) or dense.fget(self)))
-        fit = feasible_rwls(dataset, scenario, order, weights, restriction)
-        estimate(fit, spec)
-        rwls.StackedFit(design, fit.restriction, spec, weights, scenario, order)(dataset.outcomes[None])
-        assert built == []
-
     @pytest.mark.parametrize("scenario,order", [("a", None), ("b", 2), ("c", 1)])
-    def test_long_horizon_fit_builds_no_dense_basis_and_matches_a_dense_reference(self, monkeypatch, scenario, order):
+    def test_long_horizon_fit_builds_no_dense_basis_and_matches_a_dense_reference(self, scenario, order):
         dataset = _implemented_scope_dataset(30, 40, seed=6, scenario=scenario, order=order)
-        monkeypatch.setattr(RestrictionMatrix, "basis", property(lambda self: pytest.fail("dense basis built")))
         fit = feasible_rwls(dataset, scenario, order)
-        monkeypatch.undo()
         assert fit.weight_model.repaired == ()
-        reference = fit.restriction.basis @ np.linalg.solve(*_dense_reduced_system(fit))
+        reference = dense_basis(fit.restriction) @ np.linalg.solve(*_dense_reduced_system(fit))
         assert np.abs(fit.gamma - reference).max() <= 1e-10 * np.abs(reference).max()
 
 
@@ -1119,7 +1103,7 @@ class TestOneDecomposition:
         dense = dict(zip(scope, draws))
         spec = stack([instantaneous_effect(1, "", scope), EstimandSpec(100, scope, dense, ("dense",))])
         result = estimate(fit, spec)
-        basis, layout = fit.restriction.basis, fit.layout
+        basis, layout = dense_basis(fit.restriction), fit.layout
         reduced, rhs = _dense_reduced_system(fit)
         factor = scipy.linalg.cho_factor(reduced)
         gamma = basis @ scipy.linalg.cho_solve(factor, rhs)
