@@ -3,8 +3,8 @@
 Treatment sequences and complete randomization, linear causal estimands
 over per-sequence means, assumption-derived coefficient restrictions,
 identifiability checks, restricted weighted least squares with sandwich
-variance estimates, closed-form two-period oracles, and a randomization
-Monte Carlo harness.
+variance estimates, the two-period closed forms as views of that fit, and a
+randomization Monte Carlo harness.
 """
 
 from .constraints import (

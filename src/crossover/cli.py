@@ -389,10 +389,6 @@ def _cmd_fit(args) -> int:
     with open(args.data) as lines:
         dataset, design = parse_dataset(lines, design)
     restriction = assemble(args.scenario, design.horizon, design.scope, args.k)
-    check = is_identifiable(design, restriction)
-    if not check.identifiable:
-        print(f"not identifiable: {check}", file=sys.stderr)
-        return EXIT_NOT_IDENTIFIABLE
     payload = {
         "scenario": args.scenario,
         "carryover_order": restriction.carryover_order,
@@ -400,6 +396,8 @@ def _cmd_fit(args) -> int:
         "design": {"horizon": design.horizon, "counts": dict(design.counts)},
     }
     if args.engine == "closed-form":
+        # the closed forms fit the implemented scope, which may identify
+        # what the design's full scope does not (tau_1 of AB/BA under a)
         if design.horizon != 2 or (args.scenario != "a" and args.k != 1):
             print("closed-form engine needs a two-period design and, under b and c, --k 1", file=sys.stderr)
             return EXIT_PARSE
@@ -408,6 +406,10 @@ def _cmd_fit(args) -> int:
         payload["note"] = "conservative variances; --estimand requests are ignored by this engine"
         _json_out(payload, args.out)
         return EXIT_OK
+    check = is_identifiable(design, restriction)
+    if not check.identifiable:
+        print(f"not identifiable: {check}", file=sys.stderr)
+        return EXIT_NOT_IDENTIFIABLE
     specs = _requested_specs(args.estimand, design)
     weights = _load_weight_model(args.weights, design)
     fit = feasible_rwls(dataset, args.scenario, args.k, weights, restriction)

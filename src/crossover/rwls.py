@@ -730,11 +730,19 @@ def oracle_variance(fit: RwlsFit, spec: EstimandSpec, table: PotentialOutcomeTab
     """
     if table.n_units != fit.design.n_units:
         raise ValueError(f"table has {table.n_units} units, design has {fit.design.n_units}")
+    covariances = np.stack([table.covariance(z) for z in fit.design.observed])
+    return _fixed_weight_covariance(fit, spec, covariances) - individual_effect_covariance(spec, table) / table.n_units
+
+
+def _fixed_weight_covariance(fit: RwlsFit, spec: EstimandSpec, covariances: np.ndarray) -> np.ndarray:
+    """sum_z M(z) S_z M(z)' / N_z for the (k, T, T) covariances S_z in code
+    order: the sandwich (BZ) M^-1 meat M^-1 (BZ)' whose meat scatters
+    Omega_z^-1 (N_z S_z) Omega_z^-1.  With S_z the weights themselves the
+    meat is M and this is (BZ) M^-1 (BZ)'."""
     plan = fit._plan
     bm = _reduced_functional(fit, spec)[1]
-    spread = plan.counts[:, None, None] * np.stack([table.covariance(z) for z in fit.design.observed])
-    total = bm @ plan._reduce(plan.inverses @ spread @ plan.inverses) @ bm.T
-    return total - individual_effect_covariance(spec, table) / table.n_units
+    spread = plan.counts[:, None, None] * covariances
+    return bm @ plan._reduce(plan.inverses @ spread @ plan.inverses) @ bm.T
 
 
 class StackedFit(_FitPlan):

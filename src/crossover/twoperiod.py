@@ -1,22 +1,27 @@
-"""Closed-form estimators for the two-period designs.
+"""The two-period closed forms, as views of the engine.
 
-These are the textbook estimators for the four-sequence (AA/AB/BA/BB) and
-two-sequence (AB/BA) designs under the three assumption scenarios.  They
-serve as independent oracles for the general engine and as fast paths;
-``closed_form`` picks the estimators and their conservative variances for
-one of these two designs and a scenario:
+The textbook estimators for the four-sequence (AA/AB/BA/BB) and
+two-sequence (AB/BA) designs under the three assumption scenarios are
+special cases of one restricted weighted least squares fit.
+``closed_form`` makes that fit from a summary of the data: the means on the
+implemented scope, under the scenario's pooled working weights
+(``working_weight_model``), and reports the textbook labels:
 
-* scenario a and b estimators are group-mean contrasts with count-
-  proportional pooling; they coincide with the engine run under
-  independence working weights (diagonal pooled entries);
-* scenario c estimators solve a small variance-minimization program over
-  unbiased weightings and coincide with the engine run under the full
-  pooled weight entries.
+* under a, tau_1 and, on four sequences, tau_2(A|B) and tau_2^1(A|B);
+* under b, tau_1 and tau_2, the A-minus-B contrast of period-2 means;
+* under c, tau, the common effect tau_1.
 
-Entries are pooled by the class ids of ``ClassMap(2, "b", 1)`` through
-``rwls.pool_by_class``, as the engine's pooled weights are: period-1
-variances by first treatment, period-2 variances by second treatment, and
-the within-unit covariance by sequence.
+Under a and b the pooled working weights are diagonal, so each class pools
+its sequences in proportion to their counts, as the group-mean contrasts
+do.  Under c the fit is the variance-minimizing unbiased weighting of the
+group means.  The hand formulas are kept in the test suite as oracles of
+this fit.
+
+The variances are the conservative plug-in ones, sum_z M(z) S_z M(z)' /
+N_z with M(z) the fit's weights on the group means: under a and b S_z is
+the pooled diagonal, under c the repaired pooled block, the weights
+themselves, so the variance is (BZ) M^-1 (BZ)'.  They drop the inestimable
+individual-effect variance term.
 """
 
 from __future__ import annotations
@@ -26,20 +31,44 @@ from typing import Mapping
 
 import numpy as np
 
-from .constraints import ClassMap
-from .errors import ConditioningError, MissingSequenceError
+from .constraints import ClassMap, assemble
+from .errors import MissingSequenceError
+from .estimands import EstimandSpec, instantaneous_effect, stack
 from .rwls import (
     ObservedDataset,
     WeightModel,
+    _fixed_weight_covariance,
+    point_estimate,
     pool_by_class,
-    repair_positive_definite,
     sample_covariances,
     sequence_means,
+    solve_restricted_wls,
 )
-from .sequences import TreatmentSequence, _unit_count, as_sequence, sequence_set
+from .sequences import CrossoverDesign, TreatmentSequence, _unit_count, as_sequence, sequence_set
+from .simulator import standard_two_period_specs
 
 FOUR_SEQ = ("AA", "AB", "BA", "BB")
 TWO_SEQ = ("AB", "BA")
+
+
+def _by_group(counts, given, name: str, shape: tuple[int, ...]) -> dict[TreatmentSequence, np.ndarray]:
+    """The arrays of ``given`` for exactly the counted groups: each of the
+    shape and finite, and a matrix symmetric by ``WeightModel``'s scale-free
+    rule.  Errors name the group."""
+    arrays = {z: np.asarray(given[z], float) for z in sequence_set(given, 2)}
+    missing = [z for z in counts if z not in arrays]
+    if missing:
+        raise MissingSequenceError(f"summary lacks a {name} for {missing[0]}")
+    for z, a in arrays.items():
+        if z not in counts:
+            raise ValueError(f"{name} given for {z}, which has no count")
+        if a.shape != shape:
+            raise ValueError(f"{name} for {z} must have shape {shape}, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} for {z} has a non-finite entry")
+        if a.ndim == 2 and np.abs(a - a.T).max() > 1e-5 * np.abs(a).max():
+            raise ValueError(f"{name} for {z} must be symmetric")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -49,7 +78,8 @@ class TwoPeriodSummary:
     ``cross`` holds each group's centered cross-products R_z'R_z, from
     which the pooled entries are formed: ``from_dataset`` takes them from
     the dataset's moments, and a summary given none takes (N_z - 1) times
-    its covariances."""
+    its covariances.  Every counted group needs a finite mean of length 2
+    and finite symmetric 2 x 2 matrices, and no other group may have them."""
 
     counts: Mapping[TreatmentSequence, int]
     means: Mapping[TreatmentSequence, np.ndarray]
@@ -58,12 +88,12 @@ class TwoPeriodSummary:
 
     def __post_init__(self):
         counts = {z: _unit_count(z, self.counts[z]) for z in sequence_set(self.counts, 2)}
-        means = {z: np.asarray(self.means[z], float) for z in sequence_set(self.means, 2)}
-        covs = {z: np.asarray(self.covariances[z], float) for z in sequence_set(self.covariances, 2)}
+        means = _by_group(counts, self.means, "mean", (2,))
+        covs = _by_group(counts, self.covariances, "covariance", (2, 2))
         if self.cross is None:
-            cross = {z: (n - 1) * covs[z] for z, n in counts.items() if z in covs}
+            cross = {z: (n - 1) * covs[z] for z, n in counts.items()}
         else:
-            cross = {z: np.asarray(self.cross[z], float) for z in sequence_set(self.cross, 2)}
+            cross = _by_group(counts, self.cross, "cross-product", (2, 2))
         vars(self).update(counts=counts, means=means, covariances=covs, cross=cross)
 
     @classmethod
@@ -86,275 +116,67 @@ class TwoPeriodSummary:
             raise MissingSequenceError(f"summary lacks groups {missing}")
 
 
-@dataclass(frozen=True)
-class TwoPeriodEntries:
-    """Variance entries used by the scenario-c programs.
-
-    ``s1`` is the period-1 variance by first-period treatment, ``s2`` the
-    period-2 variance by second-period treatment, ``s12`` the within-unit
-    covariance by sequence.
-    """
-
-    s1: Mapping[str, float]
-    s2: Mapping[str, float]
-    s12: Mapping[str, float]
-
-    @classmethod
-    def from_summary(cls, summary: TwoPeriodSummary) -> "TwoPeriodEntries":
-        """Pool the summary's cross-products by the scenario-b class ids,
-        weighting by group degrees of freedom, as ``working_weight_model``
-        pools the dataset's."""
-        sequences = list(summary.counts)
-        counts = np.array(list(summary.counts.values()))
-        cross = np.array([summary.cross[z] for z in sequences])
-        pooled = pool_by_class(counts, cross, ClassMap(2, "b", 1).ids(sequences)[1], sequences)
-        # each sequence is its own (1, 2) class pair: s12 is its covariance
-        return cls(
-            {z[0]: m[0, 0] for z, m in zip(sequences, pooled)},
-            {z[1]: m[1, 1] for z, m in zip(sequences, pooled)},
-            {z: float(m[0, 1]) for z, m in zip(sequences, pooled)},
-        )
-
-    def block(self, z: str) -> np.ndarray:
-        """Repaired 2 x 2 covariance block for one sequence."""
-        m = np.array(
-            [
-                [self.s1[z[0]], self.s12[z]],
-                [self.s12[z], self.s2[z[1]]],
-            ]
-        )
-        repaired, _ = repair_positive_definite(m)
-        return repaired
+def _working_covariances(counts: np.ndarray, cross: np.ndarray, sequences, scenario: str) -> np.ndarray:
+    """The unrepaired (k, 2, 2) working covariances: the cross-products
+    pooled by the scenario's class ids, the scenario-b ids under c, which
+    adds no equalities; under a and b only their diagonal is kept."""
+    classes = ClassMap(2, "b" if scenario == "c" else scenario, 1)
+    pooled = pool_by_class(counts, cross, classes.ids(sequences)[1], sequences)
+    if scenario != "c":
+        pooled[:, 0, 1] = pooled[:, 1, 0] = 0.0
+    return pooled
 
 
 def working_weight_model(dataset: ObservedDataset, scenario: str) -> WeightModel:
-    """Weight model under which the engine reproduces the closed forms.
-
-    Scenario c uses the entries pooled by the scenario-b class ids, the
-    inputs of the variance-minimization programs.  Scenarios a and b use
-    their diagonal (independence working weights), so the engine's group
-    pooling is count-proportional as in the closed forms.
-    """
+    """Weight model under which the engine reproduces the closed forms:
+    the dataset's working covariances (see ``closed_form``), repaired."""
     if dataset.design.horizon != 2:
         raise ValueError("working weights require a two-period design")
     counts, _, cross = dataset.moments
     observed = dataset.design.observed
-    pooled = pool_by_class(counts, cross, ClassMap(2, "b", 1).ids(observed)[1], observed)
-    if scenario != "c":
-        pooled[:, 0, 1] = pooled[:, 1, 0] = 0.0
-    return WeightModel._from_covariances(pooled, observed, "pooled")
+    return WeightModel._from_covariances(_working_covariances(counts, cross, observed, scenario), observed, "pooled")
 
 
-def _arm_mean(summary: TwoPeriodSummary, g: str, h: str, period: int) -> float:
-    """Count-weighted mean of two groups' period means."""
-    n_g, n_h = summary.count(g), summary.count(h)
-    return (n_g * summary.mean(g, period) + n_h * summary.mean(h, period)) / (n_g + n_h)
-
-
-def blue_4seq_scenario_a(summary: TwoPeriodSummary) -> dict[str, float]:
-    """Four-sequence design, no anticipation only.
-
-    tau_1 pools the period-1 arm means with count-proportional weights;
-    the period-2 contrasts are plain group-mean differences.
-    """
-    summary.require(FOUR_SEQ)
-    out = {"tau_1": _arm_mean(summary, "AA", "AB", 1) - _arm_mean(summary, "BA", "BB", 1)}
-    for z1 in "AB":
-        out[f"tau_2({z1})"] = summary.mean(z1 + "A", 2) - summary.mean(z1 + "B", 2)
-    for z2 in "AB":
-        out[f"tau_2^1({z2})"] = summary.mean("A" + z2, 2) - summary.mean("B" + z2, 2)
-    return out
-
-
-def blue_4seq_scenario_b(summary: TwoPeriodSummary) -> dict[str, float]:
-    """Four-sequence design, no anticipation plus no carryover (order 1)."""
-    summary.require(FOUR_SEQ)
-    return {
-        "tau_1": _arm_mean(summary, "AA", "AB", 1) - _arm_mean(summary, "BA", "BB", 1),
-        "tau_2": _arm_mean(summary, "AA", "BA", 2) - _arm_mean(summary, "AB", "BB", 2),
-    }
-
-
-@dataclass(frozen=True)
-class CombinedEstimate:
-    """A variance-optimal combination with its weighting diagnostics."""
-
-    value: float
-    weights: dict[str, float]
-    objective: float
-
-
-def _blocks(summary: TwoPeriodSummary, blocks: Mapping | None, groups) -> dict[str, np.ndarray]:
-    """The given 2 x 2 blocks by word, by default the pooled-entry blocks."""
-    if blocks is None:
-        entries = TwoPeriodEntries.from_summary(summary)
-        return {z: entries.block(z) for z in groups}
-    return {z: np.asarray(m, dtype=float) for z, m in blocks.items()}
-
-
-def blue_4seq_scenario_c(
-    summary: TwoPeriodSummary, blocks: Mapping | None = None
-) -> CombinedEstimate:
-    """Four-sequence design under all three assumptions: minimize the
-    estimator variance over unbiased weightings of the eight group means.
-
-    ``blocks`` maps each sequence to the 2 x 2 covariance block entering
-    the quadratic objective; by default they carry the pooled period
-    variances and per-sequence covariances.  The three linear constraints
-    pin down unbiasedness for the common effect.
-    """
-    summary.require(FOUR_SEQ)
-    blocks = _blocks(summary, blocks, FOUR_SEQ)
-    q = np.zeros((8, 8))
-    for i, z in enumerate(FOUR_SEQ):
-        n = summary.count(z)
-        q[i, i] = blocks[z][0, 0] / n
-        q[4 + i, 4 + i] = blocks[z][1, 1] / n
-        q[i, 4 + i] = q[4 + i, i] = blocks[z][0, 1] / n
-    a = np.zeros((3, 8))
-    a[0, 0:4] = 1.0
-    a[1, 4:8] = 1.0
-    # the common effect: period 1 of AA and AB, period 2 of AA and BA
-    a[2, [0, 1, 4, 6]] = 1.0
-    kkt = np.block([[2.0 * q, a.T], [a, np.zeros((3, 3))]])
-    rhs = np.concatenate([np.zeros(8), [0.0, 0.0, 1.0]])
-    try:
-        solution = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConditioningError("weight program is singular after repair") from exc
-    w = solution[:8]
-    value = 0.0
-    for i, z in enumerate(FOUR_SEQ):
-        value += w[i] * summary.mean(z, 1) + w[4 + i] * summary.mean(z, 2)
-    weights = {f"w_1({z})": float(w[i]) for i, z in enumerate(FOUR_SEQ)}
-    weights.update({f"w_2({z})": float(w[4 + i]) for i, z in enumerate(FOUR_SEQ)})
-    return CombinedEstimate(float(value), weights, float(w @ q @ w))
-
-
-@dataclass(frozen=True)
-class TwoSequenceScenarioA:
-    """Only the period-1 contrast is estimable without carryover bounds."""
-
-    tau_1: float
-    not_estimable: tuple[str, ...] = (
-        "tau_2(A)",
-        "tau_2(B)",
-        "tau_2^1(A)",
-        "tau_2^1(B)",
-    )
-
-
-def blue_2seq_scenario_a(summary: TwoPeriodSummary) -> TwoSequenceScenarioA:
-    summary.require(TWO_SEQ)
-    return TwoSequenceScenarioA(summary.mean("AB", 1) - summary.mean("BA", 1))
-
-
-def blue_2seq_scenario_b(summary: TwoPeriodSummary) -> dict[str, float]:
-    summary.require(TWO_SEQ)
-    return {
-        "tau_1": summary.mean("AB", 1) - summary.mean("BA", 1),
-        "tau_2": summary.mean("BA", 2) - summary.mean("AB", 2),
-    }
-
-
-def blue_2seq_scenario_c(
-    summary: TwoPeriodSummary, blocks: Mapping | None = None
-) -> CombinedEstimate:
-    """Two-sequence design under all three assumptions.
-
-    The unbiased estimators form the one-parameter family
-    p tau1-hat + (1-p) tau2-hat; the variance-minimizing mixing weight is
-
-        p = [ (s2 + s12)(AB)/N_AB + (s2 + s12)(BA)/N_BA ]
-            / [ (s1 + s2 + 2 s12)(AB)/N_AB + (s1 + s2 + 2 s12)(BA)/N_BA ].
-    """
-    summary.require(TWO_SEQ)
-    blocks = _blocks(summary, blocks, TWO_SEQ)
-    numerator = 0.0
-    denominator = 0.0
-    objective_parts = {}
-    for z in TWO_SEQ:
-        n = summary.count(z)
-        s1, s12, s2 = blocks[z][0, 0], blocks[z][0, 1], blocks[z][1, 1]
-        numerator += (s2 + s12) / n
-        denominator += (s1 + s2 + 2.0 * s12) / n
-        objective_parts[z] = (s1, s12, s2, n)
-    if denominator <= 0.0:
-        raise ConditioningError("mixing-weight denominator is not positive")
-    p = numerator / denominator
-    basic = blue_2seq_scenario_b(summary)
-    value = p * basic["tau_1"] + (1.0 - p) * basic["tau_2"]
-    objective = 0.0
-    for z, (s1, s12, s2, n) in objective_parts.items():
-        objective += (p * p * s1 + (1 - p) * (1 - p) * s2 - 2 * p * (1 - p) * s12) / n
-    return CombinedEstimate(float(value), {"p": float(p)}, float(objective))
+def _reported_rows(groups: tuple[TreatmentSequence, ...], scenario: str) -> EstimandSpec:
+    """The rows ``closed_form`` reports, under their labels."""
+    four = len(groups) == 4
+    specs = standard_two_period_specs(groups) if four else [instantaneous_effect(1, "", groups)]
+    if scenario == "a":
+        return stack(specs)
+    if scenario == "c":
+        return EstimandSpec(2, groups, specs[0].weights, ("tau",))
+    tau_2 = specs[1].weights if four else {"AB": [[0.0, -1.0]], "BA": [[0.0, 1.0]]}
+    return stack([specs[0], EstimandSpec(2, groups, tau_2, ("tau_2",))])
 
 
 def closed_form(summary: TwoPeriodSummary, scenario: str) -> dict[str, tuple[float, float]]:
     """Label -> (point, conservative variance) of the closed-form estimators
     for the summary's design, which must be exactly the four-sequence or the
-    two-sequence design.
-
-    The variances are plug-in bounds that drop the inestimable individual-
-    effect variance term, with pooled entries wherever the scenario equates
-    them and per-group sample entries otherwise.
+    two-sequence design: one engine fit of the means on the implemented
+    scope under the working weights (see the module docstring).  Too few
+    units for a pooled entry raise DegenerateCovarianceError.
     """
     if scenario not in ("a", "b", "c"):
         raise ValueError(f"scenario must be a, b, or c, got {scenario!r}")
-    groups = set(summary.counts)
-    four = groups == set(FOUR_SEQ)
-    if not four and groups != set(TWO_SEQ):
+    groups = tuple(summary.counts)
+    if set(groups) not in (set(FOUR_SEQ), set(TWO_SEQ)):
         raise MissingSequenceError(
             f"closed forms cover the AA/AB/BA/BB and AB/BA designs, got groups {sorted(map(str, groups))}"
         )
-    if scenario == "c":
-        combined = (blue_4seq_scenario_c if four else blue_2seq_scenario_c)(summary)
-        return {"tau": (combined.value, combined.objective)}
-    n, var = summary.counts, summary.covariances
-
-    def apart(t: int, g: str, h: str) -> float:
-        """Per-group bound for the difference of two period-t group means."""
-        return var[g][t - 1, t - 1] / n[g] + var[h][t - 1, t - 1] / n[h]
-
-    if four:
-        entries = TwoPeriodEntries.from_summary(summary)
-        variances = {
-            "tau_1": entries.s1["A"] / (n["AA"] + n["AB"]) + entries.s1["B"] / (n["BA"] + n["BB"])
-        }
-        if scenario == "a":
-            variances.update({f"tau_2({z})": apart(2, z + "A", z + "B") for z in "AB"})
-            variances.update({f"tau_2^1({z})": apart(2, "A" + z, "B" + z) for z in "AB"})
-            points = blue_4seq_scenario_a(summary)
-        else:
-            variances["tau_2"] = entries.s2["A"] / (n["AA"] + n["BA"]) + entries.s2["B"] / (
-                n["AB"] + n["BB"]
-            )
-            points = blue_4seq_scenario_b(summary)
-    else:
-        # under a only tau_1 is estimable, the same contrast in both scenarios
-        variances = {"tau_1": apart(1, "AB", "BA")}
-        if scenario == "b":
-            variances["tau_2"] = apart(2, "AB", "BA")
-        points = blue_2seq_scenario_b(summary)
-    return {label: (points[label], variances[label]) for label in variances}
+    counts = np.array(list(summary.counts.values()))
+    cross = np.stack([summary.cross[z] for z in groups])
+    covariances = _working_covariances(counts, cross, groups, scenario)
+    weights = WeightModel._from_covariances(covariances, groups, "pooled")
+    restriction = assemble(scenario, 2, groups, 1)
+    fit = solve_restricted_wls(CrossoverDesign(2, summary.counts, groups), summary.means, weights, restriction)
+    rows = _reported_rows(groups, scenario)
+    # a pooled diagonal is never indefinite and enters as pooled, so a zero
+    # variance adds zero; a scenario-c block may be, and enters repaired
+    plug_in = weights.stack if scenario == "c" else covariances
+    variances = np.diagonal(_fixed_weight_covariance(fit, rows, plug_in))
+    return {label: (float(p), float(v)) for label, p, v in zip(rows.labels, point_estimate(fit, rows), variances)}
 
 
 def conservative_variances(summary: TwoPeriodSummary, scenario: str) -> dict[str, float]:
     """The conservative variances of ``closed_form``, by label."""
     return {label: variance for label, (_, variance) in closed_form(summary, scenario).items()}
-
-
-def paired_difference_estimate(dataset: ObservedDataset) -> float:
-    """Within-unit paired-difference estimator for the AB/BA design:
-    the average of (period-1 minus period-2) differences in the AB arm and
-    (period-2 minus period-1) differences in the BA arm, each over twice
-    its group size."""
-    if dataset.design.horizon != 2:
-        raise ValueError("paired differences need a two-period design")
-    groups = dataset.group_indices()
-    if "AB" not in groups or "BA" not in groups:
-        raise MissingSequenceError("paired differences need AB and BA groups")
-    y, ab, ba = dataset.outcomes, groups["AB"], groups["BA"]
-    ab_part = float(np.sum(y[ab, 0] - y[ab, 1])) / (2 * ab.size)
-    ba_part = float(np.sum(y[ba, 1] - y[ba, 0])) / (2 * ba.size)
-    return ab_part + ba_part

@@ -34,8 +34,9 @@ from crossover import (
     true_value,
 )
 from crossover.identification import DifferencedMean, MeanTarget
-from crossover.twoperiod import (
-    TwoPeriodSummary,
+from crossover.twoperiod import TwoPeriodSummary, working_weight_model
+from conftest import gram_plus_restriction, make_dataset, nullspace_restricted_wls
+from twoperiod_reference import (
     blue_2seq_scenario_a,
     blue_2seq_scenario_b,
     blue_2seq_scenario_c,
@@ -43,9 +44,7 @@ from crossover.twoperiod import (
     blue_4seq_scenario_b,
     blue_4seq_scenario_c,
     paired_difference_estimate,
-    working_weight_model,
 )
-from conftest import gram_plus_restriction, make_dataset, nullspace_restricted_wls
 
 SCOPE2 = full_sequence_set(2)
 FOUR = ("AA", "AB", "BA", "BB")

@@ -30,6 +30,7 @@ from crossover.cli import (
     parse_estimand_request,
     parse_table,
 )
+from conftest import make_dataset
 
 SCOPE2 = full_sequence_set(2)
 
@@ -496,12 +497,52 @@ class TestFitCommand:
         out_file = tmp_path / "closed.json"
         assert main(argv + ["--k", "1", "--out", str(out_file)]) == EXIT_OK
         points = {row["label"]: row["point"] for row in json.loads(out_file.read_text())["estimands"]}
-        summary = twoperiod.TwoPeriodSummary.from_dataset(dataset)
-        if scenario == "b":
-            expected = twoperiod.blue_4seq_scenario_b(summary)
-        else:
-            expected = {"tau": twoperiod.blue_4seq_scenario_c(summary).value}
-        assert points == {label: float(point) for label, point in expected.items()}
+        forms = twoperiod.closed_form(twoperiod.TwoPeriodSummary.from_dataset(dataset), scenario)
+        assert points == {label: float(point) for label, (point, _) in forms.items()}
+
+    @pytest.mark.parametrize("scenario", ["a", "b", "c"])
+    @pytest.mark.parametrize("counts", [(5, 6, 7, 5), (6, 7)])
+    def test_closed_form_engine_reports_the_library_closed_forms(self, tmp_path, counts, scenario):
+        groups = ("AA", "AB", "BA", "BB") if len(counts) == 4 else ("AB", "BA")
+        design = CrossoverDesign(2, dict(zip(groups, counts)))
+        dataset = make_dataset(design, np.random.default_rng(len(counts)))
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(dataset))
+        out_file = tmp_path / "closed.json"
+        argv = ["fit", "--data", str(data_file), "--scenario", scenario, "--k", "1", "--engine", "closed-form"]
+        assert main(argv + ["--out", str(out_file)]) == EXIT_OK
+        rows = json.loads(out_file.read_text())["estimands"]
+        forms = twoperiod.closed_form(twoperiod.TwoPeriodSummary.from_dataset(dataset), scenario)
+        assert [(row["label"], row["point"], row["se"]) for row in rows] == [
+            (label, point, float(np.sqrt(variance))) for label, (point, variance) in forms.items()
+        ]
+
+    def test_closed_form_engine_reports_tau_1_of_the_two_sequence_design_under_a(self, tmp_path):
+        # the full scope is not identified under a (exit 3 on the rwls engine);
+        # the implemented scope identifies tau_1
+        dataset = make_dataset(CrossoverDesign(2, {"AB": 4, "BA": 4}), np.random.default_rng(0))
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(dataset))
+        argv = ["fit", "--data", str(data_file), "--scenario", "a"]
+        assert main(argv) == EXIT_NOT_IDENTIFIABLE
+        out_file = tmp_path / "closed.json"
+        assert main(argv + ["--engine", "closed-form", "--out", str(out_file)]) == EXIT_OK
+        rows = json.loads(out_file.read_text())["estimands"]
+        point, variance = twoperiod.closed_form(twoperiod.TwoPeriodSummary.from_dataset(dataset), "a")["tau_1"]
+        assert [(row["label"], row["point"], row["se"]) for row in rows] == [("tau_1", point, float(np.sqrt(variance)))]
+
+    @pytest.mark.parametrize("seed", [0, 1, 18, 34])
+    def test_closed_form_standard_errors_stay_finite_on_repaired_pooled_blocks(self, tmp_path, seed):
+        design = CrossoverDesign(2, dict.fromkeys(("AA", "AB", "BA", "BB"), 3))
+        dataset = make_dataset(design, np.random.default_rng(seed))
+        assert twoperiod.working_weight_model(dataset, "c").repaired
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(dataset))
+        out_file = tmp_path / "closed.json"
+        argv = ["fit", "--data", str(data_file), "--scenario", "c", "--k", "1", "--engine", "closed-form"]
+        assert main(argv + ["--out", str(out_file)]) == EXIT_OK
+        (row,) = json.loads(out_file.read_text())["estimands"]
+        assert np.isfinite(row["se"]) and row["se"] >= 0.0
 
     def test_unidentifiable_fit_exits_three(self, tmp_path):
         design = CrossoverDesign(2, {"AB": 5, "BA": 5})

@@ -958,7 +958,7 @@ class TestDesignBasedProperties:
         assert empirical == pytest.approx(formula, abs=1e-9)
 
     def test_matched_pair_equivalence_through_engine(self, rng):
-        from crossover.twoperiod import paired_difference_estimate
+        from twoperiod_reference import paired_difference_estimate
 
         design = CrossoverDesign(2, {"AB": 5, "BA": 5})
         dataset = make_dataset(design, rng)
