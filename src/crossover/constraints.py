@@ -137,7 +137,7 @@ class ClassMap:
         under scenario c the class-level cycle rows K on each class's first
         column.  With E the class indicators and D the class sizes,
         Z = E D^-1/2 null(K D^-1/2), null(.) being the identity under a, b;
-        the restriction keeps the class ids and Q = D^-1/2 null(K D^-1/2).
+        the restriction keeps the class ids, D^-1/2 and null(K D^-1/2).
         One read-only instance per (map, layout) is shared while it can hold
         at most SHARED_RESTRICTION_BYTES; a larger one is built on each call."""
         # Q's q^2 doubles (q at most the keys each period admits), O(p) others
@@ -156,14 +156,10 @@ class ClassMap:
         same = of_column[by_class[1:]] == of_column[by_class[:-1]]
         pairs = np.column_stack([by_class[:-1][same], by_class[1:][same]])
         first = by_class[np.concatenate([[True], ~same])]
-        if self.scenario != "c":
-            cycles, basis = np.zeros((0, len(classes))), np.diag(sizes**-0.5)
-        else:
-            cycles = _cycle_rows(classes, self.order)
-            free = _null_space(cycles / np.sqrt(sizes)) if len(cycles) else np.eye(len(classes))
-            basis = free / np.sqrt(sizes)[:, None]
+        cycles = _cycle_rows(classes, self.order) if self.scenario == "c" else np.zeros((0, len(classes)))
+        free = _null_space(cycles / np.sqrt(sizes)) if len(cycles) else None
         restriction = RestrictionMatrix.__new__(RestrictionMatrix)
-        return restriction._hold(layout, pairs, cycles, first, self.scenario, self.order, of_column, basis)
+        return restriction._hold(layout, pairs, cycles, first, self.scenario, self.order, of_column, sizes**-0.5, free)
 
     _shared = functools.lru_cache(maxsize=RESTRICTION_CACHE_SIZE)(_build)
 
@@ -254,11 +250,13 @@ class RestrictionMatrix:
     on each read and ``residual`` evaluates max|C v|.
 
     The orthonormal basis Z of the null space of C (gamma = Z beta) is
-    held at class width, Z = E Q: ``class_ids`` gives the class of each of
-    the p columns (E its indicators) and ``class_basis`` is the (q, d)
-    matrix Q: D^-1/2 under scenarios a and b, D^-1/2 null(K D^-1/2) under
-    c (D the class sizes).  Given rows are their own classes, with
-    Q = null(C).  The package never forms the dense p x d array Z.
+    held at class width, Z = E Q with Q = diag(S) N: ``class_ids`` gives
+    the class of each of the p columns (E its indicators), ``class_scale``
+    is the (q,) vector S = D^-1/2 (D the class sizes; ones for given rows)
+    and ``null_basis`` is N: None for the identity under scenarios a and b,
+    under c without cycle rows and for zero rows; null(K D^-1/2) under c
+    and null(C) for given rows, which are their own classes.  ``class_basis`` builds the dense (q, d)
+    Q on each read.  The package never forms the dense p x d array Z.
     A restriction is a shared, read-only value: no array is writeable, no
     attribute can be set, and it keeps the last IMPLEMENTED_SETS_KEPT
     ``ImplementedSet`` records of implemented sequence sets.
@@ -269,21 +267,23 @@ class RestrictionMatrix:
         p = layout.size
         if matrix.ndim != 2 or matrix.shape[1] != p:
             raise ValueError(f"restriction matrix must be (L, {p}), got {matrix.shape}")
-        basis = _null_space(matrix) if matrix.shape[0] else np.eye(p)
-        if p - basis.shape[1] < len(matrix):
+        null = _null_space(matrix) if matrix.shape[0] else None
+        rank = 0 if null is None else p - null.shape[1]
+        if rank < len(matrix):
             raise ValueError(
-                f"restriction rows need full row rank, got rank {p - basis.shape[1]} for {len(matrix)} rows; "
+                f"restriction rows need full row rank, got rank {rank} for {len(matrix)} rows; "
                 "restriction_from_rows row-reduces them"
             )
         no_pairs = np.zeros((0, 2), dtype=np.intp)
         columns = np.arange(p)
-        self._hold(layout, no_pairs, matrix, columns, scenario, carryover_order, columns, basis)
+        self._hold(layout, no_pairs, matrix, columns, scenario, carryover_order, columns, np.ones(p), null)
 
-    def _hold(self, layout, pairs, rows, columns, scenario, carryover_order, class_ids, class_basis) -> RestrictionMatrix:
-        for array in (pairs, rows, columns, class_ids, class_basis):
-            array.flags.writeable = False
+    def _hold(self, layout, pairs, rows, columns, scenario, carryover_order, class_ids, class_scale, null_basis) -> RestrictionMatrix:
+        for array in (pairs, rows, columns, class_ids, class_scale, null_basis):
+            if array is not None:
+                array.flags.writeable = False
         vars(self).update(layout=layout, scenario=scenario, carryover_order=carryover_order, class_ids=class_ids)
-        vars(self).update(class_basis=class_basis, _pairs=pairs, _rows=rows, _columns=columns, _sets={})
+        vars(self).update(class_scale=class_scale, null_basis=null_basis, _pairs=pairs, _rows=rows, _columns=columns, _sets={})
         return self
 
     def __setattr__(self, name, *value):
@@ -294,20 +294,30 @@ class RestrictionMatrix:
     @property
     def dimension(self) -> int:
         """d, the number of free coefficients."""
-        return self.class_basis.shape[1]
+        return len(self.class_scale) if self.null_basis is None else self.null_basis.shape[1]
+
+    @property
+    def class_basis(self) -> np.ndarray:
+        """Q = diag(S) N as a dense read-only (q, d) array, built on each read."""
+        basis = np.diag(self.class_scale) if self.null_basis is None else self.class_scale[:, None] * self.null_basis
+        basis.flags.writeable = False
+        return basis
 
     def implemented(self, sequences: tuple[TreatmentSequence, ...]) -> ImplementedSet:
         """The read-only record of an implemented sequence tuple: the sorted
         ids of the classes hit, the (k, T) index of each (sequence, period)
         entry into them, and rank(X'X + C'C) = p - d + rank(Q_hit), as Z_obs
-        repeats the rows of Q for the classes hit, whatever the counts."""
+        repeats the rows of Q for the classes hit, whatever the counts.
+        With N the identity, rank(Q_hit) is the number of classes hit and no
+        SVD is taken."""
         found = self._sets.get(sequences)
         if found is None:
             ids = self.class_ids.reshape(len(self.layout.scope), -1)[self.layout.positions(sequences)]
             hit, local = np.unique(ids, return_inverse=True)
             local = local.reshape(ids.shape)
             hit.flags.writeable = local.flags.writeable = False
-            rank = self.layout.size - self.dimension + numerical_rank(self.class_basis[hit])
+            hit_rank = len(hit) if self.null_basis is None else numerical_rank(self.class_basis[hit])
+            rank = self.layout.size - self.dimension + hit_rank
             if len(self._sets) >= IMPLEMENTED_SETS_KEPT:
                 del self._sets[next(iter(self._sets))]
             found = self._sets[sequences] = ImplementedSet(hit, local, rank)

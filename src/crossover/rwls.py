@@ -5,13 +5,13 @@ per-sequence weight matrices, and a restriction matrix C, and solves the
 restricted problem in the null space of C (Bjorck, Numerical Methods for
 Least Squares Problems, 1996).  The orthonormal null-space basis is kept at
 class width, Z = E Q (``constraints.RestrictionMatrix``): E maps each of the
-p coefficients to its assumption class and Q is q x d.  With Q_h the rows
-of Q for the h classes the implemented sequences hit, E_z the T x h
+p coefficients to its assumption class and Q = diag(S) N is q x d, S the
+(q,) class scale and N the identity under scenarios a and b.  With Q_h the
+rows of Q for the h classes the implemented sequences hit, E_z the T x h
 indicators of z's periods among them, W_z = N_z Omega_z^-1 and Ybar_z, R_z
 the mean and N_z x T residuals of z, summing over the implemented sequences,
 
-    A = sum_z E_z' W_z E_z,    M = Q_h' A Q_h = V Lambda V',
-    M^-1 = H H',    H = V Lambda^-1/2,
+    A = sum_z E_z' W_z E_z,    M = Q_h' A Q_h,
     beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z,    gamma = E Q beta,
     R_z'R_z = cross_z + N_z delta_z delta_z',    delta_z = Ybar_z - gamma_z,
     meat = Q_h' (sum_z E_z' Omega_z^-1 R_z'R_z Omega_z^-1 E_z) Q_h,
@@ -19,10 +19,11 @@ the mean and N_z x T residuals of z, summing over the implemented sequences,
 
 A and the class-width meat are each one ``bincount`` scatter over the class
 ids.  The meat reads the dataset's moments alone: no pass over the units.
-One symmetric eigendecomposition of the d x d matrix M checks that it is
-positive definite, gives cond(M) = lambda_max / lambda_min, and gives the
-whitener H, so every product with M^-1 (the solve, the sandwich and every
-estimand) is two matrix products; the module forms neither the p x d
+Every product with Q goes through ``_by_basis`` and ``_congruence``, a
+scaling when N is the identity.  One Cholesky factorization of the d x d
+matrix M checks that it is positive definite, and every product with
+M^-1 (beta, the sandwich and every estimand) is an LU solve against M;
+cond(M) is computed only when read.  The module forms neither the p x d
 basis Z nor any p x p matrix.  The exact randomization variance of a
 fixed-weight fit is the same sandwich, its meat scattered from the table's
 covariances N_z S2(z) in place of R_z'R_z.
@@ -279,7 +280,7 @@ def _inverses(matrices: np.ndarray, repaired: np.ndarray) -> np.ndarray:
     """Omega^-1 of a (..., k, T, T) stack.  The inverses of the matrices the
     (..., k) mask marks as repaired are symmetrized: at their condition (up
     to ~1e8) ``inv`` leaves them asymmetric by rounding, M inherits that,
-    and ``eigh`` reads one triangle of it only."""
+    and the Cholesky check reads one triangle of it only."""
     inverses = np.linalg.inv(matrices)
     fixed = inverses[repaired]
     inverses[repaired] = (fixed + fixed.swapaxes(-1, -2)) / 2.0
@@ -331,7 +332,7 @@ def pool_by_class(counts: np.ndarray, cross: np.ndarray, ids: np.ndarray, sequen
     dof = np.bincount(group.ravel(), np.tile(counts - 1, rows.size))
     if dof.min() < 1:
         entry, z = np.unravel_index(first[dof < 1].min(), key.shape)
-        members = list(compress(sequences, group[entry] == group[entry, z]))
+        members = [str(w) for w in compress(sequences, group[entry] == group[entry, z])]
         raise DegenerateCovarianceError(
             f"entry ({rows[entry] + 1},{cols[entry] + 1}) pooled over {members} has no degrees of freedom"
         )
@@ -377,9 +378,11 @@ class RwlsFit:
     coordinates of the null-space basis Z = E Q (see the module docstring).
 
     ``gamma`` is the coefficient vector over the layout and ``beta`` its
-    reduced coordinates, gamma = Z beta; ``whitener`` is H = V Lambda^-1/2
-    from the eigendecomposition M = V Lambda V', so M^-1 = H H', and
-    ``condition_number`` is cond(M) = lambda_max / lambda_min.
+    reduced coordinates, gamma = Z beta; ``reduced_matrix`` is M.  Computed
+    on read: ``condition_number``, cond(M) = lambda_max / lambda_min from
+    ``eigvalsh`` and cached; ``warnings``, for a condition number above
+    1e12 or a restriction residual above tolerance; and ``whitener``,
+    H = L^-T for the Cholesky factor L of M, so M^-1 = H H'.
     ``reduced_meat`` (set once residual moments are available) is the d x d
     meat, so Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'; no p x p matrix
     is kept or formed.  The T x d blocks ``weighted_basis``
@@ -393,11 +396,28 @@ class RwlsFit:
     means: dict[TreatmentSequence, np.ndarray]
     gamma: np.ndarray
     beta: np.ndarray
-    whitener: np.ndarray
-    condition_number: float
-    warnings: tuple[str, ...] = ()
+    reduced_matrix: np.ndarray
     reduced_meat: np.ndarray | None = None
     _plan: _FitPlan = field(init=False, repr=False, compare=False)
+
+    @cached_property
+    def condition_number(self) -> float:
+        eigenvalues = np.linalg.eigvalsh(self.reduced_matrix)
+        return float(eigenvalues[-1] / eigenvalues[0])
+
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        found = []
+        if self.condition_number > CONDITION_WARNING_THRESHOLD:
+            found.append(f"reduced system condition number {self.condition_number:.3e} exceeds {CONDITION_WARNING_THRESHOLD:.0e}")
+        residual = self.restriction_residual
+        if residual > RESTRICTION_TOLERANCE * (1.0 + np.abs(self.gamma).max()):
+            found.append(f"restriction residual {residual:.3e} exceeds tolerance")
+        return tuple(found)
+
+    @property
+    def whitener(self) -> np.ndarray:
+        return np.linalg.inv(np.linalg.cholesky(self.reduced_matrix)).T
 
     @property
     def layout(self) -> CoefficientLayout:
@@ -420,15 +440,28 @@ class RwlsFit:
         """G_z = N_z Omega_z^-1 Z_z for each implemented sequence."""
         plan = self._plan
         weighted = plan.counts[:, None, None] * plan.inverses
-        return dict(zip(self.design.observed, weighted @ plan.class_basis[plan.entry_classes]))
+        # row t of Z_z = E_z Q_h is Q_h' times the indicator of its class
+        rows = _by_basis(*plan.hit_rows, np.eye(len(plan.hit_rows[0]))[plan.local], transpose=True)
+        return dict(zip(self.design.observed, weighted @ rows))
 
     def coefficient(self, period: int, z: TreatmentSequence | str) -> float:
         return float(self.gamma[self.layout.column(period, z)])
 
 
-def _class_values(q: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Q beta, the (..., q) coefficient of each class."""
-    return (q @ beta[..., None])[..., 0]
+def _by_basis(scale: np.ndarray, null: np.ndarray | None, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Q x for (..., d) x, or Q' x for (..., q) x, with Q = diag(scale) null
+    and a null of None the identity: one matrix-vector product per item."""
+    if null is None:
+        return scale * x
+    if transpose:
+        return (null.T @ (scale * x)[..., None])[..., 0]
+    return scale * (null @ x[..., None])[..., 0]
+
+
+def _congruence(scale: np.ndarray, null: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """Q' X Q for (..., q, q) X, with Q = diag(scale) null as in ``_by_basis``."""
+    scaled = scale[:, None] * x * scale
+    return scaled if null is None else null.T @ scaled @ null
 
 
 class _FitPlan:
@@ -439,8 +472,10 @@ class _FitPlan:
     NotIdentifiableError, a malformed spec, then an unknown weight choice,
     a sequence or pooled entry with no degrees of freedom, or a user
     weight model that lacks an implemented sequence or is misshapen.
-    ``hit_rows`` is Q_h, ``local`` the (k, T) index of each (sequence,
-    period) entry into the classes hit and ``entry_classes`` its class.
+    ``class_rows`` is Q as the pair (S, N), N None for the identity, and
+    ``hit_rows`` Q_h as the pair of their rows for the classes hit;
+    ``local`` is the (k, T) index of each (sequence, period) entry into the
+    classes hit and ``entry_classes`` its class.
     ``inverses`` is the (k, T, T) Omega_z^-1 of a WeightModel ``weights``,
     gathered from its stack; for "sample" and "pooled" it is None and
     ``covariances`` builds the unrepaired stack from the cross-products.
@@ -460,9 +495,10 @@ class _FitPlan:
             raise NotIdentifiableError(check.rank, check.dimension)
         observed = design.observed
         self.counts = np.array(list(design.counts.values()))
-        self.class_basis = restriction.class_basis
+        scale, null = self.class_rows = restriction.class_scale, restriction.null_basis
         hit, self.local, _ = restriction.implemented(observed)
-        self.hit_rows, self.entry_classes = self.class_basis[hit], hit[self.local]
+        self.hit_rows = scale[hit], None if null is None else null[hit]
+        self.entry_classes = hit[self.local]
         self.rows = None if spec is None else _estimand_rows(restriction, spec)
         self.covariances, self.inverses = None, None
         shape = (design.horizon, design.horizon)
@@ -485,30 +521,30 @@ class _FitPlan:
     def _reduce(self, blocks: np.ndarray) -> np.ndarray:
         """Q_h' (sum_z E_z' X_z E_z) Q_h: (..., k, T, T) blocks summed into
         (..., h, h) by the class index of each (sequence, period) entry."""
-        q, size = self.hit_rows, len(self.hit_rows)
+        size = len(self.hit_rows[0])
         keys = self.local[:, :, None] * size + self.local[:, None, :]
-        return q.T @ _scatter(keys, blocks, size * size).reshape(blocks.shape[:-3] + (size, size)) @ q
+        return _congruence(*self.hit_rows, _scatter(keys, blocks, size * size).reshape(blocks.shape[:-3] + (size, size)))
 
     def solve(self, means: np.ndarray, inverses: np.ndarray):
-        """The ascending eigenvalues of M, its whitener H (M^-1 = H H') and
-        beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z from (..., k, T) means and
-        (..., k, T, T) inverses, M decomposed once by ``eigh``.  Raises
-        ConditioningError when an M is not positive definite."""
-        q = self.hit_rows
+        """M and beta = M^-1 Q_h' sum_z E_z' W_z Ybar_z from (..., k, T)
+        means and (..., k, T, T) inverses: a Cholesky factorization checks
+        that M is positive definite, raising ConditioningError when an M is
+        not, and one LU solve against M gives beta."""
         weighted = self.counts[:, None, None] * inverses
-        rhs = q.T @ _scatter(self.local, (weighted @ means[..., None])[..., 0], len(q))[..., None]
-        eigenvalues, vectors = np.linalg.eigh(self._reduce(weighted))
-        if not np.all(eigenvalues[..., 0] > 0.0):
-            raise ConditioningError("reduced normal matrix is not positive definite")
-        whitener = vectors / np.sqrt(eigenvalues)[..., None, :]
-        return eigenvalues, whitener, (whitener @ (whitener.swapaxes(-1, -2) @ rhs))[..., 0]
+        sums = _scatter(self.local, (weighted @ means[..., None])[..., 0], len(self.hit_rows[0]))
+        reduced = self._reduce(weighted)
+        try:
+            np.linalg.cholesky(reduced)
+        except np.linalg.LinAlgError:
+            raise ConditioningError("reduced normal matrix is not positive definite") from None
+        return reduced, np.linalg.solve(reduced, _by_basis(*self.hit_rows, sums, transpose=True)[..., None])[..., 0]
 
     def meat(self, moments: Moments, inverses: np.ndarray, beta: np.ndarray) -> np.ndarray:
         """Q_h' (sum_z E_z' Omega_z^-1 R_z'R_z Omega_z^-1 E_z) Q_h with
         R_z'R_z = cross_z + N_z delta_z delta_z', delta_z the (..., k, T)
         means less the fitted coefficients Q beta."""
         _, means, cross = moments
-        delta = means - _class_values(self.class_basis, beta)[..., self.entry_classes]
+        delta = means - _by_basis(*self.class_rows, beta)[..., self.entry_classes]
         spread = cross + self.counts[:, None, None] * delta[..., :, None] * delta[..., None, :]
         return self._reduce(inverses @ spread @ inverses)
 
@@ -540,18 +576,10 @@ def solve_restricted_wls(
 
 
 def _solved(plan, design, restriction, weights, means) -> RwlsFit:
-    """The plan solved on the (k, T) means, with its warnings; the fit keeps the plan."""
-    eigenvalues, whitener, beta = plan.solve(means, plan.inverses)
-    gamma = _class_values(plan.class_basis, beta)[restriction.class_ids]
-    condition = float(eigenvalues[-1] / eigenvalues[0])
-    warnings = []
-    if condition > CONDITION_WARNING_THRESHOLD:
-        warnings.append(f"reduced system condition number {condition:.3e} exceeds {CONDITION_WARNING_THRESHOLD:.0e}")
-    residual = restriction.residual(gamma)
-    if residual > RESTRICTION_TOLERANCE * (1.0 + np.abs(gamma).max()):
-        warnings.append(f"restriction residual {residual:.3e} exceeds tolerance")
-    by_sequence = dict(zip(design.observed, means))
-    fit = RwlsFit(design, restriction, weights, by_sequence, gamma, beta, whitener, condition, tuple(warnings))
+    """The plan solved on the (k, T) means; the fit keeps the plan."""
+    reduced, beta = plan.solve(means, plan.inverses)
+    gamma = _by_basis(*plan.class_rows, beta)[restriction.class_ids]
+    fit = RwlsFit(design, restriction, weights, dict(zip(design.observed, means)), gamma, beta, reduced)
     fit._plan = plan
     return fit
 
@@ -603,22 +631,21 @@ def _estimand_rows(restriction: RestrictionMatrix, spec: EstimandSpec) -> tuple[
         positions = layout.positions(spec.weights)
     except KeyError as exc:
         raise ValueError(f"spec references {exc.args[0]} outside the fitted scope") from None
-    q = restriction.class_basis
     blocks = np.stack(list(spec.weights.values()))
     ids = restriction.class_ids.reshape(len(layout.scope), -1)[positions]
     # B E: each row of the (n, K, T) blocks summed by class
-    by_class = _scatter(ids, blocks.swapaxes(0, 1), len(q))
-    bz = by_class @ q
+    by_class = _scatter(ids, blocks.swapaxes(0, 1), len(restriction.class_scale))
+    bz = _by_basis(restriction.class_scale, restriction.null_basis, by_class, transpose=True)
     scale = np.maximum(np.abs(blocks).max(axis=(0, 2)), 1.0)
     return bz, np.abs(bz).max(axis=1) <= ZERO_FUNCTIONAL_TOLERANCE * scale
 
 
-def _functional(bz, restricted, beta, whitener) -> tuple[np.ndarray, np.ndarray]:
-    """B gamma-hat = (BZ) beta and (BZ) M^-1 = (BZ) H H' over stacks of
-    fits, snapped rows zeroed."""
+def _functional(bz, restricted, beta, reduced) -> tuple[np.ndarray, np.ndarray]:
+    """B gamma-hat = (BZ) beta and (BZ) M^-1, one LU solve against M, over
+    stacks of fits, snapped rows zeroed."""
     point = (bz @ beta[..., None])[..., 0]
     point[..., restricted] = 0.0
-    bm = bz @ whitener @ whitener.swapaxes(-1, -2)
+    bm = np.linalg.solve(reduced, bz.T).swapaxes(-1, -2)
     bm[..., restricted, :] = 0.0
     return point, bm
 
@@ -627,7 +654,7 @@ def _reduced_functional(fit: RwlsFit, spec: EstimandSpec) -> tuple[np.ndarray, n
     """The point estimate B gamma-hat and (BZ) M^-1.  Rows of B in the
     restriction row space (BZ = 0) are exact zeroes of the restricted
     model: their estimates and variances are snapped to exact zero."""
-    return _functional(*_estimand_rows(fit.restriction, spec), fit.beta, fit.whitener)
+    return _functional(*_estimand_rows(fit.restriction, spec), fit.beta, fit.reduced_matrix)
 
 
 def point_estimate(fit: RwlsFit, spec: EstimandSpec) -> np.ndarray:
@@ -753,26 +780,26 @@ class StackedFit(_FitPlan):
     it on a (C, N, T) outcome stack, each row listing its units sequence
     by sequence in code order, returns the (C, K) point estimates and
     sandwich variances, each bitwise what the dataset's own
-    ``feasible_rwls`` and ``estimate`` give: ``eigh`` and the matrix
-    products run item by item on the stack as on one fit.  It raises
-    ConditioningError when a reduced matrix is not positive definite.  The
-    condition number, the restriction-residual warning and the Wald test
-    are not computed.
+    ``feasible_rwls`` and ``estimate`` give: the Cholesky check, the LU
+    solves and the matrix products run item by item on the stack as on one
+    fit.  It raises ConditioningError when a reduced matrix is not positive
+    definite.  The condition number, the restriction-residual warning and
+    the Wald test are not computed.
     """
 
     @property
     def classes(self) -> int:
         """h, the number of classes the design hits: each M is h x h."""
-        return len(self.hit_rows)
+        return len(self.hit_rows[0])
 
     def __call__(self, grouped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         moments = grouped_moments(grouped, self.counts)
         inverses = self.inverses
         if inverses is None:
             inverses = _inverses(*repair_positive_definite(self.covariances(moments.cross)))
-        _, whitener, beta = self.solve(moments.means, inverses)
+        reduced, beta = self.solve(moments.means, inverses)
         meat = self.meat(moments, inverses, beta)
-        point, bm = _functional(*self.rows, beta, whitener)
+        point, bm = _functional(*self.rows, beta, reduced)
         covariance = bm @ meat @ bm.swapaxes(-1, -2)
         # estimate symmetrizes the covariance, which leaves its diagonal as is
         return point, np.diagonal(covariance, axis1=-2, axis2=-1)

@@ -12,8 +12,10 @@ import pytest
 import crossover
 from crossover import (
     CrossoverDesign,
+    WeightModel,
     assemble,
     design_to_text,
+    feasible_rwls,
     full_sequence_set,
     random_consistent_table,
     realize_dataset,
@@ -405,14 +407,41 @@ class TestFitCommand:
     def test_fit_checks_identification_once(self, tmp_path, monkeypatch):
         from crossover import constraints
 
-        ranks = []
-        rank = constraints.numerical_rank
-        monkeypatch.setattr(constraints, "numerical_rank", lambda m: ranks.append(m) or rank(m))
+        # under scenario b the rank is read from the classes hit, with no SVD
+        svds, records = [], []
+        svd, record = np.linalg.svd, constraints.ImplementedSet
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: svds.append(m.shape) or svd(m, *a, **k))
+        monkeypatch.setattr(constraints, "ImplementedSet", lambda *fields: records.append(fields) or record(*fields))
         data_file = tmp_path / "data.csv"
         data_file.write_text(dataset_csv(simulated_dataset(seed=5)))
         argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1"]
         assert main(argv + ["--out", str(tmp_path / "report.json")]) == EXIT_OK
-        assert len(ranks) == 1
+        assert svds == [] and len(records) == 1
+
+    def test_a_condition_number_over_the_threshold_warns_in_the_fit_and_the_report(self, tmp_path):
+        # one weight block at 1e-14 scale puts cond(M) far above 1e12
+        dataset = simulated_dataset(seed=7)
+        block = np.array([[1.0, 0.3], [0.3, 2.0]])
+        matrices = {str(z): block * (1e-14 if str(z) == "AB" else 1.0) for z in dataset.design.observed}
+        fit = feasible_rwls(dataset, "b", 1, WeightModel(matrices))
+        assert fit.condition_number > 1e12
+        warning = f"reduced system condition number {fit.condition_number:.3e} exceeds 1e+12"
+        assert fit.warnings == (warning,)
+        data_file, weights_file, out_file = tmp_path / "data.csv", tmp_path / "w.json", tmp_path / "report.json"
+        data_file.write_text(dataset_csv(dataset))
+        weights_file.write_text(json.dumps({z: m.tolist() for z, m in matrices.items()}))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1", "--weights", f"file:{weights_file}"]
+        assert main(argv + ["--out", str(out_file)]) == EXIT_OK
+        assert json.loads(out_file.read_text())["warnings"] == [warning]
+
+    def test_pooled_entry_without_degrees_of_freedom_names_its_sequences(self, tmp_path, capsys):
+        design = CrossoverDesign(2, {"AB": 1, "BA": 4})
+        dataset = realize_dataset(random_consistent_table(2, "b", 1, 5, seed=2), sample_assignment(design, 2))
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(dataset))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1", "--weights", "pooled"]
+        assert main(argv) == EXIT_PARSE
+        assert capsys.readouterr().err == "error: entry (1,1) pooled over ['AB'] has no degrees of freedom\n"
 
     def test_fit_is_deterministic(self, tmp_path):
         dataset = simulated_dataset(seed=4)

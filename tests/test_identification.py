@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -253,16 +255,52 @@ class TestRankAtClassWidth:
     def test_rank_check_reads_the_rows_of_q_for_the_classes_hit(self, monkeypatch, scenario, order):
         from crossover import constraints
 
-        shapes = []
-        rank = constraints.numerical_rank
-        monkeypatch.setattr(constraints, "numerical_rank", lambda m: shapes.append(m.shape) or rank(m))
         scope = full_sequence_set(5)
         design = CrossoverDesign(5, {z: 2 for z in scope[::3]}, scope=scope)
         restriction = assemble(scenario, 5, scope, order)
+        shapes, records = [], []
+        svd, record = np.linalg.svd, constraints.ImplementedSet
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: shapes.append(m.shape) or svd(m, *a, **k))
+        monkeypatch.setattr(constraints, "ImplementedSet", lambda *fields: records.append(fields) or record(*fields))
         check = is_identifiable(design, restriction)
         hit = np.unique(restriction.class_ids.reshape(len(scope), 5)[::3])
-        assert shapes == [(len(hit), restriction.dimension)]
+        # under a and b N is the identity: the rank is the number of classes hit
+        assert shapes == ([] if scenario in "ab" else [(len(hit), restriction.dimension)])
+        assert len(records) == 1
         basis = dense_basis(restriction)
         dense = np.vstack([basis[restriction.layout.block(z)] for z in design.observed])
         expected = restriction.layout.size - restriction.dimension + np.linalg.matrix_rank(dense)
         assert check.rank == expected
+
+    @staticmethod
+    def _identity_null_restrictions(horizon):
+        scope = full_sequence_set(horizon)
+        models = [("a", None)] + [("b", k) for k in range(1, horizon + 1)]
+        return [assemble(s, horizon, scope, k) for s, k in models] + [empty_restriction(horizon, scope)]
+
+    @staticmethod
+    def _dense_rank(restriction, observed):
+        basis = dense_basis(restriction)
+        dense = np.vstack([basis[restriction.layout.block(z)] for z in observed])
+        return restriction.layout.size - restriction.dimension + np.linalg.matrix_rank(dense)
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
+    def test_rank_by_construction_is_the_dense_rank_on_every_set(self, horizon):
+        # N = I under a, b and zero rows: rank(Q_hit) is the number of classes hit
+        scope = full_sequence_set(horizon)
+        sets = [c for size in range(1, len(scope) + 1) for c in itertools.combinations(scope, size)]
+        for restriction in self._identity_null_restrictions(horizon):
+            assert restriction.null_basis is None
+            for observed in sets:
+                assert restriction.implemented(observed).rank == self._dense_rank(restriction, observed), observed
+
+    @pytest.mark.parametrize("horizon", [4, 5])
+    def test_rank_by_construction_is_the_dense_rank_on_random_sets(self, horizon):
+        scope = full_sequence_set(horizon)
+        rng = np.random.default_rng(horizon)
+        restrictions = self._identity_null_restrictions(horizon)
+        for _ in range(100):
+            chosen = np.flatnonzero(rng.random(len(scope)) < rng.uniform(0.05, 0.6))
+            observed = tuple(scope[i] for i in chosen) or scope[:1]
+            for restriction in restrictions:
+                assert restriction.implemented(observed).rank == self._dense_rank(restriction, observed), observed

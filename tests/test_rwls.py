@@ -446,7 +446,7 @@ def _pooled_by_definition(dataset, scenario, order):
                 ]
                 dof = sum(groups[w].size for w in members) - len(members)
                 if dof < 1:
-                    return f"entry ({t1 + 1},{t2 + 1}) pooled over {members} has no degrees of freedom"
+                    return f"entry ({t1 + 1},{t2 + 1}) pooled over {[str(w) for w in members]} has no degrees of freedom"
                 total = sum(float(centered[w][:, t1] @ centered[w][:, t2]) for w in members)
                 pooled[z][t1, t2] = pooled[z][t2, t1] = total / dof
     return pooled
@@ -1077,9 +1077,29 @@ class TestSymmetricRepairedInverses:
         assert np.array_equal(variances[0], np.diag(result.covariance))
 
 
+def _cholesky_reference(fit, dataset, spec):
+    """gamma and the EHW standard errors of a fit from the dense basis,
+    solved with scipy's Cholesky factor of M."""
+    basis, layout = dense_basis(fit.restriction), fit.layout
+    reduced, rhs = _dense_reduced_system(fit)
+    factor = scipy.linalg.cho_factor(reduced)
+    gamma = basis @ scipy.linalg.cho_solve(factor, rhs)
+    meat = np.zeros_like(reduced)
+    for z, idx in dataset.group_indices().items():
+        block, inverse = basis[layout.block(z)], fit.weight_model.inverses[z]
+        half = (dataset.outcomes[idx] - gamma[layout.block(z)]) @ inverse @ block
+        meat += half.T @ half
+    functional = np.zeros((spec.dimension, layout.size))
+    for z, w in spec.weights.items():
+        functional[:, layout.block(z)] = w
+    bm = scipy.linalg.cho_solve(factor, (functional @ basis).T).T
+    return gamma, np.sqrt(np.diag(bm @ meat @ bm.T))
+
+
 class TestOneDecomposition:
-    """One ``eigh`` of M gives the positive-definiteness check, cond(M) and
-    the whitener H with M^-1 = H H' that every M^-1 product uses."""
+    """One Cholesky factorization checks that M is positive definite and LU
+    solves against M give beta and (BZ) M^-1; cond(M) and the whitener H
+    with M^-1 = H H' are computed only when read."""
 
     @pytest.mark.parametrize(
         "horizon,scenario,order,weights",
@@ -1093,6 +1113,33 @@ class TestOneDecomposition:
         reduced = _dense_reduced_system(fit)[0]
         identity = fit.whitener @ fit.whitener.T @ reduced
         assert np.abs(identity - np.eye(len(reduced))).max() <= 1e-12 * fit.condition_number
+
+    # the pooled k=2 case is left out: its repaired blocks put cond(M) near
+    # 3e7, where rounding moves the smallest eigenvalue by about cond * eps
+    @pytest.mark.parametrize(
+        "horizon,scenario,order", [(6, "a", None), (6, "b", 1), (6, "c", 1), (7, "b", 1)]
+    )
+    def test_condition_number_is_the_eigenvalue_ratio_of_the_dense_reduced_matrix(self, horizon, scenario, order):
+        design = CrossoverDesign(horizon, {z: 3 for z in full_sequence_set(horizon)})
+        table = random_consistent_table(horizon, scenario, order or 1, design.n_units, seed=horizon)
+        fit = feasible_rwls(realize_dataset(table, sample_assignment(design, 5)), scenario, order)
+        eigenvalues = np.linalg.eigvalsh(_dense_reduced_system(fit)[0])
+        assert fit.condition_number == pytest.approx(eigenvalues[-1] / eigenvalues[0], rel=1e-12)
+
+    def test_long_horizon_fit_takes_no_rank_svd_and_matches_a_cholesky_reference(self, monkeypatch):
+        from crossover import constraints
+
+        ranks = []
+        rank = constraints.numerical_rank
+        monkeypatch.setattr(constraints, "numerical_rank", lambda m: ranks.append(m.shape) or rank(m))
+        dataset = _implemented_scope_dataset(200, 30, seed=3, scenario="b", order=2)
+        fit = feasible_rwls(dataset, "b", 2)
+        spec = instantaneous_effect(1, "", dataset.design.scope)
+        result = estimate(fit, spec)
+        assert ranks == []
+        gamma, std_errors = _cholesky_reference(fit, dataset, spec)
+        assert np.abs(fit.gamma - gamma).max() <= 1e-12 * np.abs(gamma).max()
+        assert np.abs(result.std_errors - std_errors).max() <= 1e-12 * std_errors.max()
 
     def test_long_horizon_fit_and_estimate_match_a_cholesky_reference(self):
         dataset = _implemented_scope_dataset(100, 30, seed=1, scenario="b", order=2)

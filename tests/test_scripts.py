@@ -57,3 +57,12 @@ def test_bias_distributions_write_one_csv_per_design(tmp_path):
         for row in rows:
             if row["scenario"] != "a" and row["estimand"] in RESTRICTED:
                 assert float(row["bias"]) == 0.0
+
+
+def test_long_horizon_prints_each_step_and_the_peak_rss():
+    out = run_script("long_horizon.py", "--horizon", "20", "--scenario", "b", "--k", "2")
+    lines = out.splitlines()
+    assert "identifiable (rank 160 of 160)" in lines[0]
+    for step in ("identify", "fit", "estimate", "total"):
+        assert float(next(line for line in lines if line.startswith(step)).split()[1]) >= 0.0
+    assert float(next(line for line in lines if line.startswith("peak RSS")).split()[2]) > 0.0

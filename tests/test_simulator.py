@@ -161,13 +161,15 @@ class TestRunMonteCarlo:
     def test_identification_is_checked_once_per_study(self, monkeypatch):
         from crossover import constraints
 
-        ranks = []
-        rank = constraints.numerical_rank
-        monkeypatch.setattr(constraints, "numerical_rank", lambda m: ranks.append(m) or rank(m))
+        # under scenario b the rank is read from the classes hit, with no SVD
+        svds, records = [], []
+        svd, record = np.linalg.svd, constraints.ImplementedSet
+        monkeypatch.setattr(np.linalg, "svd", lambda m, *a, **k: svds.append(m.shape) or svd(m, *a, **k))
+        monkeypatch.setattr(constraints, "ImplementedSet", lambda *fields: records.append(fields) or record(*fields))
         design = CrossoverDesign(2, {"AA": 5, "AB": 5, "BA": 5, "BB": 5})
         generator = ScenarioGenerator(scenario="b", seed=4)
         run_monte_carlo(generator, design, standard_two_period_specs(SCOPE2), replications=8, seed=9)
-        assert len(ranks) == 1
+        assert svds == [] and len(records) == 1
 
     def test_accepts_prebuilt_table(self):
         design = CrossoverDesign(2, {"AB": 6, "BA": 6})
