@@ -140,7 +140,7 @@ class ClassMap:
         the restriction keeps the class ids, D^-1/2 and null(K D^-1/2).
         One read-only instance per (map, layout) is shared while it can hold
         at most SHARED_RESTRICTION_BYTES; a larger one is built on each call."""
-        # Q's q^2 doubles (q at most the keys each period admits), O(p) others
+        # a dense q x q Q on purpose (q at most the keys a period admits), O(p) others
         widths = (t if self.scenario == "a" else min(t, self.order) for t in range(1, self.horizon + 1))
         q = sum(min(len(layout.scope), 2**w) for w in widths)
         held = 8 * (q * q + (3 + IMPLEMENTED_SETS_KEPT) * layout.size)

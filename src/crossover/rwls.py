@@ -380,9 +380,10 @@ class RwlsFit:
     ``gamma`` is the coefficient vector over the layout and ``beta`` its
     reduced coordinates, gamma = Z beta; ``reduced_matrix`` is M.  Computed
     on read: ``condition_number``, cond(M) = lambda_max / lambda_min from
-    ``eigvalsh`` and cached; ``warnings``, for a condition number above
-    1e12 or a restriction residual above tolerance; and ``whitener``,
-    H = L^-T for the Cholesky factor L of M, so M^-1 = H H'.
+    ``eigvalsh`` and cached, inf where its rounding leaves lambda_min <= 0;
+    ``warnings``, for a condition number above 1e12 or a restriction
+    residual above tolerance; and ``whitener``, H = L^-T for the Cholesky
+    factor L of M, so M^-1 = H H'.
     ``reduced_meat`` (set once residual moments are available) is the d x d
     meat, so Cov(B gamma-hat) = (BZ) M^-1 meat M^-1 (BZ)'; no p x p matrix
     is kept or formed.  The T x d blocks ``weighted_basis``
@@ -402,8 +403,8 @@ class RwlsFit:
 
     @cached_property
     def condition_number(self) -> float:
-        eigenvalues = np.linalg.eigvalsh(self.reduced_matrix)
-        return float(eigenvalues[-1] / eigenvalues[0])
+        low, high = np.linalg.eigvalsh(self.reduced_matrix)[[0, -1]]
+        return float(high / low) if low > 0.0 else math.inf
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -642,10 +643,12 @@ def _estimand_rows(restriction: RestrictionMatrix, spec: EstimandSpec) -> tuple[
 
 def _functional(bz, restricted, beta, reduced) -> tuple[np.ndarray, np.ndarray]:
     """B gamma-hat = (BZ) beta and (BZ) M^-1, one LU solve against M, over
-    stacks of fits, snapped rows zeroed."""
+    stacks of fits, snapped rows zeroed; b takes M's stack shape, as NumPy 1
+    reads an (h, K) b against a (C, h, h) M as a stack of vectors."""
     point = (bz @ beta[..., None])[..., 0]
     point[..., restricted] = 0.0
-    bm = np.linalg.solve(reduced, bz.T).swapaxes(-1, -2)
+    rhs = np.broadcast_to(bz.T, reduced.shape[:-1] + bz.T.shape[-1:])
+    bm = np.linalg.solve(reduced, rhs).swapaxes(-1, -2)
     bm[..., restricted, :] = 0.0
     return point, bm
 

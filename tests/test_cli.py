@@ -418,13 +418,17 @@ class TestFitCommand:
         assert main(argv + ["--out", str(tmp_path / "report.json")]) == EXIT_OK
         assert svds == [] and len(records) == 1
 
-    def test_a_condition_number_over_the_threshold_warns_in_the_fit_and_the_report(self, tmp_path):
-        # one weight block at 1e-14 scale puts cond(M) far above 1e12
+    # one weight block at 1e-14 scale puts cond(M) far above 1e12; at 1e-20
+    # Cholesky still accepts M, while eigvalsh's absolute error (about
+    # eps lambda_max) swamps lambda_min and can leave it <= 0
+    @pytest.mark.parametrize("scale", [1e-14, 1e-20])
+    def test_a_condition_number_over_the_threshold_warns_in_the_fit_and_the_report(self, tmp_path, scale):
         dataset = simulated_dataset(seed=7)
         block = np.array([[1.0, 0.3], [0.3, 2.0]])
-        matrices = {str(z): block * (1e-14 if str(z) == "AB" else 1.0) for z in dataset.design.observed}
+        matrices = {str(z): block * (scale if str(z) == "AB" else 1.0) for z in dataset.design.observed}
         fit = feasible_rwls(dataset, "b", 1, WeightModel(matrices))
-        assert fit.condition_number > 1e12
+        low, high = np.linalg.eigvalsh(fit.reduced_matrix)[[0, -1]]
+        assert fit.condition_number == (high / low if low > 0.0 else np.inf) and fit.condition_number > 1e12
         warning = f"reduced system condition number {fit.condition_number:.3e} exceeds 1e+12"
         assert fit.warnings == (warning,)
         data_file, weights_file, out_file = tmp_path / "data.csv", tmp_path / "w.json", tmp_path / "report.json"
