@@ -32,21 +32,15 @@ import re
 import sys
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from . import twoperiod
+# argument parsing and identify need these modules only; the rwls,
+# estimands, twoperiod and simulator layers are imported by the functions
+# that call them, at call time, so a command loads only what it runs
 from .constraints import ClassMap, assemble
 from .errors import ConditioningError, NotIdentifiableError
-from .estimands import (
-    EstimandSpec,
-    PotentialOutcomeTable,
-    carryover_effect,
-    instantaneous_effect,
-    marginal_effect,
-    stack,
-)
 from .identification import (
     MeanTarget,
     is_identifiable,
@@ -54,26 +48,16 @@ from .identification import (
     mean_witness_no_anticipation,
     time_invariant_closure,
 )
-from .rwls import (
-    ObservedDataset,
-    WeightModel,
-    critical_value,
-    estimate,
-    feasible_rwls,
-)
 from .sequences import (
     CrossoverDesign,
     _check_lengths,
     as_sequence,
     design_from_text,
 )
-from .simulator import (
-    ScenarioGenerator,
-    emit_bias_distribution,
-    exact_randomization_audit,
-    run_monte_carlo,
-    standard_two_period_specs,
-)
+
+if TYPE_CHECKING:  # for type checkers: these names appear in annotations only
+    from .estimands import EstimandSpec, PotentialOutcomeTable
+    from .rwls import ObservedDataset, WeightModel
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -212,6 +196,8 @@ def parse_dataset(text: str | Iterable[str], design: CrossoverDesign | None = No
     horizon from the header.  Malformed rows raise ValueError naming the
     1-based row number (header is row 1).
     """
+    from .rwls import ObservedDataset
+
     _, sequences, label_codes, outcomes = _read_columns(text, design)
     tally = dict(zip(sequences, np.bincount(label_codes).tolist()))
     if design is None:
@@ -230,6 +216,8 @@ def parse_table(text: str | Iterable[str], design: CrossoverDesign) -> Potential
     """Parse a potential-outcome table CSV, given as its text or an iterable
     of its lines, covering the design scope: one row per (unit, sequence)
     pair, units ordered by (length, label)."""
+    from .estimands import PotentialOutcomeTable
+
     units, sequences, label_codes, outcomes = _read_columns(text, design, table=True)
     index = {u: i for i, u in enumerate(sorted(set(units), key=lambda u: (len(u), u)))}
     unit_codes = np.array([index[u] for u in units], dtype=np.intp)
@@ -249,6 +237,8 @@ _MARGINAL = re.compile(r"^marginal\s+of\s*\[(?P<body>.+)\]\s*(?:weights=(?P<weig
 
 
 def _parse_simple_request(text: str, scope) -> EstimandSpec:
+    from .estimands import carryover_effect, instantaneous_effect
+
     fields = text.split()
     if not fields:
         raise ValueError("empty estimand request")
@@ -281,6 +271,8 @@ def _parse_simple_request(text: str, scope) -> EstimandSpec:
 
 def parse_estimand_request(text: str, scope) -> EstimandSpec:
     """Parse one ``--estimand`` request into a spec."""
+    from .estimands import marginal_effect
+
     text = text.strip()
     match = _MARGINAL.match(text)
     if match:
@@ -296,6 +288,8 @@ def parse_estimand_request(text: str, scope) -> EstimandSpec:
 def _requested_specs(requests: list[str], design: CrossoverDesign) -> list[EstimandSpec]:
     """The specs of the estimand requests, by default the standard
     two-period contrasts, which need a two-period design."""
+    from .estimands import standard_two_period_specs
+
     if requests:
         return [parse_estimand_request(req, design.scope) for req in requests]
     if design.horizon != 2:
@@ -319,6 +313,8 @@ def _json_object(payload, source: str) -> dict:
 
 
 def _load_weight_model(spec: str, design: CrossoverDesign) -> str | WeightModel:
+    from .rwls import WeightModel
+
     if spec in ("sample", "pooled"):
         return spec
     if spec.startswith("file:"):
@@ -333,16 +329,24 @@ def _load_weight_model(spec: str, design: CrossoverDesign) -> str | WeightModel:
     raise ValueError(f"--weights must be sample, pooled, or file:PATH, got {spec!r}")
 
 
+def _dump_restriction(restriction, path: str) -> None:
+    """C as CSV, a header of column labels then one line per row, written
+    as each row is built, so the dense (m, p) array is never formed."""
+    zeros = ["0.0"] * restriction.layout.size
+    with open(path, "w") as out:
+        out.write(",".join(f"g_{t}_{z}" for t, z in restriction.layout.labels()) + "\n")
+        for columns, values in restriction.row_entries():
+            line = zeros.copy()
+            for column, value in zip(columns, values):
+                line[column] = repr(value)
+            out.write(",".join(line) + "\n")
+
+
 def _cmd_identify(args) -> int:
     design = design_from_text(Path(args.design).read_text())
     restriction = assemble(args.scenario, design.horizon, design.scope, args.k)
     if args.dump_restriction:
-        header = ",".join(f"g_{t}_{z}" for t, z in restriction.layout.labels())
-        rows = [header]
-        rows.extend(
-            ",".join(repr(float(v)) for v in row) for row in restriction.matrix
-        )
-        Path(args.dump_restriction).write_text("\n".join(rows) + "\n")
+        _dump_restriction(restriction, args.dump_restriction)
     check = is_identifiable(design, restriction)
     lines = [f"global rank condition: {check}"]
     lines.append("sequence period verdict how")
@@ -375,6 +379,8 @@ def _estimand_rows(labels, point, se, lower, upper) -> list[dict]:
 
 
 def _closed_form_report(dataset: ObservedDataset, scenario: str, z_crit: float) -> list[dict]:
+    from . import twoperiod
+
     forms = twoperiod.closed_form(twoperiod.TwoPeriodSummary.from_dataset(dataset), scenario)
     point = np.array([p for p, _ in forms.values()])
     se = np.sqrt([v for _, v in forms.values()])
@@ -382,6 +388,9 @@ def _closed_form_report(dataset: ObservedDataset, scenario: str, z_crit: float) 
 
 
 def _cmd_fit(args) -> int:
+    from .estimands import stack
+    from .rwls import critical_value, estimate, feasible_rwls
+
     z_crit = critical_value(args.level)
     design = None
     if args.design:
@@ -435,7 +444,8 @@ def _cmd_fit(args) -> int:
             "provenance": fit.weight_model.provenance,
             "repaired": list(fit.weight_model.repaired),
         },
-        "condition_number": fit.condition_number,
+        # strict JSON has no Infinity: an unresolved condition number is null
+        "condition_number": fit.condition_number if np.isfinite(fit.condition_number) else None,
         "restriction_residual": fit.restriction_residual,
         "warnings": list(fit.warnings),
     })
@@ -483,6 +493,8 @@ def _config_field(block: dict, name: str, kind, source: str, default=_REQUIRED):
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import ScenarioGenerator, emit_bias_distribution, run_monte_carlo
+
     source = args.config
     config = _json_object(json.loads(Path(source).read_text()), source)
     design_cfg = _json_object(config.get("design"), f"{source}: design")
@@ -534,6 +546,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .simulator import exact_randomization_audit
+
     design = design_from_text(Path(args.design).read_text())
     with open(args.table) as lines:
         table = parse_table(lines, design)

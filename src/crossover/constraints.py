@@ -334,6 +334,15 @@ class RestrictionMatrix:
         dense[len(self._pairs) :, self._columns] = self._rows
         return dense
 
+    def row_entries(self):
+        """(columns, values) of each row of C in order, without forming the
+        dense array: each chain row's two columns, then each block row."""
+        for pair in self._pairs.tolist():
+            yield pair, (1.0, -1.0)
+        columns = self._columns.tolist()
+        for row in self._rows:
+            yield columns, row.tolist()
+
     def residual(self, v: np.ndarray) -> float:
         """max |C v|, 0 for a zero-row restriction."""
         chain = v[self._pairs[:, 0]] - v[self._pairs[:, 1]]

@@ -3,7 +3,8 @@
 An estimand is a K-vector of linear functionals of the average potential
 outcome vectors: theta = sum_z W(z) Ybar(z), with one K x T coefficient
 matrix per sequence in scope.  Builders construct the named instantaneous
-and carryover contrasts; stack and marginal combine specs.
+and carryover contrasts, and the five standard two-period ones; stack and
+marginal combine specs.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "marginal_effect",
     "stack",
     "all_instantaneous_effects",
+    "standard_two_period_specs",
     "true_value",
     "individual_effects",
     "individual_effect_covariance",
@@ -219,6 +221,17 @@ def all_instantaneous_effects(
     for _ in range(period - 1):
         histories = [h + letter for h in histories for letter in ("A", "B")]
     return [instantaneous_effect(period, h, scope_t) for h in histories]
+
+
+def standard_two_period_specs(scope) -> list[EstimandSpec]:
+    """The five canonical two-period contrasts."""
+    return [
+        instantaneous_effect(1, "", scope),
+        instantaneous_effect(2, "A", scope),
+        instantaneous_effect(2, "B", scope),
+        carryover_effect(2, 1, "", "A", scope),
+        carryover_effect(2, 1, "", "B", scope),
+    ]
 
 
 @dataclass(frozen=True)

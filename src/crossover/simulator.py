@@ -13,6 +13,8 @@ memory is bounded by one chunk whatever the design and replication count.
 Reports collect per-estimand bias samples, empirical and mean estimated
 variances, and confidence-interval coverage.  An exact audit sums the
 estimates over every assignment of a small design as it enumerates them.
+``standard_two_period_specs``, the usual contrasts of a two-period study,
+is defined in ``estimands`` and re-exported here.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ from .errors import ConditioningError, NotIdentifiableError
 from .estimands import (
     EstimandSpec,
     PotentialOutcomeTable,
-    instantaneous_effect,
-    carryover_effect,
     stack,
+    standard_two_period_specs,  # re-exported, see the module docstring
     true_value,
 )
 from .identification import is_identifiable
@@ -207,17 +208,6 @@ def realize_dataset(table: PotentialOutcomeTable, assignment: Assignment) -> Obs
     index = {z: i for i, z in enumerate(design.observed)}
     codes = np.array([index[z] for z in assignment.sequences])
     return ObservedDataset(design, codes, _outcome_cube(table, design)[codes, np.arange(len(codes))])
-
-
-def standard_two_period_specs(scope) -> list[EstimandSpec]:
-    """The five canonical two-period contrasts."""
-    return [
-        instantaneous_effect(1, "", scope),
-        instantaneous_effect(2, "A", scope),
-        instantaneous_effect(2, "B", scope),
-        carryover_effect(2, 1, "", "A", scope),
-        carryover_effect(2, 1, "", "B", scope),
-    ]
 
 
 def check_table_consistency(

@@ -11,6 +11,10 @@ implemented scope, under the scenario's pooled working weights
 * under b, tau_1 and tau_2, the A-minus-B contrast of period-2 means;
 * under c, tau, the common effect tau_1.
 
+On four sequences the rows are drawn from ``standard_two_period_specs``,
+the estimand constructor in ``estimands``; the closed forms import no part
+of the Monte Carlo harness.
+
 Under a and b the pooled working weights are diagonal, so each class pools
 its sequences in proportion to their counts, as the group-mean contrasts
 do.  Under c the fit is the variance-minimizing unbiased weighting of the
@@ -33,7 +37,7 @@ import numpy as np
 
 from .constraints import ClassMap, assemble
 from .errors import MissingSequenceError
-from .estimands import EstimandSpec, instantaneous_effect, stack
+from .estimands import EstimandSpec, instantaneous_effect, stack, standard_two_period_specs
 from .rwls import (
     ObservedDataset,
     WeightModel,
@@ -45,7 +49,6 @@ from .rwls import (
     solve_restricted_wls,
 )
 from .sequences import CrossoverDesign, TreatmentSequence, _unit_count, as_sequence, sequence_set
-from .simulator import standard_two_period_specs
 
 FOUR_SEQ = ("AA", "AB", "BA", "BB")
 TWO_SEQ = ("AB", "BA")

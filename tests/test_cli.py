@@ -54,6 +54,22 @@ def table_csv(table) -> str:
     return "\n".join(lines) + "\n"
 
 
+def dense_dump(restriction) -> str:
+    """The restriction dump formed from the whole dense C: the oracle of
+    the file written row by row."""
+    header = ",".join(f"g_{t}_{z}" for t, z in restriction.layout.labels())
+    return "\n".join([header, *(",".join(repr(float(v)) for v in row) for row in restriction.matrix)]) + "\n"
+
+
+def strict_json(text: str):
+    """json.loads that rejects the NaN and Infinity constants strict JSON lacks."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def simulated_dataset(seed=0, counts=(5, 5, 5, 5)):
     design = CrossoverDesign(2, dict(zip(("AA", "AB", "BA", "BB"), counts)))
     table = random_consistent_table(2, "b", 1, design.n_units, seed=seed)
@@ -356,6 +372,38 @@ class TestIdentifyCommand:
         # 18 chain rows with one +1 and one -1, then 2 cycle rows over four classes
         assert list(nonzeros) == [2] * 18 + [4, 4]
 
+    @pytest.mark.parametrize("horizon", [2, 3, 4])
+    @pytest.mark.parametrize("model", [("a", None), ("b", 1), ("b", 2), ("c", 1), ("c", 2)])
+    def test_restriction_dump_is_the_dense_matrix_written_row_by_row(self, tmp_path, capsys, horizon, model):
+        scenario, order = model
+        scope = full_sequence_set(horizon)
+        design_file, dump = tmp_path / "design.txt", tmp_path / "restriction.csv"
+        design_file.write_text(design_to_text(CrossoverDesign(horizon, {z: 2 for z in scope})))
+        argv = ["identify", "--design", str(design_file), "--scenario", scenario]
+        argv += ["--k", str(order)] if order else []
+        assert main(argv + ["--dump-restriction", str(dump)]) == EXIT_OK
+        capsys.readouterr()
+        assert dump.read_bytes() == dense_dump(assemble(scenario, horizon, scope, order)).encode()
+
+    def test_restriction_dump_never_holds_the_dense_matrix(self, tmp_path, capsys):
+        # at T=7 under b with k=2 the dense C is 870 x 896, 6.2 MB; the
+        # identify call that dumps it, rows streamed, peaks at about 0.4 MB
+        design_file, dump = tmp_path / "design.txt", tmp_path / "restriction.csv"
+        design_file.write_text("T 7\nAAAABAA 3\nAAABAAB 3\nABABABA 3\nBBBABAB 3\n")
+        argv = ["identify", "--design", str(design_file), "--scenario", "b", "--k", "2"]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--dump-restriction", str(dump)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == EXIT_NOT_IDENTIFIABLE
+        restriction = assemble("b", 7, full_sequence_set(7), 2)
+        assert (restriction.n_rows, restriction.layout.size) == (870, 896)
+        assert dump.read_text() == dense_dump(restriction)
+        assert peak < 1_000_000
+
 
 class TestFitCommand:
     def test_fit_report_structure(self, tmp_path):
@@ -437,6 +485,23 @@ class TestFitCommand:
         argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1", "--weights", f"file:{weights_file}"]
         assert main(argv + ["--out", str(out_file)]) == EXIT_OK
         assert json.loads(out_file.read_text())["warnings"] == [warning]
+
+    def test_an_unresolved_condition_number_is_null_in_strict_json(self, tmp_path):
+        # AB/BA x 5 with the AB weight block at 1e-20 scale: Cholesky accepts
+        # M, eigvalsh leaves lambda_min <= 0 and cond(M) reads infinite
+        design = CrossoverDesign(2, {"AB": 5, "BA": 5})
+        dataset = realize_dataset(random_consistent_table(2, "b", 1, 10, seed=0), sample_assignment(design, 0))
+        block = np.array([[1.0, 0.3], [0.3, 2.0]])
+        matrices = {str(z): block * (1e-20 if str(z) == "AB" else 1.0) for z in design.observed}
+        assert feasible_rwls(dataset, "b", 1, WeightModel(matrices)).condition_number == np.inf
+        data_file, weights_file, out_file = tmp_path / "data.csv", tmp_path / "w.json", tmp_path / "report.json"
+        data_file.write_text(dataset_csv(dataset))
+        weights_file.write_text(json.dumps({z: m.tolist() for z, m in matrices.items()}))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1", "--weights", f"file:{weights_file}"]
+        assert main(argv + ["--out", str(out_file)]) == EXIT_OK
+        report = strict_json(out_file.read_text())
+        assert report["condition_number"] is None
+        assert report["warnings"] == ["reduced system condition number inf exceeds 1e+12"]
 
     def test_pooled_entry_without_degrees_of_freedom_names_its_sequences(self, tmp_path, capsys):
         design = CrossoverDesign(2, {"AB": 1, "BA": 4})
@@ -708,6 +773,44 @@ def test_cli_calls_load_no_scipy(tmp_path, command):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
+# the package modules a command must not load: identify runs nothing of the
+# fit, estimand, Monte Carlo or closed-form layers, and no fit runs the
+# Monte Carlo harness
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        ("identify", ["estimands", "rwls", "simulator", "twoperiod"]),
+        ("fit", ["simulator", "twoperiod"]),
+        ("closed-form", ["simulator"]),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command, absent):
+    data_file = tmp_path / "data.csv"
+    data_file.write_text(dataset_csv(simulated_dataset(seed=6)))
+    design_file = tmp_path / "design.txt"
+    design_file.write_text("T 2\nAB 4\nBA 4\n")
+    fit = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1", "--out", str(tmp_path / "fit.json")]
+    argv = {
+        "identify": ["identify", "--design", str(design_file), "--scenario", "b", "--k", "1"],
+        "fit": fit,
+        "closed-form": fit + ["--engine", "closed-form"],
+    }[command]
+    code = (
+        "import sys\n"
+        "from crossover.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(code, sorted(m for m in sys.modules if m.startswith('crossover.')))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(crossover.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    status, loaded = proc.stdout.strip().splitlines()[-1].split(" ", 1)
+    assert status == "0"
+    assert "'crossover.cli'" in loaded and not [name for name in absent if f"'crossover.{name}'" in loaded], loaded
 
 
 class TestSimulateCommand:
