@@ -12,7 +12,8 @@ classes; only rows supplied from outside the package are row-reduced and
 their null space computed numerically.  C is kept compact: the dense
 (m, p) array is built only when ``RestrictionMatrix.matrix`` is read.
 A restriction depends on the model alone: ``assemble`` shares one
-read-only instance per model, holding one record per implemented set.
+read-only instance per model, holding one record per implemented set, and
+finds it from the scope as given, checking the scope only when it builds.
 """
 
 from __future__ import annotations
@@ -138,15 +139,31 @@ class ClassMap:
         column.  With E the class indicators and D the class sizes,
         Z = E D^-1/2 null(K D^-1/2), null(.) being the identity under a, b;
         the restriction keeps the class ids, D^-1/2 and null(K D^-1/2).
-        One read-only instance per (map, layout) is shared while it can hold
-        at most SHARED_RESTRICTION_BYTES; a larger one is built on each call."""
-        # a dense q x q Q on purpose (q at most the keys a period admits), O(p) others
-        widths = (t if self.scenario == "a" else min(t, self.order) for t in range(1, self.horizon + 1))
-        q = sum(min(len(layout.scope), 2**w) for w in widths)
-        held = 8 * (q * q + (3 + IMPLEMENTED_SETS_KEPT) * layout.size)
-        return (self._shared if held <= SHARED_RESTRICTION_BYTES else self._build)(layout)
+        One read-only instance per (map, scope) is shared while what it
+        holds comes to at most SHARED_RESTRICTION_BYTES; a larger one is
+        built on each call."""
+        return self._over(layout.scope)
 
-    def _build(self, layout: CoefficientLayout) -> RestrictionMatrix:
+    def _over(self, scope: tuple) -> RestrictionMatrix:
+        """The restriction over a scope tuple as given, the shared one when
+        small enough.  What it holds is counted from q, at most the keys the
+        periods admit, with no pass over the periods: class ids, chain
+        pairs, first columns and scales, 3p numbers; under scenario c the
+        cycle rows and the null basis, q x q together; and the kept
+        records, each at most q + p ids."""
+        # period t admits min(n, 2^w) keys, w = min(t, top) growing to the
+        # widest window top and min(n, 2^w) = n from w = n.bit_length() on
+        n, top = len(scope), self.horizon if self.scenario == "a" else self.order
+        q = sum(min(n, 2**w) for w in range(1, min(top, n.bit_length()) + 1))
+        q += max(0, top - n.bit_length()) * n + (self.horizon - top) * min(n, 2**top)
+        p = self.horizon * n
+        held = 8 * (3 * p + IMPLEMENTED_SETS_KEPT * (p + q) + (q * q if self.scenario == "c" else 0))
+        return (self._shared if held <= SHARED_RESTRICTION_BYTES else self._build)(scope)
+
+    def _build(self, scope: tuple) -> RestrictionMatrix:
+        layout = CoefficientLayout(self.horizon, scope)
+        if layout.scope != scope:  # an unsorted or repeated scope: the checked one's restriction
+            return self._over(layout.scope)
         classes, ids = self.ids(layout.scope)
         of_column = ids.ravel()
         sizes = np.bincount(of_column).astype(float)
@@ -360,9 +377,10 @@ def assemble(
     Scenario a equates coefficients sharing a prefix; b those sharing a
     trailing window; c adds time-invariant window effects.  Scenarios b
     and c require the carryover order.  An empty row set is legal and
-    yields a zero-row restriction (unrestricted regression).
+    yields a zero-row restriction (unrestricted regression).  A repeat
+    call with the same scope returns the shared restriction unchecked.
     """
-    return ClassMap(horizon, scenario, carryover_order).restriction(CoefficientLayout(horizon, tuple(scope)))
+    return ClassMap(horizon, scenario, carryover_order)._over(tuple(scope))
 
 
 def restriction_from_rows(

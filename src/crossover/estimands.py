@@ -10,6 +10,7 @@ marginal combine specs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,7 +38,10 @@ class EstimandSpec:
     """Coefficient matrices W(z) defining theta = sum_z W(z) Ybar(z).
 
     Only nonzero W(z) need to be stored; ``weight`` returns zeros for the
-    rest of the scope.  All stored matrices share the K x T shape.
+    rest of the scope.  All stored matrices share the K x T shape: they are
+    copied once into ``blocks``, a read-only (n, K, T) stack in sequence
+    order, and ``weights`` maps each stored sequence to its read-only view
+    into it.
     """
 
     horizon: int
@@ -65,9 +69,15 @@ class EstimandSpec:
             weights[z] = w
         if not any(np.any(w) for w in weights.values()):
             raise ValueError("all coefficient matrices are zero")
+        blocks = np.stack(list(weights.values()))
+        blocks.flags.writeable = False
         object.__setattr__(self, "scope", scope)
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", MappingProxyType(dict(zip(weights, blocks))))
         object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "blocks", blocks)
+
+    def __reduce__(self):
+        return type(self), (self.horizon, self.scope, dict(self.weights), self.labels)
 
     @property
     def dimension(self) -> int:

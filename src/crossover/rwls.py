@@ -33,23 +33,28 @@ or sample covariances or entries pooled by ClassMap class ids, built from
 the dataset's moments (per-sequence counts, means and R_z'R_z), repaired
 and inverted once and not checked again.
 
-One fit plan, built once per design, restriction and weight choice, holds
-what every fit of them shares: the identification verdict, the class index
-of the implemented sequences (the counts, Q_h and each entry's class) and
-the weight rule, a model's inverses gathered from its stack or the rule
+One fit plan per design, restriction and weight choice holds what every
+fit of them shares: the identification verdict, the class index of the
+implemented sequences (the counts, Q_h and each entry's class) and the
+weight rule, a model's inverses gathered from its stack or the rule
 building sample or pooled covariances after count checks that read no
-data.  Its solve and meat accept leading axes; a single fit is the plan
-applied to one dataset's moments.  ``RwlsFit`` keeps the plan for the
-sandwich and G_z.  ``StackedFit`` is the plan applied to the moments of a
-(C, N, T) stack of datasets of one design, with the same per-item array
-operations, so each replication's results are bit-identical to its own fit.
+data.  What it reads that no data changes is shared and built once per
+model: the restriction, its record of the implemented set, the pooled
+rule's class ids and the estimand's W block stack, so a repeat fit does
+only the work its data needs.  Moments that leave double precision
+raise ConditioningError where they are formed.  The plan's solve and meat
+accept leading axes; a single fit is the plan applied to one dataset's
+moments.  ``RwlsFit`` keeps the plan for the sandwich and G_z.
+``StackedFit`` is the plan applied to the moments of a (C, N, T) stack of
+datasets of one design, with the same per-item array operations, so each
+replication's results are bit-identical to its own fit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import compress
 from statistics import NormalDist
 from types import MappingProxyType
@@ -57,7 +62,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .constraints import ClassMap, CoefficientLayout, RestrictionMatrix, assemble
+from .constraints import RESTRICTION_CACHE_SIZE, ClassMap, CoefficientLayout, RestrictionMatrix, assemble
 from .errors import (
     ConditioningError,
     DegenerateCovarianceError,
@@ -164,9 +169,22 @@ def _sequence_moments(dataset: ObservedDataset) -> Moments:
     counts = np.array(list(dataset.design.counts.values()))
     # gathered period by period, so each unit axis is contiguous
     periods = np.take(dataset.outcomes.T, np.concatenate(list(dataset._groups.values())), axis=1)
-    moments = grouped_moments(periods.T, counts)
+    moments = _finite_moments(periods.T, counts, dataset.design.observed)
     for array in moments:
         array.flags.writeable = False
+    return moments
+
+
+def _finite_moments(grouped: np.ndarray, counts: np.ndarray, sequences) -> Moments:
+    """``grouped_moments``, raising ConditioningError for the first item and,
+    in it, the first of the ``sequences`` whose mean or cross-products
+    leave double precision; numpy's overflow warnings stay silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = grouped_moments(grouped, counts)
+    if not (np.isfinite(moments.means).all() and np.isfinite(moments.cross).all()):
+        finite = np.isfinite(moments.means).all(axis=-1) & np.isfinite(moments.cross).all(axis=(-2, -1))
+        z = sequences[np.unravel_index(np.argmin(finite), finite.shape)[-1]]
+        raise ConditioningError(f"the moments of sequence {z} overflow double precision; rescale the outcomes")
     return moments
 
 
@@ -313,6 +331,8 @@ def _scatter(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     [0, size), in one bincount: each item of a stack sums its own values,
     offset past the others', in the order a single item sums them."""
     lead = values.shape[: values.ndim - keys.ndim]
+    if not lead:
+        return np.bincount(keys.ravel(), values.ravel(), minlength=size)
     offsets = np.arange(math.prod(lead)).reshape(lead + (1,) * keys.ndim) * size
     sums = np.bincount((keys + offsets).ravel(), values.ravel(), minlength=offsets.size * size)
     return sums.reshape(lead + (size,))
@@ -361,9 +381,19 @@ def _covariance_rule(weights, design: CrossoverDesign, scenario, carryover_order
     if weights == "sample":
         return partial(sample_by_sequence, counts, sequences=observed)
     if weights == "pooled":
-        ids = ClassMap(design.horizon, scenario, carryover_order).ids(observed)[1]
+        ids = _pooling_ids(ClassMap(design.horizon, scenario, carryover_order), observed)
         return partial(pool_by_class, counts, ids=ids, sequences=observed)
     raise ValueError(f"weights must be 'sample', 'pooled', or a WeightModel, got {weights!r}")
+
+
+@lru_cache(maxsize=RESTRICTION_CACHE_SIZE)
+def _pooling_ids(classes: ClassMap, sequences: tuple[TreatmentSequence, ...]) -> np.ndarray:
+    """The read-only (k, T) ``ClassMap.ids`` of an implemented tuple, which
+    the pooled rule pools by: one record per (class map, tuple), the last
+    RESTRICTION_CACHE_SIZE kept."""
+    ids = classes.ids(sequences)[1]
+    ids.flags.writeable = False
+    return ids
 
 
 def _weights_of(dataset: ObservedDataset, choice: str, scenario=None, carryover_order=None) -> WeightModel:
@@ -473,7 +503,8 @@ class _FitPlan:
     NotIdentifiableError, a malformed spec, then an unknown weight choice,
     a sequence or pooled entry with no degrees of freedom, or a user
     weight model that lacks an implemented sequence or is misshapen.
-    ``class_rows`` is Q as the pair (S, N), N None for the identity, and
+    ``sequences`` are the implemented ones in code order, ``class_rows``
+    is Q as the pair (S, N), N None for the identity, and
     ``hit_rows`` Q_h as the pair of their rows for the classes hit;
     ``local`` is the (k, T) index of each (sequence, period) entry into the
     classes hit and ``entry_classes`` its class.
@@ -494,7 +525,7 @@ class _FitPlan:
         check = is_identifiable(design, restriction)
         if not check.identifiable:
             raise NotIdentifiableError(check.rank, check.dimension)
-        observed = design.observed
+        observed = self.sequences = design.observed
         self.counts = np.array(list(design.counts.values()))
         scale, null = self.class_rows = restriction.class_scale, restriction.null_basis
         hit, self.local, _ = restriction.implemented(observed)
@@ -632,7 +663,7 @@ def _estimand_rows(restriction: RestrictionMatrix, spec: EstimandSpec) -> tuple[
         positions = layout.positions(spec.weights)
     except KeyError as exc:
         raise ValueError(f"spec references {exc.args[0]} outside the fitted scope") from None
-    blocks = np.stack(list(spec.weights.values()))
+    blocks = spec.blocks
     ids = restriction.class_ids.reshape(len(layout.scope), -1)[positions]
     # B E: each row of the (n, K, T) blocks summed by class
     by_class = _scatter(ids, blocks.swapaxes(0, 1), len(restriction.class_scale))
@@ -785,9 +816,9 @@ class StackedFit(_FitPlan):
     sandwich variances, each bitwise what the dataset's own
     ``feasible_rwls`` and ``estimate`` give: the Cholesky check, the LU
     solves and the matrix products run item by item on the stack as on one
-    fit.  It raises ConditioningError when a reduced matrix is not positive
-    definite.  The condition number, the restriction-residual warning and
-    the Wald test are not computed.
+    fit.  It raises ConditioningError when an item's moments are not finite
+    or a reduced matrix is not positive definite.  The condition number,
+    the restriction-residual warning and the Wald test are not computed.
     """
 
     @property
@@ -796,7 +827,7 @@ class StackedFit(_FitPlan):
         return len(self.hit_rows[0])
 
     def __call__(self, grouped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        moments = grouped_moments(grouped, self.counts)
+        moments = _finite_moments(grouped, self.counts, self.sequences)
         inverses = self.inverses
         if inverses is None:
             inverses = _inverses(*repair_positive_definite(self.covariances(moments.cross)))

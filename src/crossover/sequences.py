@@ -147,8 +147,9 @@ def trailing_window(z: TreatmentSequence | str, period: int, order: int) -> Trea
 class CrossoverDesign:
     """A crossover design: horizon, implemented sequences, and scope.
 
-    ``counts`` maps each implemented sequence to its fixed unit count.
-    ``scope`` is the ordered set of sequences that coefficients and
+    ``counts`` maps each implemented sequence to its fixed unit count,
+    and ``observed`` is the tuple of those sequences, in order, formed
+    once.  ``scope`` is the ordered set of sequences that coefficients and
     estimands range over; it defaults to the full 2^T set and must contain
     every implemented sequence.
     """
@@ -169,10 +170,7 @@ class CrossoverDesign:
             raise ValueError(f"scope must contain implemented sequences; missing {missing}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "scope", scope)
-
-    @property
-    def observed(self) -> tuple[TreatmentSequence, ...]:
-        return tuple(self.counts.keys())
+        object.__setattr__(self, "observed", tuple(counts))
 
     @property
     def n_units(self) -> int:

@@ -10,14 +10,17 @@ from crossover import (
     WeightModel,
     implied_estimator_weights,
     individual_effect_covariance,
+    rwls,
 )
 
 
 @pytest.fixture(autouse=True)
 def fresh_restrictions():
-    """Start each test with no shared restriction, so the rank checks and
-    implemented-set records a test counts are its own."""
+    """Start each test with no shared restriction or pooling class ids, so
+    the rank checks, implemented-set records and class ids a test counts
+    are its own."""
     ClassMap._shared.cache_clear()
+    rwls._pooling_ids.cache_clear()
 
 
 def template_labels(design: CrossoverDesign):

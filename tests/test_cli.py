@@ -12,6 +12,7 @@ import pytest
 import crossover
 from crossover import (
     CrossoverDesign,
+    ObservedDataset,
     WeightModel,
     assemble,
     design_to_text,
@@ -650,6 +651,22 @@ class TestFitCommand:
         data_file.write_text(dataset_csv(dataset))
         code = main(["fit", "--data", str(data_file), "--scenario", "a"])
         assert code == EXIT_NOT_IDENTIFIABLE
+
+    @pytest.mark.parametrize("extra", [[], ["--weights", "pooled"], ["--engine", "closed-form"]])
+    def test_overflowing_moments_exit_four_with_a_package_message(self, tmp_path, extra):
+        # outcomes of about 1e160 square past double precision in R_z'R_z
+        dataset = simulated_dataset(seed=3, counts=(100, 100, 100, 100))
+        scaled = ObservedDataset(dataset.design, dataset.assignments, dataset.outcomes * 1e160)
+        data_file = tmp_path / "data.csv"
+        data_file.write_text(dataset_csv(scaled))
+        env = dict(os.environ)
+        src = str(Path(crossover.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["fit", "--data", str(data_file), "--scenario", "b", "--k", "1", *extra]
+        proc = subprocess.run([sys.executable, "-m", "crossover.cli", *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_CONDITIONING
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["conditioning failure: the moments of sequence AA overflow double precision; rescale the outcomes"]
 
     def test_parse_failure_exits_two(self, tmp_path):
         data_file = tmp_path / "data.csv"

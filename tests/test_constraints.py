@@ -25,6 +25,7 @@ from crossover import (
     full_sequence_set,
     random_consistent_table,
     row_reduce,
+    sequence_set,
 )
 
 from conftest import dense_basis, gram_plus_restriction
@@ -481,14 +482,44 @@ class TestSharedRestriction:
         assert assemble("b", 5, full[:1], 1) is not first
 
     def test_a_restriction_too_large_to_keep_is_built_on_each_call(self):
-        # T=200, 8 sequences, k=2: Q alone would hold about 5 MB
+        # T=200, 8 sequences, k=2 under c: the 721 x 204 null basis and the
+        # 517 x 721 cycle rows hold about 4 MB
         scope = ["".join(w) for w in np.random.default_rng(2).choice(list("AB"), size=(8, 200))]
-        large = assemble("b", 200, scope, 2)
+        large = assemble("c", 200, scope, 2)
         assert large.class_basis.nbytes > constraints.SHARED_RESTRICTION_BYTES
-        assert assemble("b", 200, scope, 2) is not large
+        assert assemble("c", 200, scope, 2) is not large
         assert ClassMap._shared.cache_info().currsize == 0
-        small = assemble("b", 200, scope[:1], 2)
-        assert assemble("b", 200, scope[:1], 2) is small
+        small = assemble("c", 200, scope[:1], 2)
+        assert assemble("c", 200, scope[:1], 2) is small
+
+    @pytest.mark.parametrize("horizon", [200, 400])
+    def test_a_long_horizon_restriction_holding_o_p_arrays_is_shared(self, horizon):
+        # under b the restriction holds O(p) ids and scales, no q x q array
+        scope = ["".join(w) for w in np.random.default_rng(2).choice(list("AB"), size=(8, horizon))]
+        shared = assemble("b", horizon, scope, 2)
+        assert shared.null_basis is None and shared._rows.size == 0
+        assert assemble("b", horizon, scope, 2) is shared
+        assert assemble("b", horizon, sorted(scope, reverse=True), 2) is shared
+        assert ClassMap._shared.cache_info().currsize >= 1
+
+    @pytest.mark.parametrize(
+        "scenario,horizon,order,n",
+        [("a", 8, None, 256), ("a", 10, None, 1024), ("b", 400, 2, 8), ("b", 800, 2, 8), ("c", 7, 2, 128), ("c", 100, 1, 8)],
+    )
+    def test_a_shared_restriction_holds_at_most_the_bound(self, scenario, horizon, order, n):
+        # its arrays plus a full set of records of the largest implemented sets
+        rng = np.random.default_rng(horizon)
+        scope = full_sequence_set(horizon) if n == 2**horizon else sequence_set(
+            "".join(w) for w in rng.choice(list("AB"), size=(n, horizon))
+        )
+        restriction = assemble(scenario, horizon, scope, order)
+        assert assemble(scenario, horizon, scope, order) is restriction
+        for size in range(len(scope), len(scope) - constraints.IMPLEMENTED_SETS_KEPT, -1):
+            restriction.implemented(scope[:size])
+        arrays = [restriction.class_ids, restriction.class_scale, restriction._pairs, restriction._rows, restriction._columns]
+        arrays += [] if restriction.null_basis is None else [restriction.null_basis]
+        arrays += [array for record in restriction._sets.values() for array in record[:2]]
+        assert sum(array.nbytes for array in arrays) <= constraints.SHARED_RESTRICTION_BYTES
 
     def test_the_records_kept_are_at_most_their_bound(self):
         restriction = assemble("b", 3, full_sequence_set(3), 1)

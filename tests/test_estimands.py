@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +16,10 @@ from crossover import (
     instantaneous_effect,
     marginal_effect,
     stack,
+    standard_two_period_specs,
     true_value,
 )
+from crossover import twoperiod
 from crossover.estimands import _linear_combination
 
 SCOPE2 = full_sequence_set(2)
@@ -275,3 +280,53 @@ class TestScopesOfAnotherLength:
         spec = EstimandSpec(2, ("BA", "AB"), weights, ("x",))
         assert list(spec.weights) == ["AB", "BA"]
         assert spec.scope == ("AB", "BA")
+
+
+def _specs_of_every_builder():
+    scope3 = full_sequence_set(3)
+    instantaneous = instantaneous_effect(2, "A", scope3)
+    carryover = carryover_effect(3, 1, "A", "B", scope3)
+    two = ("AB", "BA")
+    return {
+        "instantaneous": instantaneous,
+        "carryover": carryover,
+        "all-instantaneous": all_instantaneous_effects(3, scope3)[1],
+        "standard-two-period": standard_two_period_specs(SCOPE2)[3],
+        "stack": stack([instantaneous, carryover]),
+        "marginal": marginal_effect([instantaneous, carryover]),
+        "given": EstimandSpec(2, SCOPE2, {"BA": [[-1, 0]], "AB": np.array([[1.0, 0.0]])}, ("x",)),
+        **{f"twoperiod-{s}": twoperiod._reported_rows(SCOPE2, s) for s in ("a", "b", "c")},
+        "twoperiod-two-sequence": twoperiod._reported_rows(two, "b"),
+    }
+
+
+class TestBlockStack:
+    """A spec copies its W blocks once into a read-only (n, K, T) stack, and
+    ``weights`` maps each sequence to its view into it."""
+
+    @pytest.mark.parametrize("name,spec", _specs_of_every_builder().items())
+    def test_weights_are_read_only_views_of_the_stack(self, name, spec):
+        blocks = spec.blocks
+        assert blocks.shape == (len(spec.weights), spec.dimension, spec.horizon)
+        assert not blocks.flags.writeable
+        for block, (z, w) in zip(blocks, spec.weights.items()):
+            assert w.base is blocks and not w.flags.writeable
+            assert np.shares_memory(w, blocks) and np.array_equal(w, block)
+            assert spec.weight(z) is w
+        with pytest.raises(TypeError):
+            spec.weights["AB"] = np.zeros((spec.dimension, spec.horizon))
+        with pytest.raises(ValueError):
+            blocks[0, 0, 0] = 1.0
+
+    def test_the_given_arrays_are_copied(self):
+        given = np.array([[1.0, 0.0]])
+        spec = EstimandSpec(2, SCOPE2, {"AB": given, "BA": -given}, ("x",))
+        given[0, 0] = 5.0
+        assert spec.weight("AB").tolist() == [[1.0, 0.0]]
+
+    def test_copies_through_pickle_and_deepcopy(self):
+        spec = stack([instantaneous_effect(1, "", SCOPE2), carryover_effect(2, 1, "", "A", SCOPE2)])
+        for copied in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copied.labels == spec.labels and copied.scope == spec.scope
+            assert np.array_equal(copied.blocks, spec.blocks) and not copied.blocks.flags.writeable
+            assert all(w.base is copied.blocks for w in copied.weights.values())

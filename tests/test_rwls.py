@@ -42,7 +42,7 @@ from crossover import (
     stack,
     true_value,
 )
-from crossover import rwls, twoperiod
+from crossover import constraints, rwls, twoperiod
 from crossover.constraints import ClassMap, CoefficientLayout, restriction_from_rows
 from crossover.rwls import _chi2_sf, repair_positive_definite
 from conftest import (
@@ -1322,6 +1322,127 @@ class TestFitOnTheSharedRestriction:
             other = estimate(copied, spec)
             assert np.array_equal(other.point, result.point)
             assert np.array_equal(other.std_errors, result.std_errors)
+
+
+# the five fit-horizon benchmark models: (horizon, scenario, order, weights)
+HORIZON_FITS = [(6, "a", None, "sample"), (6, "b", 1, "sample"), (6, "c", 1, "sample"), (6, "b", 2, "pooled"), (7, "b", 1, "sample")]
+
+
+class TestWarmFitDerivesNothingTwice:
+    """The scope check, the pooling classes and the spec's block stack are
+    built once per model: a repeat fit does only the work its data needs,
+    and its results are bitwise a fresh fit's."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        """Counters of layouts built, ClassMap.ids calls and np.stack calls
+        over (K, T) spec blocks."""
+        counts = {"layouts": 0, "ids": 0, "spec stacks": 0}
+        post_init, ids, np_stack = CoefficientLayout.__post_init__, ClassMap.ids, np.stack
+
+        def count(name, function):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+            return counted
+
+        def stacked(arrays, *args, **kwargs):
+            arrays = list(arrays)
+            if arrays and all(np.ndim(a) == 2 for a in arrays):
+                counts["spec stacks"] += 1
+            return np_stack(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(CoefficientLayout, "__post_init__", count("layouts", post_init))
+        monkeypatch.setattr(ClassMap, "ids", count("ids", ids))
+        monkeypatch.setattr(np, "stack", stacked)
+        return counts
+
+    @staticmethod
+    def _arrays(fit, result):
+        return [fit.gamma, fit.beta, fit.reduced_matrix, fit.reduced_meat, fit.weight_model.stack, result.point, result.covariance]
+
+    @pytest.mark.parametrize("horizon,scenario,order,choice", HORIZON_FITS)
+    def test_a_repeat_fit_rebuilds_no_model_record(self, monkeypatch, horizon, scenario, order, choice):
+        dataset = _full_scope_dataset(horizon, scenario, order, 3, horizon, 1)
+        scope = dataset.design.scope
+        ones = "A" * (horizon - 2)
+        spec = stack([
+            instantaneous_effect(1, "", scope),
+            instantaneous_effect(horizon, ones + "A", scope),
+            carryover_effect(horizon, 1, ones, "B", scope),
+        ])
+        first = feasible_rwls(dataset, scenario, order, choice)
+        first_result = estimate(first, spec)
+        counts = self._counted(monkeypatch)
+        again = feasible_rwls(dataset, scenario, order, choice)
+        again_result = estimate(again, spec)
+        assert counts == {"layouts": 0, "ids": 0, "spec stacks": 0}
+        assert again.restriction is first.restriction
+        monkeypatch.undo()
+        ClassMap._shared.cache_clear()
+        rwls._pooling_ids.cache_clear()
+        fresh = feasible_rwls(dataset, scenario, order, choice)
+        fresh_result = estimate(fresh, spec)
+        assert fresh.restriction is not first.restriction
+        expected = self._arrays(first, first_result)
+        for arrays in (self._arrays(again, again_result), self._arrays(fresh, fresh_result)):
+            for name, got, want in zip(("gamma", "beta", "M", "meat", "weights", "point", "covariance"), arrays, expected):
+                assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("horizon,scenario,order", [(3, "c", 1), (4, "c", 2), (4, "b", 2), (3, "a", None)])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_pooled_weights_pool_by_the_scenarios_class_ids(self, horizon, scenario, order, given):
+        # the partition comes from the weight rule's class map, whatever the
+        # fit's restriction: under c the scenario-c ids, under given rows too
+        dataset = _full_scope_dataset(horizon, scenario, order, 4, 3, 2)
+        design = dataset.design
+        restriction = assemble(scenario, horizon, design.scope, order)
+        if given:
+            restriction = restriction_from_rows(restriction.layout, restriction.matrix, scenario)
+            assert restriction.class_ids.tolist() == list(range(restriction.layout.size))
+        ids = ClassMap(horizon, scenario, order).ids(design.observed)[1]
+        counts, _, cross = dataset.moments
+        expected = repair_positive_definite(rwls.pool_by_class(counts, cross, ids, design.observed))[0]
+        fit = feasible_rwls(dataset, scenario, order, "pooled", restriction)
+        assert np.array_equal(fit.weight_model.stack, expected)
+        assert np.array_equal(pooled_covariance_entries(dataset, scenario, order).stack, expected)
+
+    def test_pooling_ids_are_read_only_and_bounded(self):
+        observed = full_sequence_set(3)
+        ids = rwls._pooling_ids(ClassMap(3, "b", 1), observed)
+        assert not ids.flags.writeable
+        assert rwls._pooling_ids(ClassMap(3, "b", 1), observed) is ids
+        for classes in (ClassMap(3, "b", 1), ClassMap(3, "c", 1), ClassMap(3, "a")):
+            for size in range(1, len(observed) + 1):
+                rwls._pooling_ids(classes, observed[:size])
+        assert rwls._pooling_ids.cache_info().currsize == constraints.RESTRICTION_CACHE_SIZE
+
+
+class TestOverflowingMoments:
+    """Moments that leave double precision raise ConditioningError naming
+    the first such sequence, with numpy's overflow warning silent."""
+
+    def test_feasible_rwls_names_the_first_overflowing_sequence(self, rng, recwarn):
+        design = four_seq_design()
+        dataset = make_dataset(design, rng)
+        outcomes = dataset.outcomes.copy()
+        outcomes[np.isin(dataset.codes, [1, 3])] *= 1e160
+        scaled = ObservedDataset(design, dataset.codes, outcomes)
+        for choice in ("sample", "pooled"):
+            with pytest.raises(ConditioningError, match="moments of sequence AB overflow"):
+                feasible_rwls(scaled, "b", 1, choice)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_the_stacked_fit_names_the_first_item_s_sequence(self, rng, recwarn):
+        design = four_seq_design()
+        grouped = rng.normal(size=(3, design.n_units, 2))
+        # item 1 overflows in BA (code 2), item 2 in AA (code 0): item 1 is first
+        grouped[1, 7:12] *= 1e160
+        grouped[2, :3] *= 1e160
+        fit = rwls.StackedFit(design, assemble("b", 2, design.scope, 1), instantaneous_effect(1, "", design.scope))
+        with pytest.raises(ConditioningError, match="moments of sequence BA overflow"):
+            fit(grouped)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 class TestSolveRestrictedWlsMeans:

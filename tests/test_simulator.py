@@ -12,6 +12,7 @@ from crossover import (
     MissingSequenceError,
     NotIdentifiableError,
     ObservedDataset,
+    PotentialOutcomeTable,
     ScenarioGenerator,
     WeightModel,
     as_sequence,
@@ -186,6 +187,15 @@ class TestRunMonteCarlo:
         assert report.replications == 6
         assert report.generator_seed is None
 
+
+    def test_overflowing_moments_raise_conditioning_error(self, recwarn):
+        # the table's outcomes times 1e160 square past double precision
+        design = CrossoverDesign(2, {"AB": 6, "BA": 6})
+        table = random_consistent_table(2, "b", 1, 12, seed=8)
+        scaled = PotentialOutcomeTable(2, {z: y * 1e160 for z, y in table.outcomes.items()})
+        with pytest.raises(ConditioningError, match="^the moments of sequence AB overflow double precision"):
+            run_monte_carlo(scaled, design, [instantaneous_effect(1, "", SCOPE2)], 6, scenario="b", carryover_order=1)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("replications", [1, 0, -3])
     def test_fewer_than_two_replications_rejected(self, replications):
